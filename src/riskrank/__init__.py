@@ -34,9 +34,7 @@ from .early_warning import (
 from .engine import (
     RiskDecomposition,
     RiskRankConfig,
-    riskrank_kpath,
-    riskrank_node,
-    riskrank_root,
+    riskrank_for,
     riskrank_series,
 )
 from .errors import (
@@ -59,7 +57,6 @@ from .evaluation import (
     usefulness,
 )
 from .network import (
-    HierarchySpec,
     NetworkSnapshot,
     Node,
     RiskNetwork,

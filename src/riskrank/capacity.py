@@ -311,9 +311,6 @@ class TwoAdditiveCapacity:
     def shapley_values(self) -> np.ndarray:
         return self.singleton + 0.5 * self.pairs.sum(axis=1)
 
-    def interaction_matrix(self) -> np.ndarray:
-        return self.pairs.copy()
-
     def is_monotone(self, tol: float = MONOTONE_SLACK) -> bool:
         """Monotone iff a_i plus the worst-case negative pair load stays >= 0."""
         worst = self.singleton + np.minimum(self.pairs, 0.0).sum(axis=1)

@@ -171,15 +171,17 @@ def cmd_shapley(args) -> int:
     return 0
 
 
-def cmd_riskrank(args) -> int:
+def cmd_score(args) -> int:
+    """Score the targets over the series; ``riskrank`` and ``report`` differ
+    only in the writer and the name of what it wrote."""
     cfg = _load_run_config(args)
     snapshots = read_nodes_links(cfg.nodes, cfg.links)
     if cfg.probabilities:
         snapshots = _snapshots_with_probabilities(snapshots, cfg.probabilities)
     targets = _resolve_targets(args.targets, snapshots)
     rows = riskrank_series(snapshots, targets, _engine_config(cfg))
-    write_decompositions(args.out, rows)
-    print(f"wrote {len(rows)} decompositions to {args.out}")
+    args.write(args.out, rows)
+    print(f"wrote {len(rows)} {args.written} to {args.out}")
     return 0
 
 
@@ -242,18 +244,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _load_run_config(args)
-    snapshots = read_nodes_links(cfg.nodes, cfg.links)
-    if cfg.probabilities:
-        snapshots = _snapshots_with_probabilities(snapshots, cfg.probabilities)
-    targets = _resolve_targets(args.targets, snapshots)
-    rows = riskrank_series(snapshots, targets, _engine_config(cfg))
-    write_series_long(args.out, rows)
-    print(f"wrote {len(rows)} decompositions (long form) to {args.out}")
-    return 0
-
-
 def _add_config_flag(parser):
     parser.add_argument("--config", help="JSON config file; flags override it")
 
@@ -297,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     _add_engine_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_riskrank)
+    p.set_defaults(func=cmd_score, write=write_decompositions, written="decompositions")
 
     p = sub.add_parser("backtest", help="recursive out-of-sample crisis probabilities")
     _add_config_flag(p)
@@ -339,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     _add_engine_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_score, write=write_series_long,
+                   written="decompositions (long form)")
 
     return parser
 

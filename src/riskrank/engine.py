@@ -1,41 +1,50 @@
-"""Interconnected-risk scores over a snapshot: totals and their decomposition.
+"""Interconnected-risk scores over a snapshot series: totals and their decomposition.
 
-The score for a target aggregates neighbor risk levels x_i with the capacity
-from ``build_capacity``: writing v_i for the Shapley values and I_ij for the
-pairwise interactions,
+The score for a target aggregates risk levels along the simple directed paths
+of length at most k that end at it.  A path p = (n_0 -> ... -> n_{L-1} ->
+target) carries the mass m_p, the product of its link weights, and the value
+m_p * x_{n_0} * ... * x_{n_{L-1}}, so risk spreads along a chain in
+proportion to every node level on it.  With z the total path mass,
 
-    score = sum_i (v_i - 0.5 * sum_j I_ij) x_i   (direct effects)
-          + sum_{i<j} I_ij * x_i * x_j           (indirect effects),
+    direct   = sum over paths of length 1 of value_p / z,
+    indirect = sum over longer paths of value_p / z.
 
-where the conjunctive min of the 2-additive Choquet integral is replaced by
-the product, so risk spreads along two-step paths in proportion to both node
-levels.  Algebraically this equals the Moebius form
-sum_i a_i x_i + sum_{i<j} a_ij x_i x_j, which the tests cross-check.
+The root carries no risk level of its own and its total is always clamped at
+one.  A non-root target adds its own level x_c as the individual term:
+"unit" mode gives it weight one outside the normalizer (the total is clamped
+at one unless clamping is off), "shapley" mode adds its self exposure s (by
+default the incoming weight total capped at one) to z and weights x_c by
+s / z.
 
-For a non-root target, its own risk level x_c enters through a self-loop
-singleton: either with the weight the normalized capacity assigns it
-("shapley" mode) or with weight one ("unit" mode, clamped at one), in which
-case the neighbor masses are normalized among themselves exactly as in root
-mode.  Longer chains of influence are handled by the path-based variant,
-which gives every simple path of length up to k a mass equal to its link
-weight product and a value equal to the product of the risk levels along it.
+At k = 2 the path masses are the Moebius masses of the 2-additive capacity
+``build_capacity`` assembles: a_i = l(i, t) and a_ij = l(j, i) l(i, t) +
+l(i, j) l(j, t).  The path sum divided by z is therefore the Moebius form
+sum_i a_i x_i + sum_{i<j} a_ij x_i x_j of the normalized capacity, which with
+Shapley values v_i = a_i + 0.5 sum_j a_ij and interactions I_ij = a_ij is the
+Shapley/interaction form
+
+    sum_i (v_i - 0.5 * sum_j I_ij) x_i + sum_{i<j} I_ij x_i x_j
+
+of the 2-additive Choquet integral with its conjunctive min replaced by the
+product.  That capacity and the Choquet machinery stay as the specification;
+the tests keep the per-snapshot Shapley-form operators as an oracle for this
+engine.
+
+All snapshots of a series share one structure, so each target's paths are
+enumerated once, on the first snapshot, as columns into the dates x links
+weights W and the dates x nodes risk levels X; every date is then scored at
+once.  Products and sums are taken in the order of a loop over the paths, so
+the numbers do not depend on how many dates are scored together.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoCapacityError
-from .network import (
-    NetworkSnapshot,
-    assert_same_structure,
-    build_capacity,
-    default_self_exposure,
-    k_paths,
-)
+from .network import NetworkSnapshot, assert_same_structure, k_paths
 
 CENTRAL_WEIGHT_MODES = ("unit", "shapley")
 
@@ -50,13 +59,6 @@ class RiskDecomposition:
     indirect: float
     total_raw: float
     total: float
-
-
-def _finish(target: str, individual: float, direct: float, indirect: float,
-            clamp: bool) -> RiskDecomposition:
-    total_raw = individual + direct + indirect
-    total = min(total_raw, 1.0) if clamp else total_raw
-    return RiskDecomposition(target, individual, direct, indirect, total_raw, total)
 
 
 @dataclass(frozen=True)
@@ -76,130 +78,6 @@ class RiskRankConfig:
             raise ValueError("max_path_length must be >= 1")
 
 
-def _pairwise_parts(capacity, x: np.ndarray) -> tuple[float, float]:
-    """Direct and indirect sums from Shapley values and interactions."""
-    v = capacity.shapley_values()
-    inter = capacity.pairs
-    direct = float(np.sum((v - 0.5 * inter.sum(axis=1)) * x))
-    indirect = 0.5 * float(x @ inter @ x)
-    return direct, indirect
-
-
-def riskrank_root(snapshot: NetworkSnapshot) -> RiskDecomposition:
-    """Systemic score at the root; no individual term, normalized capacity."""
-    net = snapshot.network
-    root = net.root()
-    build = build_capacity(net, root.id, mode="root")
-    x = np.array([net.risk_of(nid) for nid in build.elements])
-    direct, indirect = _pairwise_parts(build.capacity, x)
-    return _finish(root.id, 0.0, direct, indirect, clamp=True)
-
-
-def riskrank_node(snapshot: NetworkSnapshot, target: str,
-                  cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
-    """Score for a non-root node, self-loop included per the configured mode."""
-    net = snapshot.network
-    node = net.nodes.get(target)
-    if node is None:
-        raise ValueError(f"unknown node {target!r}")
-    if node.level == 0:
-        raise ValueError("target is the root; use riskrank_root")
-    x_c = net.risk_of(target)
-
-    if cfg.central_weight_mode == "unit":
-        individual = x_c
-        try:
-            build = build_capacity(net, target, mode="root")
-        except NoCapacityError:
-            return _finish(target, individual, 0.0, 0.0, cfg.clamp)
-        x = np.array([net.risk_of(nid) for nid in build.elements])
-        direct, indirect = _pairwise_parts(build.capacity, x)
-        return _finish(target, individual, direct, indirect, cfg.clamp)
-
-    build = build_capacity(net, target, mode="central")
-    if build.raw_mass <= 0.0:
-        raise NoCapacityError(
-            f"node {target!r} has no incoming mass or self exposure"
-        )
-    capacity = build.capacity.normalize()
-    x = np.array([
-        x_c if nid == target else net.risk_of(nid) for nid in build.elements
-    ])
-    v = capacity.shapley_values()
-    self_idx = build.index_of(target)
-    individual = float(v[self_idx] * x_c)
-    x_neighbors = x.copy()
-    x_neighbors[self_idx] = 0.0
-    v_masked = v.copy()
-    v_masked[self_idx] = 0.0
-    inter = capacity.pairs
-    direct = float(np.sum((v_masked - 0.5 * inter.sum(axis=1)) * x_neighbors))
-    indirect = 0.5 * float(x_neighbors @ inter @ x_neighbors)
-    return _finish(target, individual, direct, indirect, cfg.clamp)
-
-
-def riskrank_kpath(snapshot: NetworkSnapshot, target: str,
-                   cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
-    """Path-based generalization: simple paths up to length k carry mass equal
-    to the product of their link weights and value equal to the product of the
-    risk levels of the nodes they pass through.  k = 2 reproduces the base
-    operators exactly; k = 1 keeps direct effects only.
-    """
-    k = cfg.max_path_length
-    net = snapshot.network
-    node = net.nodes.get(target)
-    if node is None:
-        raise ValueError(f"unknown node {target!r}")
-    is_root = node.level == 0
-    paths = k_paths(net, target, k)
-    masses = np.array([p.weight for p in paths]) if paths else np.zeros(0)
-    path_mass = float(masses.sum())
-
-    self_mass = 0.0
-    if not is_root and cfg.central_weight_mode == "shapley":
-        self_mass = default_self_exposure(net, target)
-    z = path_mass + self_mass
-
-    if z <= 0.0:
-        if is_root:
-            raise NoCapacityError(f"node {target!r} has no incoming mass")
-        if cfg.central_weight_mode == "shapley":
-            raise NoCapacityError(
-                f"node {target!r} has no incoming mass or self exposure"
-            )
-        return _finish(target, net.risk_of(target), 0.0, 0.0, cfg.clamp)
-
-    if is_root:
-        individual = 0.0
-        clamp = True
-    elif cfg.central_weight_mode == "unit":
-        # self term bypasses the normalizer: z is the path mass alone
-        individual = net.risk_of(target)
-        clamp = cfg.clamp
-    else:
-        individual = (self_mass / z) * net.risk_of(target)
-        clamp = cfg.clamp
-
-    direct = 0.0
-    indirect = 0.0
-    for hit in paths:
-        value = hit.weight * math.prod(net.risk_of(nid) for nid in hit.nodes[:-1])
-        if hit.length == 1:
-            direct += value / z
-        else:
-            indirect += value / z
-    return _finish(target, individual, direct, indirect, clamp)
-
-
-def riskrank_for(snapshot: NetworkSnapshot, target: str,
-                 cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
-    """Dispatch to the base operators at k = 2, the path variant otherwise."""
-    is_root = target in snapshot.network.nodes and snapshot.network.nodes[target].level == 0
-    if cfg.max_path_length == 2:
-        return riskrank_root(snapshot) if is_root else riskrank_node(snapshot, target, cfg)
-    return riskrank_kpath(snapshot, target, cfg)
-
-
 @dataclass(frozen=True)
 class SeriesRow:
     date: int
@@ -207,15 +85,176 @@ class SeriesRow:
     decomposition: RiskDecomposition
 
 
+class _Failure(Exception):
+    """Arguments: a target's first failing date index and the error for it."""
+
+
+def _no_risk(node_id: str) -> ValueError:
+    return ValueError(f"node {node_id!r} carries no risk value")
+
+
+def _product(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Dates x paths products of ``table`` over each row of ``columns``,
+    multiplied left to right starting from 1.0."""
+    out = np.ones((table.shape[0], columns.shape[0]))
+    for j in range(columns.shape[1]):
+        out *= table[:, columns[:, j]]
+    return out
+
+
+def _running_total(block: np.ndarray) -> np.ndarray:
+    """Row sums of a dates x items block, added left to right."""
+    if block.shape[1] == 0:
+        return np.zeros(block.shape[0])
+    return np.cumsum(block, axis=1)[:, -1]
+
+
+class _Series:
+    """A fixed-structure snapshot series as dates x columns arrays.
+
+    Nodes and links are columns in sorted order; ``weights`` and ``risks``
+    end in a column of ones that padded path entries point at.
+    """
+
+    def __init__(self, snaps: list[NetworkSnapshot]):
+        self.snaps = snaps
+        self.network = snaps[0].network
+        self.node_ids = sorted(self.network.nodes)
+        self.link_keys = sorted(self.network.links)
+        self.node_col = {nid: i for i, nid in enumerate(self.node_ids)}
+        self.link_col = {key: i for i, key in enumerate(self.link_keys)}
+        levels = [
+            [snap.network.nodes[nid].risk_value for nid in self.node_ids]
+            for snap in snaps
+        ]
+        self.known = np.array(
+            [[x is not None for x in row] for row in levels], dtype=bool
+        ).reshape(len(snaps), len(self.node_ids))
+        self.risks = np.array(
+            [[np.nan if x is None else x for x in row] + [1.0] for row in levels]
+        )
+        self.weights = np.array(
+            [[snap.network.links[key] for key in self.link_keys] + [1.0]
+             for snap in snaps]
+        )
+
+    def _compile(self, hits, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node columns from each path's start to the node before the target,
+        and link columns from the target outward, padded to length k."""
+        nodes = np.full((len(hits), k), len(self.node_ids), dtype=np.intp)
+        links = np.full((len(hits), k), len(self.link_keys), dtype=np.intp)
+        for p, hit in enumerate(hits):
+            path = hit.nodes
+            nodes[p, :hit.length] = [self.node_col[nid] for nid in path[:-1]]
+            links[p, :hit.length] = [
+                self.link_col[path[i - 1], path[i]] for i in range(hit.length, 0, -1)
+            ]
+        return nodes, links
+
+    def _self_mass(self, target: str) -> np.ndarray:
+        """Self exposure per date, else the incoming weight total capped at one."""
+        inbound = [col for (_, dst), col in self.link_col.items() if dst == target]
+        fallback = np.minimum(_running_total(self.weights[:, inbound]), 1.0).tolist()
+        given = [snap.network.nodes[target].self_exposure for snap in self.snaps]
+        return np.array([f if s is None else s for s, f in zip(given, fallback)])
+
+    def score(self, target: str, cfg: RiskRankConfig) -> tuple[np.ndarray, ...]:
+        """Individual, direct, indirect, raw and final totals over all dates.
+
+        Raises _Failure for the first date on which the target cannot be
+        scored.
+        """
+        node = self.network.nodes.get(target)
+        if node is None:
+            raise _Failure(0, ValueError(f"unknown node {target!r}"))
+        k = cfg.max_path_length
+        is_root = node.level == 0
+        shapley = not is_root and cfg.central_weight_mode == "shapley"
+        hits = k_paths(self.network, target, k)
+        nodes, links = self._compile(hits, k)
+        mass = _product(self.weights, links)
+        value = mass * _product(self.risks, nodes)
+        z = mass.sum(axis=1)
+        if shapley:
+            self_mass = self._self_mass(target)
+            z = z + self_mass
+        no_mass = z <= 0.0
+        scored = ~no_mass
+
+        # Checks in the order the per-snapshot operators made them.
+        own = (~self.known[:, self.node_col[target]], lambda d: _no_risk(target))
+        if is_root:
+            # the capacity form at k = 2 reports a root without in-links apart
+            what = "links" if k == 2 and not hits else "mass"
+            checks = [(no_mass, lambda d: NoCapacityError(
+                f"node {target!r} has no incoming {what}"))]
+        elif shapley:
+            empty = (no_mass, lambda d: NoCapacityError(
+                f"node {target!r} has no incoming mass or self exposure"))
+            # the capacity form at k = 2 reads the target's own level first
+            checks = [own, empty] if k == 2 else [empty, own]
+        else:
+            checks = [own]
+        # Path nodes in the order the per-snapshot operators read their levels:
+        # by id at k = 2, where they read the capacity's ground set, else in
+        # path order.
+        seen = dict.fromkeys(self.node_col[nid] for hit in hits for nid in hit.nodes[:-1])
+        order = sorted(seen) if k == 2 else list(seen)
+        missing = ~self.known[:, order]
+        checks.append((scored & missing.any(axis=1),
+                       lambda d: _no_risk(self.node_ids[order[np.argmax(missing[d])]])))
+        failing = np.logical_or.reduce([mask for mask, _ in checks])
+        if failing.any():
+            d = int(np.argmax(failing))
+            raise _Failure(d, next(error(d) for mask, error in checks if mask[d]))
+
+        share = value / np.where(scored, z, 1.0)[:, None]
+        n_direct = sum(hit.length == 1 for hit in hits)
+        direct = np.where(scored, _running_total(share[:, :n_direct]), 0.0)
+        indirect = np.where(scored, _running_total(share[:, n_direct:]), 0.0)
+        own_level = self.risks[:, self.node_col[target]]
+        if is_root:
+            individual = np.zeros(len(self.snaps))
+        elif shapley:
+            individual = (self_mass / z) * own_level
+        else:
+            individual = own_level
+        total_raw = individual + direct + indirect
+        clamp = is_root or cfg.clamp
+        total = np.minimum(total_raw, 1.0) if clamp else total_raw
+        return individual, direct, indirect, total_raw, total
+
+
 def riskrank_series(snapshots, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
     """One decomposition per (date, target), snapshots taken in order.
 
     All snapshots must share one structure; a drifting series is an error.
+    A failure is reported for the first failing (date, target) pair.
     """
     snaps = list(snapshots)
+    targets = list(targets)
     assert_same_structure(snaps)
-    rows: list[SeriesRow] = []
-    for snap in snaps:
-        for target in targets:
-            rows.append(SeriesRow(snap.date, target, riskrank_for(snap, target, cfg)))
-    return rows
+    if not snaps:
+        return []
+    series = _Series(snaps)
+    columns, failures = [], []
+    for j, target in enumerate(targets):
+        try:
+            columns.append([part.tolist() for part in series.score(target, cfg)])
+        except _Failure as failure:
+            date_index, error = failure.args
+            failures.append((date_index, j, error))
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    return [
+        SeriesRow(snap.date, target,
+                  RiskDecomposition(target, *(part[d] for part in parts)))
+        for d, snap in enumerate(snaps)
+        for target, parts in zip(targets, columns)
+    ]
+
+
+def riskrank_for(snapshot: NetworkSnapshot, target: str,
+                 cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
+    """Decomposition of one target in one snapshot: a series of one."""
+    return riskrank_series([snapshot], [target], cfg)[0].decomposition

@@ -113,15 +113,16 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
     if not per_date_nodes:
         raise SchemaError(nodes_path, 2, "no node rows")
 
+    ids_by_date = {date: {n.id for n in nodes} for date, nodes in per_date_nodes.items()}
     per_date_links: dict[int, list[tuple[str, str, float]]] = {}
     for line, row, _ in _rows(links_path, LINKS_HEADER):
         if len(row) != len(LINKS_HEADER):
             raise SchemaError(links_path, line, f"expected {len(LINKS_HEADER)} columns")
         date = _parse_quarter(links_path, line, row[0])
-        if date not in per_date_nodes:
+        known = ids_by_date.get(date)
+        if known is None:
             raise SchemaError(links_path, line, f"link date {row[0]} has no node rows")
         source, target = row[1].strip(), row[2].strip()
-        known = {n.id for n in per_date_nodes[date]}
         if source not in known or target not in known:
             raise SchemaError(links_path, line, f"unknown entity in link {source}->{target}")
         weight = _parse_float(links_path, line, row[3], "weight")

@@ -116,40 +116,6 @@ class NetworkSnapshot:
     network: RiskNetwork
 
 
-@dataclass(frozen=True)
-class HierarchySpec:
-    """Level sizes and per-parent sub-network sizes implied by a network.
-
-    Each level's node count must be the sum of the sibling-group sizes hanging
-    off the previous level, which ``consistent_with`` re-derives and checks.
-    """
-
-    level_sizes: tuple[int, ...]
-    group_sizes: dict[str, int]
-
-    @classmethod
-    def of(cls, net: RiskNetwork) -> "HierarchySpec":
-        depth = max(n.level for n in net.nodes.values())
-        sizes = [0] * (depth + 1)
-        groups: dict[str, int] = {}
-        for node in net.nodes.values():
-            sizes[node.level] += 1
-            if node.parent_id is not None:
-                groups[node.parent_id] = groups.get(node.parent_id, 0) + 1
-        return cls(tuple(sizes), groups)
-
-    def consistent_with(self, net: RiskNetwork) -> bool:
-        for level in range(1, len(self.level_sizes)):
-            from_groups = sum(
-                count
-                for parent, count in self.group_sizes.items()
-                if parent in net.nodes and net.nodes[parent].level == level - 1
-            )
-            if from_groups != self.level_sizes[level]:
-                return False
-        return True
-
-
 def validate_hierarchy(net: RiskNetwork) -> ValidationReport:
     """Report root uniqueness, level/parent consistency, value ranges and
     links that escape their sibling group."""

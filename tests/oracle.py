@@ -1,0 +1,158 @@
+"""Reference scoring operators, kept as the test oracle for the engine.
+
+These are the per-snapshot operators the engine replaced.  At k = 2 the root
+and node operators evaluate the score in Shapley/interaction form from the
+2-additive capacity that ``build_capacity`` assembles,
+
+    score = sum_i (v_i - 0.5 * sum_j I_ij) x_i + sum_{i<j} I_ij x_i x_j,
+
+and the path operator walks ``k_paths`` one hit at a time.  ``oracle_for``
+dispatches between them the way the package did: base operators at k = 2,
+the path operator otherwise.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from riskrank.engine import RiskDecomposition, RiskRankConfig
+from riskrank.errors import NoCapacityError
+from riskrank.network import (
+    NetworkSnapshot,
+    build_capacity,
+    default_self_exposure,
+    k_paths,
+)
+
+
+def _finish(target: str, individual: float, direct: float, indirect: float,
+            clamp: bool) -> RiskDecomposition:
+    total_raw = individual + direct + indirect
+    total = min(total_raw, 1.0) if clamp else total_raw
+    return RiskDecomposition(target, individual, direct, indirect, total_raw, total)
+
+
+def _pairwise_parts(capacity, x: np.ndarray) -> tuple[float, float]:
+    """Direct and indirect sums from Shapley values and interactions."""
+    v = capacity.shapley_values()
+    inter = capacity.pairs
+    direct = float(np.sum((v - 0.5 * inter.sum(axis=1)) * x))
+    indirect = 0.5 * float(x @ inter @ x)
+    return direct, indirect
+
+
+def riskrank_root(snapshot: NetworkSnapshot) -> RiskDecomposition:
+    """Systemic score at the root; no individual term, normalized capacity."""
+    net = snapshot.network
+    root = net.root()
+    build = build_capacity(net, root.id, mode="root")
+    x = np.array([net.risk_of(nid) for nid in build.elements])
+    direct, indirect = _pairwise_parts(build.capacity, x)
+    return _finish(root.id, 0.0, direct, indirect, clamp=True)
+
+
+def riskrank_node(snapshot: NetworkSnapshot, target: str,
+                  cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
+    """Score for a non-root node, self-loop included per the configured mode."""
+    net = snapshot.network
+    node = net.nodes.get(target)
+    if node is None:
+        raise ValueError(f"unknown node {target!r}")
+    if node.level == 0:
+        raise ValueError("target is the root; use riskrank_root")
+    x_c = net.risk_of(target)
+
+    if cfg.central_weight_mode == "unit":
+        individual = x_c
+        try:
+            build = build_capacity(net, target, mode="root")
+        except NoCapacityError:
+            return _finish(target, individual, 0.0, 0.0, cfg.clamp)
+        x = np.array([net.risk_of(nid) for nid in build.elements])
+        direct, indirect = _pairwise_parts(build.capacity, x)
+        return _finish(target, individual, direct, indirect, cfg.clamp)
+
+    build = build_capacity(net, target, mode="central")
+    if build.raw_mass <= 0.0:
+        raise NoCapacityError(
+            f"node {target!r} has no incoming mass or self exposure"
+        )
+    capacity = build.capacity.normalize()
+    x = np.array([
+        x_c if nid == target else net.risk_of(nid) for nid in build.elements
+    ])
+    v = capacity.shapley_values()
+    self_idx = build.index_of(target)
+    individual = float(v[self_idx] * x_c)
+    x_neighbors = x.copy()
+    x_neighbors[self_idx] = 0.0
+    v_masked = v.copy()
+    v_masked[self_idx] = 0.0
+    inter = capacity.pairs
+    direct = float(np.sum((v_masked - 0.5 * inter.sum(axis=1)) * x_neighbors))
+    indirect = 0.5 * float(x_neighbors @ inter @ x_neighbors)
+    return _finish(target, individual, direct, indirect, cfg.clamp)
+
+
+def riskrank_kpath(snapshot: NetworkSnapshot, target: str,
+                   cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
+    """Path-based generalization: simple paths up to length k carry mass equal
+    to the product of their link weights and value equal to the product of the
+    risk levels of the nodes they pass through.  k = 2 reproduces the base
+    operators exactly; k = 1 keeps direct effects only.
+    """
+    k = cfg.max_path_length
+    net = snapshot.network
+    node = net.nodes.get(target)
+    if node is None:
+        raise ValueError(f"unknown node {target!r}")
+    is_root = node.level == 0
+    paths = k_paths(net, target, k)
+    masses = np.array([p.weight for p in paths]) if paths else np.zeros(0)
+    path_mass = float(masses.sum())
+
+    self_mass = 0.0
+    if not is_root and cfg.central_weight_mode == "shapley":
+        self_mass = default_self_exposure(net, target)
+    z = path_mass + self_mass
+
+    if z <= 0.0:
+        if is_root:
+            raise NoCapacityError(f"node {target!r} has no incoming mass")
+        if cfg.central_weight_mode == "shapley":
+            raise NoCapacityError(
+                f"node {target!r} has no incoming mass or self exposure"
+            )
+        return _finish(target, net.risk_of(target), 0.0, 0.0, cfg.clamp)
+
+    if is_root:
+        individual = 0.0
+        clamp = True
+    elif cfg.central_weight_mode == "unit":
+        # self term bypasses the normalizer: z is the path mass alone
+        individual = net.risk_of(target)
+        clamp = cfg.clamp
+    else:
+        individual = (self_mass / z) * net.risk_of(target)
+        clamp = cfg.clamp
+
+    direct = 0.0
+    indirect = 0.0
+    for hit in paths:
+        value = hit.weight * math.prod(net.risk_of(nid) for nid in hit.nodes[:-1])
+        if hit.length == 1:
+            direct += value / z
+        else:
+            indirect += value / z
+    return _finish(target, individual, direct, indirect, clamp)
+
+
+def oracle_for(snapshot: NetworkSnapshot, target: str,
+               cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
+    """Dispatch to the base operators at k = 2, the path variant otherwise."""
+    is_root = target in snapshot.network.nodes and snapshot.network.nodes[target].level == 0
+    if cfg.max_path_length == 2:
+        return riskrank_root(snapshot) if is_root else riskrank_node(snapshot, target, cfg)
+    return riskrank_kpath(snapshot, target, cfg)

@@ -14,11 +14,12 @@ from riskrank.capacity import choquet_2additive, choquet_general, shapley
 from riskrank.capacity import FuzzyMeasure
 from riskrank.cli import main
 from riskrank.early_warning import fit_logit
-from riskrank.engine import RiskRankConfig, riskrank_kpath, riskrank_root
+from riskrank.engine import riskrank_for
 from riskrank.evaluation import error_rates, loss, metrics, usefulness
 from riskrank.network import NetworkSnapshot, Node, RiskNetwork, build_capacity
 
 from conftest import random_capacity, random_measure, random_snapshot
+from oracle import riskrank_root
 
 PUBLISHED_INDIVIDUAL_UR = {
     0.1: -6, 0.2: -3, 0.3: 6, 0.4: 12, 0.5: 15,
@@ -153,7 +154,7 @@ def test_criterion_6_riskrank_algebra():
     monotone_ok = True
     for _ in range(1000):
         snap = random_snapshot(rng, max_children=8)
-        dec = riskrank_root(snap)
+        dec = riskrank_for(snap, "ROOT")
 
         build = build_capacity(snap.network, "ROOT")
         x = np.array([snap.network.risk_of(nid) for nid in build.elements])
@@ -167,13 +168,14 @@ def test_criterion_6_riskrank_algebra():
             abs(dec.individual + dec.direct + dec.indirect - dec.total_raw),
         )
 
-        kp = riskrank_kpath(snap, "ROOT", RiskRankConfig(max_path_length=2))
-        worst_kpath = max(worst_kpath, abs(kp.total - dec.total))
+        # the Shapley/interaction form of the same k = 2 score
+        shapley_form = riskrank_root(snap)
+        worst_kpath = max(worst_kpath, abs(shapley_form.total - dec.total))
 
         victim = f"C{int(rng.integers(len(build.elements)))}"
         bumped = min(snap.network.risk_of(victim) + float(rng.uniform(0, 0.5)), 1.0)
-        after = riskrank_root(
-            NetworkSnapshot(0, snap.network.with_risk_values({victim: bumped}))
+        after = riskrank_for(
+            NetworkSnapshot(0, snap.network.with_risk_values({victim: bumped})), "ROOT"
         ).total
         monotone_ok &= after >= dec.total - 1e-12
     ok = (
@@ -192,7 +194,7 @@ def test_criterion_7_worked_example():
         [Node("S", 0), Node("A", 1, "S", 0.8), Node("B", 1, "S", 0.5)],
         [("A", "S", 0.6), ("B", "S", 0.4), ("B", "A", 0.5)],
     )
-    total = riskrank_root(NetworkSnapshot(0, net)).total
+    total = riskrank_for(NetworkSnapshot(0, net), "S").total
     ok = abs(total - 0.8 / 1.3) <= 1e-12
     _report(7, "two-child worked example equals 0.8/1.3", ok,
             f"total {total:.12f}")

@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrank.engine import (
-    RiskRankConfig,
-    riskrank_for,
-    riskrank_kpath,
-    riskrank_node,
-    riskrank_root,
-    riskrank_series,
-)
-from riskrank.errors import NoCapacityError, StructuralDriftError
+from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series
+from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
 from riskrank.network import NetworkSnapshot, Node, RiskNetwork, build_capacity
 
 from conftest import random_snapshot
+from oracle import oracle_for, riskrank_kpath, riskrank_node, riskrank_root
 
 UNIT = RiskRankConfig(central_weight_mode="unit")
 SHAPLEY = RiskRankConfig(central_weight_mode="shapley")
@@ -308,6 +302,67 @@ def test_randomized_series_equals_per_snapshot_calls(seed):
     for row in rows:
         snap = snaps[row.date]
         assert row.decomposition == riskrank_for(snap, row.target, UNIT)
+
+
+def changing_series(rng, dates):
+    """One random structure whose link weights, risk levels and self
+    exposures are all redrawn per date; exposures are left empty on some
+    dates, weights are sometimes zero and a risk level is sometimes missing."""
+    base = random_snapshot(rng, two_level=bool(rng.integers(2))).network
+    non_root = [nid for nid, n in base.nodes.items() if n.level > 0]
+    hole = (int(rng.integers(dates)), str(rng.choice(non_root)))
+    if rng.random() < 0.8:
+        hole = None
+    snaps = []
+    for q in range(dates):
+        nodes = [
+            n if n.level == 0 else Node(
+                n.id, n.level, n.parent_id,
+                None if (q, n.id) == hole else float(rng.uniform()),
+                float(rng.uniform()) if rng.random() < 0.5 else None,
+            )
+            for n in base.nodes.values()
+        ]
+        links = [
+            (s, t, 0.0 if rng.random() < 0.1 else float(rng.uniform()))
+            for s, t in base.links
+        ]
+        snaps.append(NetworkSnapshot(q, RiskNetwork.build(nodes, links)))
+    return snaps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["unit", "shapley"]), st.booleans())
+def test_series_matches_oracle_on_changing_series(seed, k, mode, clamp):
+    rng = np.random.default_rng(seed)
+    snaps = changing_series(rng, int(rng.integers(2, 5)))
+    ids = sorted(snaps[0].network.nodes)
+    targets = [str(t) for t in rng.permutation(ids)[: int(rng.integers(1, len(ids) + 1))]]
+    cfg = RiskRankConfig(mode, clamp, k)
+    expected, error = [], None
+    try:
+        for snap in snaps:
+            for target in targets:
+                expected.append(oracle_for(snap, target, cfg))
+    except (RiskRankError, ValueError) as exc:
+        error = exc
+    if error is not None:
+        # the first failing (date, target) pair is reported, as the oracle does
+        with pytest.raises((RiskRankError, ValueError)) as raised:
+            riskrank_series(snaps, targets, cfg)
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+        return
+    rows = riskrank_series(snaps, targets, cfg)
+    assert [(r.date, r.target) for r in rows] == [
+        (snap.date, target) for snap in snaps for target in targets
+    ]
+    for row, want in zip(rows, expected):
+        for field in ("individual", "direct", "indirect", "total_raw", "total"):
+            assert getattr(row.decomposition, field) == pytest.approx(
+                getattr(want, field), abs=1e-12
+            )
 
 
 def test_series_rejects_structural_drift():

@@ -122,9 +122,14 @@ def test_unknown_entity_in_links(tmp_path):
         "date,node_id,level,parent_id,risk_value,self_exposure\n"
         "2005-Q1,S,0,,,\n2005-Q1,A,1,S,0.5,\n"
     )
-    links.write_text("date,source_id,target_id,weight\n2005-Q1,A,GHOST,1.0\n")
-    with pytest.raises(SchemaError, match="unknown entity"):
-        read_nodes_links(nodes, links)
+    for bad_row, message in (("2005-Q1,A,GHOST,1.0", "unknown entity"),
+                             ("2005-Q2,A,S,1.0", "has no node rows")):
+        links.write_text(
+            f"date,source_id,target_id,weight\n2005-Q1,A,S,1.0\n{bad_row}\n"
+        )
+        with pytest.raises(SchemaError, match=message) as err:
+            read_nodes_links(nodes, links)
+        assert err.value.line == 3
 
 
 def test_out_of_range_risk_value(tmp_path):
@@ -340,6 +345,86 @@ def test_cli_report_long_form(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "date,target,component,value"
     assert len(lines) == 1 + 76 * 4
+
+
+NODES = ["S,0,,,", "A,1,S,0.5,", "B,1,S,0.4,", "C,1,S,0.3,"]
+DIRECT = ["A,S,0.6", "B,S,0.4", "C,S,0.2"]
+
+
+def write_two_quarters(tmp_path, nodes, links):
+    """nodes.csv and links.csv for 2005-Q1 and 2005-Q2; ``nodes`` and
+    ``links`` are CSV rows without the date, or a pair of row lists, one per
+    quarter."""
+    files = {}
+    for name, header, rows in (
+        ("nodes.csv", "date,node_id,level,parent_id,risk_value,self_exposure", nodes),
+        ("links.csv", "date,source_id,target_id,weight", links),
+    ):
+        per_quarter = rows if isinstance(rows, tuple) else (rows, rows)
+        lines = [header] + [
+            f"{quarter},{row}"
+            for quarter, quarter_rows in zip(("2005-Q1", "2005-Q2"), per_quarter)
+            for row in quarter_rows
+        ]
+        files[name] = tmp_path / name
+        files[name].write_text("\n".join(lines) + "\n")
+    return files
+
+
+# (nodes, links, flags, {k: stderr line}); each line is the one the
+# per-snapshot scoring operators printed.
+ERROR_CASES = {
+    "root-without-in-links": (
+        NODES, ["B,A,0.5"], ["--targets", "root"],
+        {2: "error: no-capacity: node 'S' has no incoming links",
+         3: "error: no-capacity: node 'S' has no incoming mass"},
+    ),
+    "root-with-zero-in-links": (
+        NODES, ["A,S,0", "B,S,0", "C,S,0", "B,A,0.5"], ["--targets", "root"],
+        {k: "error: no-capacity: node 'S' has no incoming mass" for k in (2, 3)},
+    ),
+    "shapley-without-mass": (
+        NODES, DIRECT, ["--targets", "A", "--mode", "shapley"],
+        {k: "error: no-capacity: node 'A' has no incoming mass or self exposure"
+         for k in (2, 3)},
+    ),
+    "missing-risk-value": (
+        (NODES, ["S,0,,,", "A,1,S,0.5,", "B,1,S,,", "C,1,S,0.3,"]),
+        DIRECT + ["B,A,0.5"], ["--targets", "root"],
+        {k: "error: invalid: node 'B' carries no risk value" for k in (2, 3)},
+    ),
+    "missing-risk-values-read-order": (
+        ["S,0,,,", "A,1,S,,", "B,1,S,0.4,", "C,1,S,,"],
+        ["B,S,0.6", "C,S,0.4", "A,B,0.5"], ["--targets", "root"],
+        {2: "error: invalid: node 'A' carries no risk value",
+         3: "error: invalid: node 'C' carries no risk value"},
+    ),
+    "shapley-missing-risk-without-mass": (
+        ["S,0,,,", "A,1,S,,", "B,1,S,0.4,", "C,1,S,0.3,"], DIRECT,
+        ["--targets", "A", "--mode", "shapley"],
+        {2: "error: invalid: node 'A' carries no risk value",
+         3: "error: no-capacity: node 'A' has no incoming mass or self exposure"},
+    ),
+    "first-date-before-first-target": (
+        NODES, (DIRECT + ["B,A,0.5", "A,B,0"], DIRECT + ["B,A,0", "A,B,0.5"]),
+        ["--targets", "A,B", "--mode", "shapley"],
+        {k: "error: no-capacity: node 'B' has no incoming mass or self exposure"
+         for k in (2, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_cli_scoring_errors(tmp_path, capsys, case, k):
+    nodes, links, flags, lines = ERROR_CASES[case]
+    files = write_two_quarters(tmp_path, nodes, links)
+    for command in ("riskrank", "report"):
+        code = main([command, "--nodes", str(files["nodes.csv"]),
+                     "--links", str(files["links.csv"]), "--k", str(k), *flags,
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == lines[k] + "\n"
 
 
 def test_run_config_validation(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from riskrank.errors import NoCapacityError
 from riskrank.network import (
-    HierarchySpec,
     NetworkSnapshot,
     Node,
     RiskNetwork,
@@ -97,14 +96,6 @@ def test_missing_parent_and_level_gap_reported():
     report = validate_hierarchy(net)
     assert any("has no parent" in v for v in report.violations)
     assert any("at level" in v for v in report.violations)
-
-
-def test_hierarchy_spec_counts():
-    net = complete_three_siblings()
-    spec = HierarchySpec.of(net)
-    assert spec.level_sizes == (1, 3)
-    assert spec.group_sizes == {"S": 3}
-    assert spec.consistent_with(net)
 
 
 # ------------------------------------------------------ build_capacity
