@@ -10,14 +10,11 @@ from .capacity import (
     FuzzyMeasure,
     TwoAdditiveCapacity,
     ValidationReport,
-    WeightVector,
     choquet_2additive,
     choquet_general,
     interaction_index,
-    owa,
     shapley,
     validate_measure,
-    weighted_mean,
 )
 from .early_warning import (
     BacktestResult,

@@ -11,9 +11,6 @@ where x_(1) <= ... <= x_(n) and C_(i) is the index set of the i-th and larger
 sorted values.  Importance of single elements is summarized by the Shapley
 vector, pairwise synergy by the Shapley interaction index; for a 2-additive
 capacity the interaction index coincides with the pair Moebius mass.
-
-Plain weighted means and ordered weighted averages are included as the
-baseline operators every capacity-based aggregate is compared against.
 """
 
 from __future__ import annotations
@@ -131,22 +128,11 @@ class FuzzyMeasure:
         n = int(doc["n"])
         if not 1 <= n <= MAX_GROUND_SIZE:
             raise ValueError(f"n must be in 1..{MAX_GROUND_SIZE}")
-        values = np.full(2**n, np.nan)
+        table = {}
         for key, val in doc["mu"].items():
-            mask = 0
-            if key.strip():
-                for part in key.split(","):
-                    idx = int(part)
-                    if not 1 <= idx <= n:
-                        raise ValueError(f"index {idx} outside 1..{n}")
-                    mask |= 1 << (idx - 1)
-            values[mask] = float(val)
-        missing = np.flatnonzero(np.isnan(values))
-        if missing.size:
-            raise ValueError(
-                f"missing subset entry {_subset_label(int(missing[0]))}"
-            )
-        return cls(values)
+            subset = tuple(int(part) for part in key.split(",")) if key.strip() else ()
+            table[subset] = float(val)
+        return cls.from_subsets(n, table)
 
 
 def validate_measure(measure: FuzzyMeasure) -> ValidationReport:
@@ -363,40 +349,3 @@ def choquet_2additive(x, cap: TwoAdditiveCapacity) -> float:
             elif a < 0.0:
                 total += -a * max(xv[i], xv[j])
     return total
-
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Nonnegative weights summing to one."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty 1-d vector")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("weights must lie in [0,1]")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {w.sum():.6g}, expected 1")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.size
-
-
-def owa(x, w: WeightVector) -> float:
-    """Ordered weighted average: weights applied to x sorted descending."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (w.n,):
-        raise ValueError(f"expected {w.n} values, got {xv.shape}")
-    return float(np.sort(xv)[::-1] @ w.weights)
-
-
-def weighted_mean(x, w: WeightVector) -> float:
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (w.n,):
-        raise ValueError(f"expected {w.n} values, got {xv.shape}")
-    return float(xv @ w.weights)

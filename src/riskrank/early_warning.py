@@ -80,30 +80,13 @@ class LabelSeries:
     excluded: np.ndarray
 
 
-def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
-                    h1: int, h2: int) -> LabelSeries:
-    """Label one within [start - h2, start - h1]; mask crisis quarters."""
-    if not 1 <= h1 <= h2:
-        raise ValueError("horizon must satisfy 1 <= h1 <= h2")
-    nq = len(panel.quarters)
-    qarr = np.asarray(panel.quarters)
-    labels = np.zeros((len(panel.entities), nq), dtype=np.int8)
-    excluded = np.zeros((len(panel.entities), nq), dtype=bool)
-    for ei, entity in enumerate(panel.entities):
-        for event in events.for_entity(entity):
-            pre = (qarr >= event.start - h2) & (qarr <= event.start - h1)
-            labels[ei, pre] = 1
-            inside = (qarr >= event.start) & (qarr <= event.last_quarter)
-            excluded[ei, inside] = True
-    labels[excluded] = 0
-    return LabelSeries(panel.entities, panel.quarters, labels, excluded)
-
-
 def label_cells(events: CrisisEvents, cells, h1: int, h2: int):
-    """Labels and exclusion mask for arbitrary (entity, quarter) cells.
+    """Labels and exclusion mask for (entity, quarter) cells.
 
-    Same rule as label_precrisis, applied to a flat cell list such as the
-    rows of a probability series.
+    A cell is labelled one when some crisis of its entity starts h1 to h2
+    quarters after it (start - h2 <= quarter <= start - h1), and excluded
+    when it lies inside a crisis episode (start <= quarter <= last quarter);
+    excluded cells are labelled zero.
     """
     if not 1 <= h1 <= h2:
         raise ValueError("horizon must satisfy 1 <= h1 <= h2")
@@ -120,6 +103,16 @@ def label_cells(events: CrisisEvents, cells, h1: int, h2: int):
                 excluded[i] = True
     labels[excluded] = 0
     return labels, excluded
+
+
+def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
+                    h1: int, h2: int) -> LabelSeries:
+    """``label_cells`` over every panel cell, as entity x quarter grids."""
+    cells = [(entity, q) for entity in panel.entities for q in panel.quarters]
+    labels, excluded = label_cells(events, cells, h1, h2)
+    shape = (len(panel.entities), len(panel.quarters))
+    return LabelSeries(panel.entities, panel.quarters,
+                       labels.reshape(shape), excluded.reshape(shape))
 
 
 @dataclass(frozen=True, eq=False)

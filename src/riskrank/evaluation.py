@@ -9,9 +9,14 @@ preference weight mu in [0,1] between the two error types, the loss is
 
 absolute usefulness U_a = min(mu*P1, (1-mu)*P2) - L compares against the best
 unconditional guess, and relative usefulness U_r = U_a / min(mu*P1, (1-mu)*P2)
-rescales by what a perfect model would gain.  AUC is computed by a threshold
-sweep with trapezoidal integration, which coincides with the rank statistic
-(ties counted one half).
+rescales by what a perfect model would gain.
+
+AUC and the optimal threshold come from one sweep: the scores are sorted
+once, and every distinct score is an operating point whose signal counts are
+the positives and negatives scoring strictly above it.  AUC integrates the
+ROC curve through those points with the trapezoid rule, which coincides with
+the rank statistic (ties counted one half); the threshold search scores the
+contingency of each point.
 """
 
 from __future__ import annotations
@@ -125,43 +130,50 @@ def metrics(cm: ContingencyMatrix) -> ClassMetrics:
     )
 
 
-def roc_auc(probs, labels) -> float:
-    """Area under the ROC curve via a descending threshold sweep."""
-    p = np.asarray(probs, dtype=float)
-    y = np.asarray(labels)
+def _sweep(p: np.ndarray, y: np.ndarray, purpose: str):
+    """Distinct scores ascending, with the positives and negatives scoring
+    strictly above each (the signals of the ``>`` rule at that threshold),
+    and the class sizes."""
     if p.shape != y.shape or p.ndim != 1:
         raise ValueError("probs and labels must be equal-length vectors")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both classes present")
-    order = np.argsort(-p, kind="stable")
+        raise ValueError(f"{purpose} needs both classes present")
+    order = np.argsort(p, kind="stable")
     p_sorted, y_sorted = p[order], y[order]
-    tp = np.cumsum(y_sorted == 1)
-    fp = np.cumsum(y_sorted == 0)
-    # keep one operating point per distinct score (ties move together)
+    # the last member of each tie group closes its operating point
     last_of_group = np.append(p_sorted[1:] != p_sorted[:-1], True)
-    tpr = np.concatenate([[0.0], tp[last_of_group] / n_pos])
-    fpr = np.concatenate([[0.0], fp[last_of_group] / n_neg])
+    pos_upto = np.cumsum(y_sorted == 1)
+    neg_upto = np.cumsum(y_sorted == 0)
+    return (p_sorted[last_of_group], n_pos - pos_upto[last_of_group],
+            n_neg - neg_upto[last_of_group], n_pos, n_neg)
+
+
+def roc_auc(probs, labels) -> float:
+    """Area under the ROC curve through the sweep's operating points."""
+    _, pos_above, neg_above, n_pos, n_neg = _sweep(
+        np.asarray(probs, dtype=float), np.asarray(labels), "AUC")
+    # descending thresholds, from no signal at the top score to all signals
+    tpr = np.append(pos_above[::-1], n_pos) / n_pos
+    fpr = np.append(neg_above[::-1], n_neg) / n_neg
     return float(np.trapezoid(tpr, fpr))
 
 
-def optimal_threshold(probs, labels, mu_pref: float, mask=None) -> float:
+def optimal_threshold(probs, labels, mu_pref: float) -> float:
     """Threshold from the grid of observed probabilities maximizing U_a,
     ties resolved toward the smaller value."""
     p = np.asarray(probs, dtype=float)
-    y = np.asarray(labels)
-    keep = np.ones(p.shape, dtype=bool) if mask is None else ~np.asarray(mask, dtype=bool)
-    p, y = p[keep], y[keep]
-    if np.unique(y).size < 2:
-        raise ValueError("threshold selection needs both classes present")
+    taus, pos_above, neg_above, n_pos, n_neg = _sweep(
+        p, np.asarray(labels), "threshold selection")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("threshold must lie in [0,1]")
     best_tau = None
     best_ua = -np.inf
-    for tau in np.unique(p):
-        cm = contingency(binarize(p, float(tau)), y)
+    for tau, tp, fp in zip(taus.tolist(), pos_above.tolist(), neg_above.tolist()):
+        cm = ContingencyMatrix(tp, n_neg - fp, fp, n_pos - tp)
         u_a, _ = usefulness(cm, mu_pref)
         if u_a > best_ua + 1e-15:
-            best_ua, best_tau = u_a, float(tau)
+            best_ua, best_tau = u_a, tau
     return best_tau
 
 

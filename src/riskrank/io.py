@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,9 +75,12 @@ def _parse_quarter(path: Path, line: int, text: str) -> int:
 
 def _parse_float(path: Path, line: int, text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SchemaError(path, line, f"bad {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(path, line, f"non-finite {what} {text!r}")
+    return value
 
 
 def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
@@ -249,14 +253,6 @@ def write_events(path, events: CrisisEvents) -> None:
             ])
 
 
-def parse_inputs(indicators_path, events_path, nodes_path, links_path):
-    """Load the full input set: panel, crisis events, snapshot series."""
-    panel = read_indicators(indicators_path)
-    events = read_events(events_path)
-    snapshots = read_nodes_links(nodes_path, links_path)
-    return panel, events, snapshots
-
-
 @dataclass(frozen=True)
 class ProbSeries:
     """A named probability series as (entity, quarter, p) cells."""
@@ -281,7 +277,7 @@ def write_probabilities(path, result) -> None:
 def read_series(path) -> ProbSeries:
     """Read a probability series; decomposition files count with p = total."""
     path = Path(path)
-    cells = []
+    cells: dict[tuple[str, int], float] = {}
     mode = None
     for line, row, header in _rows(path):
         if mode is None:
@@ -295,15 +291,17 @@ def read_series(path) -> ProbSeries:
             entity, date_text, p_text = row[0], row[1], row[2]
         else:
             entity, date_text, p_text = row[1], row[0], row[6]
+        entity = entity.strip()
         date = _parse_quarter(path, line, date_text)
+        if (entity, date) in cells:
+            raise SchemaError(path, line, f"duplicate cell {entity} {date_text}")
         p = _parse_float(path, line, p_text, "probability")
         if not 0.0 <= p <= 1.0:
             raise SchemaError(path, line, f"probability {p} outside [0,1]")
-        cells.append((entity.strip(), date, p))
+        cells[(entity, date)] = p
     if not cells:
         raise SchemaError(path, 2, "no series rows")
-    cells.sort(key=lambda c: (c[0], c[1]))
-    return ProbSeries(path.stem, tuple(cells))
+    return ProbSeries(path.stem, tuple((e, q, p) for (e, q), p in sorted(cells.items())))
 
 
 def write_decompositions(path, rows) -> None:

@@ -9,6 +9,12 @@ and node operators evaluate the score in Shapley/interaction form from the
 and the path operator walks ``k_paths`` one hit at a time.  ``oracle_for``
 dispatches between them the way the package did: base operators at k = 2,
 the path operator otherwise.
+
+``roc_auc`` and ``optimal_threshold`` are the evaluation routines the single
+sorted sweep replaced: a descending sweep for AUC, and a full binarize and
+recount of the series at every distinct probability for the threshold.
+``label_precrisis`` is the panel labeller that ``label_cells`` replaced, one
+vectorised pass per crisis episode over the quarter grid.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ import math
 
 import numpy as np
 
+from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
 from riskrank.engine import RiskDecomposition, RiskRankConfig
 from riskrank.errors import NoCapacityError
+from riskrank.evaluation import binarize, contingency, usefulness
 from riskrank.network import (
     NetworkSnapshot,
     build_capacity,
@@ -156,3 +164,62 @@ def oracle_for(snapshot: NetworkSnapshot, target: str,
     if cfg.max_path_length == 2:
         return riskrank_root(snapshot) if is_root else riskrank_node(snapshot, target, cfg)
     return riskrank_kpath(snapshot, target, cfg)
+
+
+def roc_auc(probs, labels) -> float:
+    """Area under the ROC curve via a descending threshold sweep."""
+    p = np.asarray(probs, dtype=float)
+    y = np.asarray(labels)
+    if p.shape != y.shape or p.ndim != 1:
+        raise ValueError("probs and labels must be equal-length vectors")
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both classes present")
+    order = np.argsort(-p, kind="stable")
+    p_sorted, y_sorted = p[order], y[order]
+    tp = np.cumsum(y_sorted == 1)
+    fp = np.cumsum(y_sorted == 0)
+    # keep one operating point per distinct score (ties move together)
+    last_of_group = np.append(p_sorted[1:] != p_sorted[:-1], True)
+    tpr = np.concatenate([[0.0], tp[last_of_group] / n_pos])
+    fpr = np.concatenate([[0.0], fp[last_of_group] / n_neg])
+    return float(np.trapezoid(tpr, fpr))
+
+
+def optimal_threshold(probs, labels, mu_pref: float, mask=None) -> float:
+    """Threshold from the grid of observed probabilities maximizing U_a,
+    ties resolved toward the smaller value."""
+    p = np.asarray(probs, dtype=float)
+    y = np.asarray(labels)
+    keep = np.ones(p.shape, dtype=bool) if mask is None else ~np.asarray(mask, dtype=bool)
+    p, y = p[keep], y[keep]
+    if np.unique(y).size < 2:
+        raise ValueError("threshold selection needs both classes present")
+    best_tau = None
+    best_ua = -np.inf
+    for tau in np.unique(p):
+        cm = contingency(binarize(p, float(tau)), y)
+        u_a, _ = usefulness(cm, mu_pref)
+        if u_a > best_ua + 1e-15:
+            best_ua, best_tau = u_a, float(tau)
+    return best_tau
+
+
+def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
+                    h1: int, h2: int) -> LabelSeries:
+    """Label one within [start - h2, start - h1]; mask crisis quarters."""
+    if not 1 <= h1 <= h2:
+        raise ValueError("horizon must satisfy 1 <= h1 <= h2")
+    nq = len(panel.quarters)
+    qarr = np.asarray(panel.quarters)
+    labels = np.zeros((len(panel.entities), nq), dtype=np.int8)
+    excluded = np.zeros((len(panel.entities), nq), dtype=bool)
+    for ei, entity in enumerate(panel.entities):
+        for event in events.for_entity(entity):
+            pre = (qarr >= event.start - h2) & (qarr <= event.start - h1)
+            labels[ei, pre] = 1
+            inside = (qarr >= event.start) & (qarr <= event.last_quarter)
+            excluded[ei, inside] = True
+    labels[excluded] = 0
+    return LabelSeries(panel.entities, panel.quarters, labels, excluded)

@@ -16,14 +16,11 @@ from hypothesis import strategies as st
 from riskrank.capacity import (
     FuzzyMeasure,
     TwoAdditiveCapacity,
-    WeightVector,
     choquet_2additive,
     choquet_general,
     interaction_index,
-    owa,
     shapley,
     validate_measure,
-    weighted_mean,
 )
 
 from conftest import random_capacity, random_measure
@@ -292,41 +289,14 @@ def test_capacity_invariants():
     assert np.all(np.abs(cap.pairs) <= 1 + 1e-12)
 
 
-# ------------------------------------------------------ OWA and means
-
-def test_owa_special_weights():
-    x = np.array([0.3, 0.9, 0.1, 0.5])
-    assert owa(x, WeightVector(np.array([1.0, 0, 0, 0]))) == pytest.approx(0.9)
-    assert owa(x, WeightVector(np.array([0, 0, 0, 1.0]))) == pytest.approx(0.1)
-    assert owa(x, WeightVector(np.full(4, 0.25))) == pytest.approx(x.mean())
-
-
-def test_weighted_mean_cases():
-    x = np.array([0.0, 1.0])
-    assert weighted_mean(x, WeightVector(np.array([0.3, 0.7]))) == pytest.approx(0.7)
-    assert weighted_mean(np.array([0.2, 0.8]), WeightVector(np.array([1.0, 0.0]))) == 0.2
-    assert weighted_mean(x, WeightVector(np.array([0.5, 0.5]))) == pytest.approx(0.5)
-
-
-def test_weight_vector_rejects_bad_sums():
-    with pytest.raises(ValueError):
-        WeightVector(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        WeightVector(np.array([-0.1, 1.1]))
-
-
 # ---------------------------------------------- aggregation properties
 
 def _aggregators(rng, n):
     measure = random_measure(rng, n)
     cap = random_capacity(rng, n)
-    w = rng.uniform(0.1, 1.0, size=n)
-    w = WeightVector(w / w.sum())
     return [
         lambda x: choquet_general(x, measure),
         lambda x: choquet_2additive(x, cap),
-        lambda x: owa(x, w),
-        lambda x: weighted_mean(x, w),
     ]
 
 
@@ -359,15 +329,11 @@ def test_measure_json_missing_entry():
     doc = {"n": 2, "mu": {"": 0.0, "1": 0.5, "1,2": 1.0}}
     with pytest.raises(ValueError, match="missing subset"):
         FuzzyMeasure.from_json(json.dumps(doc))
+    doc["mu"]["2,3"] = 1.0
+    with pytest.raises(ValueError, match="index 3 outside 1..2"):
+        FuzzyMeasure.from_json(json.dumps(doc))
 
 
 def test_ground_size_cap():
     with pytest.raises(ValueError, match="20"):
         FuzzyMeasure.from_json(json.dumps({"n": 21, "mu": {}}))
-
-
-def test_owa_dimension_mismatch():
-    with pytest.raises(ValueError):
-        owa(np.array([0.1, 0.2, 0.3]), WeightVector(np.array([0.5, 0.5])))
-    with pytest.raises(ValueError):
-        weighted_mean(np.array([0.1]), WeightVector(np.array([0.5, 0.5])))

@@ -17,6 +17,8 @@ from riskrank.early_warning import (
 from riskrank.errors import DegenerateFitError
 from riskrank.quarters import quarter_index, quarter_label
 
+import oracle
+
 
 def panel_for(entities, first="2000-Q1", n_quarters=60, n_indicators=2,
               values=None, rng=None):
@@ -68,20 +70,23 @@ def test_crisis_quarters_are_masked():
 
 
 def test_label_cells_agrees_with_panel_labeling():
-    panel = panel_for(["DE", "FR"], first="2004-Q1", n_quarters=30)
+    panel = panel_for(["DE", "FR", "IT"], first="2004-Q1", n_quarters=30)
     events = CrisisEvents((
         CrisisEvent("DE", quarter_index("2008-Q1"), quarter_index("2008-Q4")),
         CrisisEvent("FR", quarter_index("2010-Q3")),
+        CrisisEvent("FR", quarter_index("2008-Q2"), quarter_index("2009-Q1")),
+        CrisisEvent("IT", quarter_index("2003-Q1"), quarter_index("2004-Q2")),
+        CrisisEvent("IT", quarter_index("2011-Q1")),
     ))
-    series = label_precrisis(events, panel, 5, 12)
-    cells = [
-        (entity, q)
-        for ei, entity in enumerate(panel.entities)
-        for q in panel.quarters
-    ]
-    labels, excluded = label_cells(events, cells, 5, 12)
-    assert np.array_equal(labels.reshape(series.labels.shape), series.labels)
-    assert np.array_equal(excluded.reshape(series.excluded.shape), series.excluded)
+    for h1, h2 in ((5, 12), (1, 1), (2, 20)):
+        expected = oracle.label_precrisis(events, panel, h1, h2)
+        series = label_precrisis(events, panel, h1, h2)
+        assert np.array_equal(series.labels, expected.labels)
+        assert np.array_equal(series.excluded, expected.excluded)
+        cells = [(entity, q) for entity in panel.entities for q in panel.quarters]
+        labels, excluded = label_cells(events, cells, h1, h2)
+        assert np.array_equal(labels, expected.labels.ravel())
+        assert np.array_equal(excluded, expected.excluded.ravel())
 
 
 def test_horizon_must_be_ordered():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from riskrank import benchmarks
 from riskrank.evaluation import (
     ContingencyMatrix,
+    EvalReport,
+    EvalRow,
     binarize,
     contingency,
     error_rates,
@@ -18,6 +20,9 @@ from riskrank.evaluation import (
     roc_auc,
     usefulness,
 )
+from riskrank.io import DEFAULT_MU_GRID
+
+import oracle
 
 TABLE_ROW_06 = ContingencyMatrix(tp=98, tn=1052, fp=95, fn=41)
 TABLE_ROW_07 = ContingencyMatrix(tp=113, tn=1028, fp=119, fn=26)
@@ -245,22 +250,35 @@ def test_optimal_threshold_single_class_errors():
         optimal_threshold(np.array([0.1, 0.9]), np.array([1, 1]), 0.5)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**9), st.integers(4, 25))
-def test_optimal_threshold_matches_grid_oracle(seed, n):
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 60), st.sampled_from([1, 2, 3, 5, None]))
+def test_optimal_threshold_matches_grid_oracle(seed, n, levels):
+    """The one-sweep AUC, thresholds and report rows equal the old
+    per-threshold recount exactly, on tied (a few score levels) and unrounded
+    scores."""
     rng = np.random.default_rng(seed)
-    probs = np.round(rng.uniform(size=n), 2)
+    if levels is None:
+        probs = rng.uniform(size=n)
+    else:
+        probs = rng.choice(np.round(rng.uniform(size=levels), 1), n)
     labels = rng.integers(0, 2, size=n)
-    if labels.min() == labels.max():
-        labels[0] = 1 - labels[0]
-    mu = float(rng.uniform(0.05, 0.95))
-    best_tau, best_ua = None, -np.inf
-    for tau in sorted(set(probs.tolist())):
-        cm = contingency(binarize(probs, tau), labels)
-        u_a, _ = usefulness(cm, mu)
-        if u_a > best_ua + 1e-15:
-            best_tau, best_ua = tau, u_a
-    assert optimal_threshold(probs, labels, mu) == pytest.approx(best_tau)
+    labels[:2] = [0, 1]  # both classes present
+    mask = rng.uniform(size=n) < 0.2
+    mask[:2] = False  # and left unmasked
+    assert roc_auc(probs, labels) == oracle.roc_auc(probs, labels)
+    for mu in DEFAULT_MU_GRID:
+        assert optimal_threshold(probs, labels, mu) == oracle.optimal_threshold(
+            probs, labels, mu)
+    rows = []
+    p, y = probs[~mask], labels[~mask]
+    for mu in DEFAULT_MU_GRID:
+        tau = oracle.optimal_threshold(probs, labels, mu, mask=mask)
+        cm = contingency(binarize(p, tau), y)
+        u_a, u_r = usefulness(cm, mu)
+        rows.append(EvalRow(mu, tau, cm, *error_rates(cm), loss(cm, mu), u_a, u_r,
+                            metrics(cm)))
+    expected = EvalReport("m", oracle.roc_auc(p, y), tuple(rows))
+    assert evaluate_series(probs, labels, DEFAULT_MU_GRID, "m", mask=mask) == expected
 
 
 # ------------------------------------------------- benchmark chain

@@ -11,7 +11,6 @@ from riskrank.errors import SchemaError
 from riskrank.io import (
     RunConfig,
     load_config,
-    parse_inputs,
     read_events,
     read_indicators,
     read_nodes_links,
@@ -91,20 +90,6 @@ def test_events_roundtrip(tmp_path):
     assert read_events(path) == events
 
 
-def test_parse_inputs_counts(tmp_path):
-    generate_synthetic(SynthSpec(entities=4, seed=5), tmp_path)
-    panel, events, snapshots = parse_inputs(
-        tmp_path / "indicators.csv", tmp_path / "events.csv",
-        tmp_path / "nodes.csv", tmp_path / "links.csv",
-    )
-    assert panel.entities == ("E01", "E02", "E03", "E04")
-    assert panel.n_indicators == 14
-    assert len(panel.quarters) == 76
-    assert len(snapshots) == 76
-    assert len(snapshots[0].network.nodes) == 5
-    assert all(e.entity in panel.entities for e in events.events)
-
-
 # --------------------------------------------------------- schema errors
 
 def test_bad_quarter_reports_line(tmp_path):
@@ -144,6 +129,33 @@ def test_out_of_range_risk_value(tmp_path):
         read_nodes_links(nodes, links)
 
 
+NODES_CSV_HEAD = "date,node_id,level,parent_id,risk_value,self_exposure\n2005-Q1,S,0,,,\n"
+NON_FINITE_CASES = {
+    "risk_value": ("nodes.csv", NODES_CSV_HEAD + "2005-Q1,A,1,S,{},\n"),
+    "self_exposure": ("nodes.csv", NODES_CSV_HEAD + "2005-Q1,A,1,S,0.5,{}\n"),
+    "indicator": ("indicators.csv",
+                  "entity,date,ind_1,ind_2\nA,2005-Q1,0.5,0.5\nA,2005-Q2,,{}\n"),
+    "probability": ("p.csv", "entity,date,p\nA,2005-Q1,0.5\nA,2005-Q2,{}\n"),
+}
+READERS = {
+    "nodes.csv": lambda path: read_nodes_links(path, path.with_name("links.csv")),
+    "indicators.csv": read_indicators,
+    "p.csv": read_series,
+}
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "-Infinity"])
+@pytest.mark.parametrize("what", sorted(NON_FINITE_CASES))
+def test_non_finite_numbers_are_rejected_at_their_line(tmp_path, what, text):
+    name, content = NON_FINITE_CASES[what]
+    path = tmp_path / name
+    path.write_text(content.format(text))
+    (tmp_path / "links.csv").write_text("date,source_id,target_id,weight\n")
+    with pytest.raises(SchemaError, match=f"non-finite {what} '{text}'") as err:
+        READERS[name](path)
+    assert err.value.line == 3
+
+
 def test_wrong_header_is_rejected(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("entity,start\nA,2008-Q1\n")
@@ -177,6 +189,11 @@ def test_read_series_prob_and_decomposition(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(SchemaError, match="unrecognized"):
         read_series(bad)
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("entity,date,p\nA,2005-Q1,0.5\nB,2005-Q1,0.1\nA,2005-Q1,0.7\n")
+    with pytest.raises(SchemaError, match="duplicate cell A 2005-Q1") as err:
+        read_series(repeated)
+    assert err.value.line == 4
 
 
 # ------------------------------------------------------------- synthesis
@@ -261,6 +278,24 @@ def test_cli_schema_error_has_single_diagnostic_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: schema:")
     assert "events.csv:2" in err
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+def test_cli_rejects_non_finite_weight(tmp_path, capsys, weight):
+    snapshots = small_snapshots()
+    write_nodes_csv(tmp_path / "nodes.csv", snapshots)
+    links = tmp_path / "links.csv"
+    links.write_text(
+        "date,source_id,target_id,weight\n2005-Q1,A,S,0.6\n"
+        f"2005-Q1,B,S,{weight}\n2005-Q1,B,A,0.5\n"
+    )
+    files = ["--nodes", str(tmp_path / "nodes.csv"), "--links", str(links)]
+    for argv in (["validate", *files],
+                 ["riskrank", *files, "--out", str(tmp_path / "out.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: schema: {links}:3: non-finite weight {weight!r}\n"
+        )
 
 
 def test_cli_shapley_output(tmp_path, capsys):
