@@ -84,9 +84,13 @@ def _parse_float(path: Path, line: int, text: str, what: str) -> float:
 
 
 def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
-    """Parse a snapshot series; all dates must share one structure."""
+    """Parse a snapshot series; all dates must share one structure.
+
+    Each date's node map and link dict are built as the rows are read, so a
+    duplicate node id or link is reported at its own file and line.
+    """
     nodes_path, links_path = Path(nodes_path), Path(links_path)
-    per_date_nodes: dict[int, list[Node]] = {}
+    per_date_nodes: dict[int, dict[str, Node]] = {}
     for line, row, _ in _rows(nodes_path, NODES_HEADER):
         if len(row) != len(NODES_HEADER):
             raise SchemaError(nodes_path, line, f"expected {len(NODES_HEADER)} columns")
@@ -111,19 +115,22 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
             exposure = _parse_float(nodes_path, line, row[5], "self_exposure")
             if exposure < 0.0:
                 raise SchemaError(nodes_path, line, "self_exposure must be >= 0")
-        per_date_nodes.setdefault(date, []).append(
-            Node(node_id, level, parent, risk, exposure)
-        )
+        nodes = per_date_nodes.setdefault(date, {})
+        if node_id in nodes:
+            raise SchemaError(
+                nodes_path, line,
+                f"date {quarter_label(date)}: duplicate node id {node_id!r}",
+            )
+        nodes[node_id] = Node(node_id, level, parent, risk, exposure)
     if not per_date_nodes:
         raise SchemaError(nodes_path, 2, "no node rows")
 
-    ids_by_date = {date: {n.id for n in nodes} for date, nodes in per_date_nodes.items()}
-    per_date_links: dict[int, list[tuple[str, str, float]]] = {}
+    per_date_links: dict[int, dict[tuple[str, str], float]] = {}
     for line, row, _ in _rows(links_path, LINKS_HEADER):
         if len(row) != len(LINKS_HEADER):
             raise SchemaError(links_path, line, f"expected {len(LINKS_HEADER)} columns")
         date = _parse_quarter(links_path, line, row[0])
-        known = ids_by_date.get(date)
+        known = per_date_nodes.get(date)
         if known is None:
             raise SchemaError(links_path, line, f"link date {row[0]} has no node rows")
         source, target = row[1].strip(), row[2].strip()
@@ -132,15 +139,18 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
         weight = _parse_float(links_path, line, row[3], "weight")
         if weight < 0.0:
             raise SchemaError(links_path, line, "weight must be >= 0")
-        per_date_links.setdefault(date, []).append((source, target, weight))
+        links = per_date_links.setdefault(date, {})
+        if (source, target) in links:
+            raise SchemaError(
+                links_path, line,
+                f"date {quarter_label(date)}: duplicate link {source!r} -> {target!r}",
+            )
+        links[source, target] = weight
 
-    snapshots = []
-    for date in sorted(per_date_nodes):
-        try:
-            net = RiskNetwork.build(per_date_nodes[date], per_date_links.get(date, []))
-        except ValueError as exc:
-            raise SchemaError(nodes_path, 0, f"date {quarter_label(date)}: {exc}") from None
-        snapshots.append(NetworkSnapshot(date, net))
+    snapshots = [
+        NetworkSnapshot(date, RiskNetwork(per_date_nodes[date], per_date_links.get(date, {})))
+        for date in sorted(per_date_nodes)
+    ]
     assert_same_structure(snapshots)
     return snapshots
 

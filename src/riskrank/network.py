@@ -20,6 +20,7 @@ with the target stay zero) and leaves the masses raw for the caller to weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,13 +76,23 @@ class RiskNetwork:
     def weight(self, source: str, target: str) -> float:
         return self.links.get((source, target), 0.0)
 
+    @cached_property
+    def _in_index(self) -> dict[str, list[tuple[str, float]]]:
+        """Incoming (source, weight) lists by target, sorted by source."""
+        index: dict[str, list[tuple[str, float]]] = {}
+        for (source, target), weight in self.links.items():
+            index.setdefault(target, []).append((source, weight))
+        for found in index.values():
+            found.sort()
+        return index
+
     def in_links(self, node_id: str) -> list[tuple[str, float]]:
-        """Incoming links sorted by source id (zero-weight links included)."""
-        found = [
-            (s, w) for (s, t), w in self.links.items() if t == node_id
-        ]
-        found.sort()
-        return found
+        """Incoming links sorted by source id (zero-weight links included).
+
+        Reads a by-target index that is built once per network, on the first
+        call, so ``links`` must not change afterwards.
+        """
+        return list(self._in_index.get(node_id, ()))
 
     def risk_of(self, node_id: str) -> float:
         value = self.nodes[node_id].risk_value
@@ -100,12 +111,6 @@ class RiskNetwork:
             for nid, n in self.nodes.items()
         }
         return RiskNetwork(replaced, dict(self.links))
-
-    def structure_key(self):
-        node_part = tuple(
-            sorted((n.id, n.level, n.parent_id) for n in self.nodes.values())
-        )
-        return node_part, tuple(sorted(self.links))
 
 
 @dataclass(frozen=True)
@@ -283,14 +288,19 @@ def build_capacity(net: RiskNetwork, target: str, mode: str = "root") -> Capacit
     return CapacityBuild(raw, tuple(elements), target, mode, total)
 
 
+def _node_shape(net: RiskNetwork) -> dict[str, tuple[int, str | None]]:
+    return {nid: (n.level, n.parent_id) for nid, n in net.nodes.items()}
+
+
 def assert_same_structure(snapshots) -> None:
     """Raise StructuralDriftError unless all snapshots share one structure."""
     snaps = list(snapshots)
     if not snaps:
         return
-    reference = snaps[0].network.structure_key()
+    first = snaps[0].network
+    nodes, links = _node_shape(first), first.links.keys()
     for snap in snaps[1:]:
-        if snap.network.structure_key() != reference:
+        if snap.network.links.keys() != links or _node_shape(snap.network) != nodes:
             raise StructuralDriftError(
                 f"snapshot {snap.date} does not share the series structure"
             )

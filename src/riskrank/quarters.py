@@ -7,12 +7,18 @@ the ``YYYY-Qn`` form everywhere in files and on the CLI.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 _QUARTER_RE = re.compile(r"^(\d{4})-Q([1-4])$")
 
 
+@lru_cache(maxsize=1024)
 def quarter_index(label: str) -> int:
-    """Parse ``YYYY-Qn`` into an absolute quarter index."""
+    """Parse ``YYYY-Qn`` into an absolute quarter index.
+
+    Results are memoised by label, since input files repeat a few dates on
+    many rows; a bad label is not cached and raises on every call.
+    """
     m = _QUARTER_RE.match(label.strip())
     if m is None:
         raise ValueError(f"bad quarter {label!r}, expected YYYY-Qn")

@@ -15,24 +15,43 @@ sorted sweep replaced: a descending sweep for AUC, and a full binarize and
 recount of the series at every distinct probability for the threshold.
 ``label_precrisis`` is the panel labeller that ``label_cells`` replaced, one
 vectorised pass per crisis episode over the quarter grid.
+
+``read_nodes_links`` is the network reader that building each date's maps
+in its row loops replaced: it collects node and link rows per date and
+validates each date through ``RiskNetwork.build``, so duplicates are found
+after every row has been read.  ``assert_same_structure`` is the structure
+check it called, which sorted every snapshot's nodes and links into one key.
+``ScanNetwork`` answers ``in_links`` by scanning every link, as the network
+did before its by-target index; ``k_paths`` on it walks the scan.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
 from riskrank.engine import RiskDecomposition, RiskRankConfig
-from riskrank.errors import NoCapacityError
+from riskrank.errors import NoCapacityError, SchemaError, StructuralDriftError
 from riskrank.evaluation import binarize, contingency, usefulness
+from riskrank.io import (
+    LINKS_HEADER,
+    NODES_HEADER,
+    _parse_float,
+    _parse_quarter,
+    _rows,
+)
 from riskrank.network import (
     NetworkSnapshot,
+    Node,
+    RiskNetwork,
     build_capacity,
     default_self_exposure,
     k_paths,
 )
+from riskrank.quarters import quarter_label
 
 
 def _finish(target: str, individual: float, direct: float, indirect: float,
@@ -223,3 +242,97 @@ def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
             excluded[ei, inside] = True
     labels[excluded] = 0
     return LabelSeries(panel.entities, panel.quarters, labels, excluded)
+
+
+class ScanNetwork(RiskNetwork):
+    """A network whose ``in_links`` scans every link on every call."""
+
+    def in_links(self, node_id: str) -> list[tuple[str, float]]:
+        """Incoming links sorted by source id (zero-weight links included)."""
+        found = [
+            (s, w) for (s, t), w in self.links.items() if t == node_id
+        ]
+        found.sort()
+        return found
+
+
+def _structure_key(net: RiskNetwork):
+    node_part = tuple(
+        sorted((n.id, n.level, n.parent_id) for n in net.nodes.values())
+    )
+    return node_part, tuple(sorted(net.links))
+
+
+def assert_same_structure(snapshots) -> None:
+    """Raise StructuralDriftError unless all snapshots share one structure."""
+    snaps = list(snapshots)
+    if not snaps:
+        return
+    reference = _structure_key(snaps[0].network)
+    for snap in snaps[1:]:
+        if _structure_key(snap.network) != reference:
+            raise StructuralDriftError(
+                f"snapshot {snap.date} does not share the series structure"
+            )
+
+
+def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
+    """Parse a snapshot series; all dates must share one structure."""
+    nodes_path, links_path = Path(nodes_path), Path(links_path)
+    per_date_nodes: dict[int, list[Node]] = {}
+    for line, row, _ in _rows(nodes_path, NODES_HEADER):
+        if len(row) != len(NODES_HEADER):
+            raise SchemaError(nodes_path, line, f"expected {len(NODES_HEADER)} columns")
+        date = _parse_quarter(nodes_path, line, row[0])
+        node_id = row[1].strip()
+        if not node_id:
+            raise SchemaError(nodes_path, line, "empty node_id")
+        try:
+            level = int(row[2])
+        except ValueError:
+            raise SchemaError(nodes_path, line, f"bad level {row[2]!r}") from None
+        if level < 0:
+            raise SchemaError(nodes_path, line, "level must be >= 0")
+        parent = row[3].strip() or None
+        risk = None
+        if row[4].strip():
+            risk = _parse_float(nodes_path, line, row[4], "risk_value")
+            if not 0.0 <= risk <= 1.0:
+                raise SchemaError(nodes_path, line, f"risk_value {risk} outside [0,1]")
+        exposure = None
+        if row[5].strip():
+            exposure = _parse_float(nodes_path, line, row[5], "self_exposure")
+            if exposure < 0.0:
+                raise SchemaError(nodes_path, line, "self_exposure must be >= 0")
+        per_date_nodes.setdefault(date, []).append(
+            Node(node_id, level, parent, risk, exposure)
+        )
+    if not per_date_nodes:
+        raise SchemaError(nodes_path, 2, "no node rows")
+
+    ids_by_date = {date: {n.id for n in nodes} for date, nodes in per_date_nodes.items()}
+    per_date_links: dict[int, list[tuple[str, str, float]]] = {}
+    for line, row, _ in _rows(links_path, LINKS_HEADER):
+        if len(row) != len(LINKS_HEADER):
+            raise SchemaError(links_path, line, f"expected {len(LINKS_HEADER)} columns")
+        date = _parse_quarter(links_path, line, row[0])
+        known = ids_by_date.get(date)
+        if known is None:
+            raise SchemaError(links_path, line, f"link date {row[0]} has no node rows")
+        source, target = row[1].strip(), row[2].strip()
+        if source not in known or target not in known:
+            raise SchemaError(links_path, line, f"unknown entity in link {source}->{target}")
+        weight = _parse_float(links_path, line, row[3], "weight")
+        if weight < 0.0:
+            raise SchemaError(links_path, line, "weight must be >= 0")
+        per_date_links.setdefault(date, []).append((source, target, weight))
+
+    snapshots = []
+    for date in sorted(per_date_nodes):
+        try:
+            net = RiskNetwork.build(per_date_nodes[date], per_date_links.get(date, []))
+        except ValueError as exc:
+            raise SchemaError(nodes_path, 0, f"date {quarter_label(date)}: {exc}") from None
+        snapshots.append(NetworkSnapshot(date, net))
+    assert_same_structure(snapshots)
+    return snapshots

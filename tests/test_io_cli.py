@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrank.cli import main
 from riskrank.early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
-from riskrank.errors import SchemaError
+from riskrank.errors import RiskRankError, SchemaError
 from riskrank.io import (
+    LINKS_HEADER,
+    NODES_HEADER,
     RunConfig,
     load_config,
     read_events,
@@ -20,9 +24,12 @@ from riskrank.io import (
     write_links_csv,
     write_nodes_csv,
 )
-from riskrank.network import NetworkSnapshot, Node, RiskNetwork
+from riskrank.network import NetworkSnapshot, Node, RiskNetwork, k_paths
 from riskrank.quarters import quarter_index, quarter_label
 from riskrank.synth import SynthSpec, generate_synthetic
+
+import oracle
+from conftest import random_snapshot
 
 
 def small_snapshots():
@@ -41,9 +48,11 @@ def small_snapshots():
 def test_quarter_roundtrip_and_validation():
     assert quarter_index("2008-Q1") == 2008 * 4
     assert quarter_label(quarter_index("1999-Q4")) == "1999-Q4"
+    assert quarter_index(" 2008-Q1 ") == quarter_index("2008-Q1")
     for bad in ("2008-Q5", "2008Q1", "08-Q1", "2008-q1"):
-        with pytest.raises(ValueError):
-            quarter_index(bad)
+        for _ in range(2):  # a bad label is not memoised
+            with pytest.raises(ValueError):
+                quarter_index(bad)
 
 
 # ------------------------------------------------------------ round trips
@@ -168,6 +177,192 @@ def test_duplicate_indicator_cell(tmp_path):
     path.write_text("entity,date,ind_1\nA,2005-Q1,1.0\nA,2005-Q1,2.0\n")
     with pytest.raises(SchemaError, match="duplicate"):
         read_indicators(path)
+
+
+# ----------------------------------------------------------- network files
+
+NODES = ["S,0,,,", "A,1,S,0.5,", "B,1,S,0.4,", "C,1,S,0.3,"]
+DIRECT = ["A,S,0.6", "B,S,0.4", "C,S,0.2"]
+
+
+def write_two_quarters(tmp_path, nodes, links):
+    """nodes.csv and links.csv for 2005-Q1 and 2005-Q2; ``nodes`` and
+    ``links`` are CSV rows without the date, or a pair of row lists, one per
+    quarter."""
+    files = {}
+    for name, header, rows in (
+        ("nodes.csv", "date,node_id,level,parent_id,risk_value,self_exposure", nodes),
+        ("links.csv", "date,source_id,target_id,weight", links),
+    ):
+        per_quarter = rows if isinstance(rows, tuple) else (rows, rows)
+        lines = [header] + [
+            f"{quarter},{row}"
+            for quarter, quarter_rows in zip(("2005-Q1", "2005-Q2"), per_quarter)
+            for row in quarter_rows
+        ]
+        files[name] = tmp_path / name
+        files[name].write_text("\n".join(lines) + "\n")
+    return files
+
+
+def test_duplicates_are_reported_at_their_line(tmp_path, capsys):
+    cases = (
+        ((NODES, NODES + [" A ,1,S,0.2,"]), DIRECT, "nodes.csv", 10,
+         "date 2005-Q2: duplicate node id 'A'"),
+        (NODES, (DIRECT, DIRECT + ["B,S,0.1"]), "links.csv", 8,
+         "date 2005-Q2: duplicate link 'B' -> 'S'"),
+        # the node file is read first, so its duplicate wins over a bad link row
+        ((NODES + ["A,1,S,0.2,"], NODES), DIRECT + ["A,GHOST,1"], "nodes.csv", 6,
+         "date 2005-Q1: duplicate node id 'A'"),
+    )
+    for nodes, links, name, line, message in cases:
+        files = write_two_quarters(tmp_path, nodes, links)
+        with pytest.raises(SchemaError) as err:
+            read_nodes_links(files["nodes.csv"], files["links.csv"])
+        assert str(err.value) == f"{files[name]}:{line}: {message}"
+        assert err.value.line == line
+        code = main(["validate", "--nodes", str(files["nodes.csv"]),
+                     "--links", str(files["links.csv"])])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: schema: {files[name]}:{line}: {message}\n"
+
+
+def random_network_rows(rng) -> tuple[list[str], list[str]]:
+    """Rows of nodes.csv and links.csv for one random structure on one to
+    four dates: shuffled rows, padded dates and ids, zero and unrounded
+    weights, self exposure on some dates only; sometimes one link row is
+    dropped, so that the structure drifts when there are several dates."""
+    base = random_snapshot(rng, max_children=5, two_level=bool(rng.integers(2))).network
+    first, last = quarter_index("1990-Q1"), quarter_index("2020-Q4")
+    dates = rng.choice(np.arange(first, last + 1), size=int(rng.integers(1, 5)),
+                       replace=False)
+
+    def pad(text: str) -> str:
+        return " " * int(rng.integers(3)) + text + " " * int(rng.integers(2))
+
+    def number(value: float) -> str:
+        return repr(value) if rng.random() < 0.5 else f"{value:.3g}"
+
+    node_rows, link_rows = [], []
+    for date in dates.tolist():
+        label = quarter_label(date)
+        with_exposure = rng.random() < 0.5
+        for node in base.nodes.values():
+            risk = number(float(rng.uniform())) if node.level > 0 else ""
+            exposure = number(float(rng.uniform(0.0, 2.0))) if with_exposure else pad("")
+            node_rows.append(",".join([pad(label), pad(node.id), str(node.level),
+                                       pad(node.parent_id or ""), risk, exposure]))
+        for source, target in base.links:
+            weight = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
+            link_rows.append(",".join([pad(label), pad(source), pad(target), number(weight)]))
+    if rng.random() < 0.2:
+        link_rows.pop(int(rng.integers(len(link_rows))))
+    rng.shuffle(node_rows)
+    rng.shuffle(link_rows)
+    return node_rows, link_rows
+
+
+def write_network_files(directory, node_rows, link_rows):
+    nodes, links = directory / "nodes.csv", directory / "links.csv"
+    nodes.write_text("\n".join([",".join(NODES_HEADER), *node_rows]) + "\n")
+    links.write_text("\n".join([",".join(LINKS_HEADER), *link_rows]) + "\n")
+    return nodes, links
+
+
+def read_with(reader, nodes, links):
+    """Snapshots as (date, node items, link items), or the error raised."""
+    try:
+        snaps = reader(nodes, links)
+    except RiskRankError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [
+        (s.date, list(s.network.nodes.items()), list(s.network.links.items()))
+        for s in snaps
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_reader_and_in_links_match_oracle(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    nodes, links = write_network_files(tmp_path_factory.mktemp("net"),
+                                       *random_network_rows(rng))
+    expected = read_with(oracle.read_nodes_links, nodes, links)
+    assert read_with(read_nodes_links, nodes, links) == expected
+    if isinstance(expected, tuple):
+        return
+    for snap in read_nodes_links(nodes, links):
+        net = snap.network
+        copy = net.with_risk_values({nid: 0.5 for nid in list(net.nodes)[::2]})
+        for candidate in (net, copy):
+            scan = oracle.ScanNetwork(candidate.nodes, candidate.links)
+            for nid in candidate.nodes:
+                assert candidate.in_links(nid) == scan.in_links(nid)
+                for k in (1, 2, 3):
+                    assert k_paths(candidate, nid, k) == k_paths(scan, nid, k)
+
+
+# Rows that each reader rejects; {d} is a date of the series, {n} a node id
+# and {s},{t} a link of it, so a bad row is also a duplicate.
+BAD_NODE_ROWS = {
+    "columns": "{d},{n},1,ROOT,0.5",
+    "date": "2005-Q5,{n},1,ROOT,0.5,",
+    "empty-id": "{d}, ,1,ROOT,0.5,",
+    "level": "{d},{n},one,ROOT,0.5,",
+    "negative-level": "{d},{n},-1,ROOT,0.5,",
+    "risk": "{d},{n},1,ROOT,high,",
+    "risk-range": "{d},{n},1,ROOT,1.5,",
+    "risk-non-finite": "{d},{n},1,ROOT,inf,",
+    "exposure": "{d},{n},1,ROOT,0.5,x",
+    "negative-exposure": "{d},{n},1,ROOT,0.5,-0.1",
+    "exposure-non-finite": "{d},{n},1,ROOT,0.5,nan",
+}
+BAD_LINK_ROWS = {
+    "columns": "{d},{s},{t}",
+    "date": "{d}x,{s},{t},0.5",
+    "date-without-nodes": "1900-Q1,{s},{t},0.5",
+    "unknown-entity": "{d},{s},GHOST,0.5",
+    "weight": "{d},{s},{t},heavy",
+    "negative-weight": "{d},{s},{t},-0.5",
+    "weight-non-finite": "{d},{s},{t},inf",
+}
+BAD_FILES = {
+    "nodes-header": ("nodes.csv", "date,node,level,parent,risk,exposure\n"),
+    "links-header": ("links.csv", "date,source,target,weight\n"),
+    "nodes-empty": ("nodes.csv", ""),
+    "links-empty": ("links.csv", ""),
+    "no-node-rows": ("nodes.csv", ",".join(NODES_HEADER) + "\n"),
+}
+BAD_CASES = sorted(
+    [("nodes", name) for name in BAD_NODE_ROWS]
+    + [("links", name) for name in BAD_LINK_ROWS]
+    + [("file", name) for name in BAD_FILES]
+)
+
+
+@pytest.mark.parametrize("kind,case", BAD_CASES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_bad_rows_fail_like_the_oracle(tmp_path_factory, kind, case, seed):
+    rng = np.random.default_rng(seed)
+    node_rows, link_rows = random_network_rows(rng)
+    date, node_id = node_rows[0].split(",")[:2]
+    _, source, target, _ = link_rows[0].split(",")
+    fields = {"d": date, "n": node_id, "s": source, "t": target}
+    if kind == "nodes":
+        node_rows.insert(int(rng.integers(len(node_rows) + 1)),
+                         BAD_NODE_ROWS[case].format(**fields))
+    elif kind == "links":
+        link_rows.insert(int(rng.integers(len(link_rows) + 1)),
+                         BAD_LINK_ROWS[case].format(**fields))
+    directory = tmp_path_factory.mktemp("bad")
+    nodes, links = write_network_files(directory, node_rows, link_rows)
+    if kind == "file":
+        name, content = BAD_FILES[case]
+        (directory / name).write_text(content)
+    expected = read_with(oracle.read_nodes_links, nodes, links)
+    assert expected[0] is SchemaError
+    assert read_with(read_nodes_links, nodes, links) == expected
 
 
 # ------------------------------------------------------------ series files
@@ -380,30 +575,6 @@ def test_cli_report_long_form(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "date,target,component,value"
     assert len(lines) == 1 + 76 * 4
-
-
-NODES = ["S,0,,,", "A,1,S,0.5,", "B,1,S,0.4,", "C,1,S,0.3,"]
-DIRECT = ["A,S,0.6", "B,S,0.4", "C,S,0.2"]
-
-
-def write_two_quarters(tmp_path, nodes, links):
-    """nodes.csv and links.csv for 2005-Q1 and 2005-Q2; ``nodes`` and
-    ``links`` are CSV rows without the date, or a pair of row lists, one per
-    quarter."""
-    files = {}
-    for name, header, rows in (
-        ("nodes.csv", "date,node_id,level,parent_id,risk_value,self_exposure", nodes),
-        ("links.csv", "date,source_id,target_id,weight", links),
-    ):
-        per_quarter = rows if isinstance(rows, tuple) else (rows, rows)
-        lines = [header] + [
-            f"{quarter},{row}"
-            for quarter, quarter_rows in zip(("2005-Q1", "2005-Q2"), per_quarter)
-            for row in quarter_rows
-        ]
-        files[name] = tmp_path / name
-        files[name].write_text("\n".join(lines) + "\n")
-    return files
 
 
 # (nodes, links, flags, {k: stderr line}); each line is the one the

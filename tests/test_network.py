@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrank.errors import NoCapacityError
+from riskrank.errors import NoCapacityError, StructuralDriftError
 from riskrank.network import (
     NetworkSnapshot,
     Node,
@@ -305,20 +305,60 @@ def test_k_must_be_positive():
 
 # ----------------------------------------------------------- snapshots
 
-def test_structural_drift_is_detected():
-    net_a = complete_three_siblings()
-    nodes = list(net_a.nodes.values()) + [Node("D", 1, "S", 0.5)]
-    links = [(s, t, w) for (s, t), w in net_a.links.items()] + [("D", "S", 1.0)]
-    net_b = RiskNetwork.build(nodes, links)
-    from riskrank.errors import StructuralDriftError
+def two_level_network(nodes=None, links=None) -> RiskNetwork:
+    """Root S over siblings A and B, with G below A; ``nodes`` and ``links``
+    replace entries by key, and a None value removes one."""
+    base_nodes = {
+        "S": Node("S", 0),
+        "A": Node("A", 1, "S", 0.5),
+        "B": Node("B", 1, "S", 0.4, self_exposure=0.2),
+        "G": Node("G", 2, "A", 0.3),
+    }
+    base_links = {("A", "S"): 0.6, ("B", "S"): 0.4, ("A", "B"): 0.3, ("G", "A"): 1.0}
+    return RiskNetwork(
+        {nid: n for nid, n in {**base_nodes, **(nodes or {})}.items() if n is not None},
+        {key: w for key, w in {**base_links, **(links or {})}.items() if w is not None},
+    )
 
-    with pytest.raises(StructuralDriftError):
-        assert_same_structure(
-            [NetworkSnapshot(0, net_a), NetworkSnapshot(1, net_b)]
-        )
+
+DRIFTS = {
+    "changed-level": {"nodes": {"G": Node("G", 3, "A", 0.3)}},
+    "changed-parent": {"nodes": {"G": Node("G", 2, "B", 0.3)}},
+    "added-link": {"links": {("B", "A"): 0.1}},
+    "removed-link": {"links": {("A", "B"): None}},
+    "added-node": {"nodes": {"D": Node("D", 1, "S", 0.5)}},
+    "removed-node": {"nodes": {"G": None}, "links": {("G", "A"): None}},
+}
+
+
+def test_structural_drift_is_detected():
+    for drift, changes in DRIFTS.items():
+        snaps = [NetworkSnapshot(d, two_level_network()) for d in (4, 5)]
+        snaps.append(NetworkSnapshot(6, two_level_network(**changes)))
+        with pytest.raises(StructuralDriftError, match="snapshot 6 does not share"):
+            assert_same_structure(snaps)
+            pytest.fail(f"{drift} was not caught")
 
 
 def test_value_changes_are_not_drift():
-    net_a = complete_three_siblings()
-    changed = net_a.with_risk_values({"A": 0.9})
-    assert_same_structure([NetworkSnapshot(0, net_a), NetworkSnapshot(1, changed)])
+    base = two_level_network()
+    revalued = two_level_network(
+        nodes={"A": Node("A", 1, "S", 0.9, self_exposure=0.7),
+               "B": Node("B", 1, "S", 0.1)},
+        links={("A", "S"): 0.0, ("G", "A"): 0.25},
+    )
+    reordered = RiskNetwork(
+        dict(reversed(base.nodes.items())), dict(reversed(base.links.items()))
+    )
+    assert_same_structure([NetworkSnapshot(d, net) for d, net in
+                           enumerate((base, revalued, reordered,
+                                      base.with_risk_values({"A": 0.9})))])
+
+
+def test_in_links_returns_a_copy_of_the_index():
+    net = complete_three_siblings()
+    found = net.in_links("S")
+    assert found == [("A", 1.0), ("B", 1.0), ("C", 1.0)]
+    found.clear()
+    assert net.in_links("S") == [("A", 1.0), ("B", 1.0), ("C", 1.0)]
+    assert net.in_links("nobody") == []
