@@ -16,6 +16,7 @@ from riskrank.early_warning import label_cells, recursive_backtest
 from riskrank.engine import RiskRankConfig, riskrank_series
 from riskrank.evaluation import evaluate_series
 from riskrank.io import read_events, read_indicators, read_nodes_links
+from riskrank.network import snapshots_with_probabilities
 from riskrank.synth import SynthSpec, generate_synthetic
 
 HORIZONS = ((5, 8), (5, 12), (5, 16))
@@ -34,23 +35,15 @@ def series_cells(result):
 
 
 def aggregated_cells(snapshots, result):
-    lookup = {q: qi for qi, q in enumerate(result.quarters)}
-    cells, probs = [], []
-    cfg = RiskRankConfig(central_weight_mode="unit")
-    usable = []
-    for snap in snapshots:
-        qi = lookup.get(snap.date)
-        if qi is None:
-            continue
-        column = result.probabilities[:, qi]
-        if np.isnan(column).any():
-            continue
-        values = {e: float(column[ei]) for ei, e in enumerate(result.entities)}
-        usable.append(type(snap)(snap.date, snap.network.with_risk_values(values)))
+    individual, individual_probs = series_cells(result)
+    usable = snapshots_with_probabilities(snapshots, [
+        (entity, quarter, p) for (entity, quarter), p in zip(individual, individual_probs)
+    ])
     targets = sorted(
         nid for nid, node in usable[0].network.nodes.items() if node.level > 0
     )
-    for row in riskrank_series(usable, targets, cfg):
+    cells, probs = [], []
+    for row in riskrank_series(usable, targets, RiskRankConfig(central_weight_mode="unit")):
         cells.append((row.target, row.date))
         probs.append(row.decomposition.total)
     return cells, np.array(probs)

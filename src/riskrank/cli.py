@@ -39,7 +39,7 @@ from .io import (
     write_probabilities,
     write_series_long,
 )
-from .network import build_capacity, validate_hierarchy
+from .network import build_capacity, snapshots_with_probabilities, validate_hierarchy
 from .quarters import quarter_index, quarter_label
 from .synth import SynthSpec, generate_synthetic
 
@@ -64,7 +64,9 @@ def _diagnostic(exc: Exception) -> str:
     return f"error: {kind}: {detail}"
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args, *needed: str) -> RunConfig:
+    """Defaults, then the config file, then the flags; every input path named
+    in ``needed`` must be set by one of them."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {}
     for key in RunConfig.__dataclass_fields__:
@@ -75,7 +77,11 @@ def _load_run_config(args) -> RunConfig:
         overrides["clamp"] = False
     if "mu_grid" in overrides:
         overrides["mu_grid"] = tuple(float(v) for v in overrides["mu_grid"].split(","))
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    for key in needed:
+        if not getattr(cfg, key):
+            raise RiskRankError(f"{args.command} needs --{key}")
+    return cfg
 
 
 def _engine_config(cfg: RunConfig) -> RiskRankConfig:
@@ -84,33 +90,6 @@ def _engine_config(cfg: RunConfig) -> RiskRankConfig:
         clamp=cfg.clamp,
         max_path_length=cfg.max_path_length,
     )
-
-
-def _snapshots_with_probabilities(snapshots, prob_path):
-    """Override node risk values with a probability series; dates missing a
-    probability for any valued node are dropped from the series."""
-    series = read_series(prob_path)
-    by_date: dict[int, dict[str, float]] = {}
-    for entity, quarter, p in series.cells:
-        by_date.setdefault(quarter, {})[entity] = p
-    out = []
-    for snap in snapshots:
-        probs = by_date.get(snap.date)
-        if probs is None:
-            continue
-        needed = [
-            nid for nid, node in snap.network.nodes.items() if node.level > 0
-        ]
-        if any(nid not in probs for nid in needed):
-            continue
-        out.append(
-            type(snap)(snap.date, snap.network.with_risk_values(
-                {nid: probs[nid] for nid in needed}
-            ))
-        )
-    if not out:
-        raise RiskRankError("no snapshot date is fully covered by the probability series")
-    return out
 
 
 def _resolve_targets(selector: str, snapshots) -> list[str]:
@@ -127,7 +106,7 @@ def _resolve_targets(selector: str, snapshots) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _load_run_config(args, "nodes", "links")
     snapshots = read_nodes_links(cfg.nodes, cfg.links)
     if cfg.indicators:
         read_indicators(cfg.indicators)
@@ -174,10 +153,12 @@ def cmd_shapley(args) -> int:
 def cmd_score(args) -> int:
     """Score the targets over the series; ``riskrank`` and ``report`` differ
     only in the writer and the name of what it wrote."""
-    cfg = _load_run_config(args)
+    cfg = _load_run_config(args, "nodes", "links")
     snapshots = read_nodes_links(cfg.nodes, cfg.links)
     if cfg.probabilities:
-        snapshots = _snapshots_with_probabilities(snapshots, cfg.probabilities)
+        snapshots = snapshots_with_probabilities(
+            snapshots, read_series(cfg.probabilities).cells
+        )
     targets = _resolve_targets(args.targets, snapshots)
     rows = riskrank_series(snapshots, targets, _engine_config(cfg))
     args.write(args.out, rows)
@@ -186,7 +167,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _load_run_config(args, "indicators", "events")
     panel = read_indicators(cfg.indicators)
     events = read_events(cfg.events)
     start = quarter_index(cfg.start) if cfg.start else None
@@ -207,9 +188,7 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.series:
         raise RiskRankError("no probability series given")
-    cfg = _load_run_config(args)
-    if not cfg.events:
-        raise RiskRankError("evaluate needs --events")
+    cfg = _load_run_config(args, "events")
     events = read_events(cfg.events)
     reports = []
     for series_path in args.series:

@@ -9,6 +9,9 @@ All files are UTF-8 CSV with a mandatory header row and ``YYYY-Qn`` dates:
     probabilities.csv  entity,date,p
     decompositions     date,target,individual,direct,indirect,total_raw,total
 
+One rule holds for every file read: a file without a header row fails at
+line 1, the header is checked before any data row, blank lines are skipped,
+and a data row whose cell count differs from the header's fails at its line.
 The root node row leaves risk_value empty; empty cells generally mean
 "absent".  Floats are written with 10 significant digits so that identical
 runs produce identical bytes.  Schema problems are reported with the file
@@ -40,6 +43,11 @@ EVAL_HEADER = [
     "U_a", "U_r", "AUC", "precision_signal", "recall_signal",
     "precision_tranquil", "recall_tranquil", "accuracy",
 ]
+# Series header -> the columns holding its entity, date and probability.
+SERIES_COLUMNS = {
+    tuple(PROBS_HEADER): ("entity", "date", "p"),
+    tuple(DECOMP_HEADER): ("target", "date", "total"),
+}
 
 
 def fmt(value: float | None) -> str:
@@ -48,22 +56,37 @@ def fmt(value: float | None) -> str:
     return f"{value:.10g}"
 
 
-def _rows(path: Path, expected_header: list[str] | None = None):
-    """Yield (line_number, row) pairs after checking the header."""
+def _rows(path: Path):
+    """Yield the header row, then (line_number, row) for each data row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(path, 1, "missing header row") from None
-        if expected_header is not None and header != expected_header:
-            raise SchemaError(
-                path, 1, f"header {header} != expected {expected_header}"
-            )
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(path, 1, "missing header row")
+        yield header
+        width = len(header)
         for row in reader:
             if not row:
                 continue
-            yield reader.line_num, row, header
+            if len(row) != width:
+                raise SchemaError(path, reader.line_num, f"expected {width} columns")
+            yield reader.line_num, row
+
+
+def _fixed_rows(path: Path, expected: list[str]):
+    """Data rows of a file whose header must equal ``expected``."""
+    rows = _rows(path)
+    header = next(rows)
+    if header != expected:
+        raise SchemaError(path, 1, f"header {header} != expected {expected}")
+    return rows
+
+
+def _write(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_quarter(path: Path, line: int, text: str) -> int:
@@ -91,9 +114,7 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
     """
     nodes_path, links_path = Path(nodes_path), Path(links_path)
     per_date_nodes: dict[int, dict[str, Node]] = {}
-    for line, row, _ in _rows(nodes_path, NODES_HEADER):
-        if len(row) != len(NODES_HEADER):
-            raise SchemaError(nodes_path, line, f"expected {len(NODES_HEADER)} columns")
+    for line, row in _fixed_rows(nodes_path, NODES_HEADER):
         date = _parse_quarter(nodes_path, line, row[0])
         node_id = row[1].strip()
         if not node_id:
@@ -126,9 +147,7 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
         raise SchemaError(nodes_path, 2, "no node rows")
 
     per_date_links: dict[int, dict[tuple[str, str], float]] = {}
-    for line, row, _ in _rows(links_path, LINKS_HEADER):
-        if len(row) != len(LINKS_HEADER):
-            raise SchemaError(links_path, line, f"expected {len(LINKS_HEADER)} columns")
+    for line, row in _fixed_rows(links_path, LINKS_HEADER):
         date = _parse_quarter(links_path, line, row[0])
         known = per_date_nodes.get(date)
         if known is None:
@@ -156,45 +175,37 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
 
 
 def write_nodes_csv(path, snapshots) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NODES_HEADER)
-        for snap in snapshots:
-            for nid in sorted(snap.network.nodes):
-                node = snap.network.nodes[nid]
-                writer.writerow([
-                    quarter_label(snap.date),
-                    node.id,
-                    node.level,
-                    node.parent_id or "",
-                    fmt(node.risk_value) if node.risk_value is not None else "",
-                    fmt(node.self_exposure) if node.self_exposure is not None else "",
-                ])
+    _write(path, NODES_HEADER, (
+        [
+            quarter_label(snap.date),
+            node.id,
+            node.level,
+            node.parent_id or "",
+            fmt(node.risk_value) if node.risk_value is not None else "",
+            fmt(node.self_exposure) if node.self_exposure is not None else "",
+        ]
+        for snap in snapshots
+        for _, node in sorted(snap.network.nodes.items())
+    ))
 
 
 def write_links_csv(path, snapshots) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LINKS_HEADER)
-        for snap in snapshots:
-            for (source, target) in sorted(snap.network.links):
-                writer.writerow([
-                    quarter_label(snap.date), source, target,
-                    fmt(snap.network.links[(source, target)]),
-                ])
+    _write(path, LINKS_HEADER, (
+        [quarter_label(snap.date), source, target, fmt(snap.network.links[(source, target)])]
+        for snap in snapshots
+        for (source, target) in sorted(snap.network.links)
+    ))
 
 
 def read_indicators(path) -> IndicatorPanel:
     path = Path(path)
+    rows = _rows(path)
+    header = next(rows)
+    if len(header) < 3 or header[:2] != ["entity", "date"]:
+        raise SchemaError(path, 1, "header must be entity,date,ind_1,...")
+    names = tuple(header[2:])
     cells: dict[tuple[str, int], list[float]] = {}
-    names: tuple[str, ...] | None = None
-    for line, row, header in _rows(path):
-        if names is None:
-            if len(header) < 3 or header[:2] != ["entity", "date"]:
-                raise SchemaError(path, 1, "header must be entity,date,ind_1,...")
-            names = tuple(header[2:])
-        if len(row) != 2 + len(names):
-            raise SchemaError(path, line, f"expected {2 + len(names)} columns")
+    for line, row in rows:
         entity = row[0].strip()
         if not entity:
             raise SchemaError(path, line, "empty entity")
@@ -206,7 +217,7 @@ def read_indicators(path) -> IndicatorPanel:
             for cell in row[2:]
         ]
         cells[(entity, date)] = values
-    if names is None or not cells:
+    if not cells:
         raise SchemaError(path, 2, "no indicator rows")
     entities = tuple(sorted({e for e, _ in cells}))
     quarters = tuple(sorted({q for _, q in cells}))
@@ -219,26 +230,24 @@ def read_indicators(path) -> IndicatorPanel:
 
 
 def write_indicators(path, panel: IndicatorPanel) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "date", *panel.indicator_names])
+    def body():
         for ei, entity in enumerate(panel.entities):
             for qi, quarter in enumerate(panel.quarters):
                 row_values = panel.values[ei, qi, :]
                 if np.isnan(row_values).all():
                     continue
-                writer.writerow([
+                yield [
                     entity, quarter_label(quarter),
                     *("" if np.isnan(v) else fmt(float(v)) for v in row_values),
-                ])
+                ]
+
+    _write(path, ["entity", "date", *panel.indicator_names], body())
 
 
 def read_events(path) -> CrisisEvents:
     path = Path(path)
     events = []
-    for line, row, _ in _rows(path, EVENTS_HEADER):
-        if len(row) != len(EVENTS_HEADER):
-            raise SchemaError(path, line, f"expected {len(EVENTS_HEADER)} columns")
+    for line, row in _fixed_rows(path, EVENTS_HEADER):
         entity = row[0].strip()
         if not entity:
             raise SchemaError(path, line, "empty entity")
@@ -252,15 +261,14 @@ def read_events(path) -> CrisisEvents:
 
 
 def write_events(path, events: CrisisEvents) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        for event in events.events:
-            writer.writerow([
-                event.entity,
-                quarter_label(event.start),
-                quarter_label(event.end) if event.end is not None else "",
-            ])
+    _write(path, EVENTS_HEADER, (
+        [
+            event.entity,
+            quarter_label(event.start),
+            quarter_label(event.end) if event.end is not None else "",
+        ]
+        for event in events.events
+    ))
 
 
 @dataclass(frozen=True)
@@ -273,39 +281,33 @@ class ProbSeries:
 
 def write_probabilities(path, result) -> None:
     """Backtest output; masked cells are simply absent."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROBS_HEADER)
-        for ei, entity in enumerate(result.entities):
-            for qi, quarter in enumerate(result.quarters):
-                p = result.probabilities[ei, qi]
-                if np.isnan(p):
-                    continue
-                writer.writerow([entity, quarter_label(quarter), fmt(float(p))])
+    _write(path, PROBS_HEADER, (
+        [entity, quarter_label(quarter), fmt(float(p))]
+        for entity, row in zip(result.entities, result.probabilities)
+        for quarter, p in zip(result.quarters, row)
+        if not np.isnan(p)
+    ))
 
 
 def read_series(path) -> ProbSeries:
     """Read a probability series; decomposition files count with p = total."""
     path = Path(path)
+    rows = _rows(path)
+    header = next(rows)
+    columns = SERIES_COLUMNS.get(tuple(header))
+    if columns is None:
+        raise SchemaError(path, 1, f"unrecognized series header {header}")
+    entity_at, date_at, p_at = (header.index(name) for name in columns)
     cells: dict[tuple[str, int], float] = {}
-    mode = None
-    for line, row, header in _rows(path):
-        if mode is None:
-            if header == PROBS_HEADER:
-                mode = "probs"
-            elif header == DECOMP_HEADER:
-                mode = "decomp"
-            else:
-                raise SchemaError(path, 1, f"unrecognized series header {header}")
-        if mode == "probs":
-            entity, date_text, p_text = row[0], row[1], row[2]
-        else:
-            entity, date_text, p_text = row[1], row[0], row[6]
-        entity = entity.strip()
+    for line, row in rows:
+        entity = row[entity_at].strip()
+        if not entity:
+            raise SchemaError(path, line, "empty entity")
+        date_text = row[date_at]
         date = _parse_quarter(path, line, date_text)
         if (entity, date) in cells:
             raise SchemaError(path, line, f"duplicate cell {entity} {date_text}")
-        p = _parse_float(path, line, p_text, "probability")
+        p = _parse_float(path, line, row[p_at], "probability")
         if not 0.0 <= p <= 1.0:
             raise SchemaError(path, line, f"probability {p} outside [0,1]")
         cells[(entity, date)] = p
@@ -315,39 +317,33 @@ def read_series(path) -> ProbSeries:
 
 
 def write_decompositions(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECOMP_HEADER)
+    def body():
         for row in rows:
             d = row.decomposition
-            writer.writerow([
+            yield [
                 quarter_label(row.date), row.target, fmt(d.individual),
                 fmt(d.direct), fmt(d.indirect), fmt(d.total_raw), fmt(d.total),
-            ])
+            ]
+
+    _write(path, DECOMP_HEADER, body())
 
 
 def write_series_long(path, rows) -> None:
     """Tidy component series for external plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "target", "component", "value"])
-        for row in rows:
-            d = row.decomposition
-            for component, value in (
-                ("individual", d.individual), ("direct", d.direct),
-                ("indirect", d.indirect), ("total", d.total),
-            ):
-                writer.writerow([quarter_label(row.date), row.target, component, fmt(value)])
+    _write(path, ["date", "target", "component", "value"], (
+        [quarter_label(row.date), row.target, component,
+         fmt(getattr(row.decomposition, component))]
+        for row in rows
+        for component in ("individual", "direct", "indirect", "total")
+    ))
 
 
 def write_eval_reports(path, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVAL_HEADER)
+    def body():
         for report in reports:
             for row in report.rows:
                 m = row.metrics
-                writer.writerow([
+                yield [
                     report.model, fmt(row.mu_pref), fmt(row.tau),
                     row.cm.tp, row.cm.tn, row.cm.fp, row.cm.fn,
                     fmt(row.t1), fmt(row.t2), fmt(row.loss),
@@ -355,7 +351,9 @@ def write_eval_reports(path, reports) -> None:
                     fmt(m.precision_signal), fmt(m.recall_signal),
                     fmt(m.precision_tranquil), fmt(m.recall_tranquil),
                     fmt(m.accuracy),
-                ])
+                ]
+
+    _write(path, EVAL_HEADER, body())
 
 
 DEFAULT_MU_GRID = tuple(i / 10 for i in range(11))

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .capacity import TwoAdditiveCapacity, ValidationReport
-from .errors import NoCapacityError, StructuralDriftError
+from .errors import NoCapacityError, RiskRankError, StructuralDriftError
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,28 @@ class NetworkSnapshot:
 
     date: int
     network: RiskNetwork
+
+
+def snapshots_with_probabilities(snapshots, cells) -> list[NetworkSnapshot]:
+    """Override node risk values with ``(entity, quarter, p)`` cells; dates
+    missing a probability for any valued node are dropped from the series."""
+    by_date: dict[int, dict[str, float]] = {}
+    for entity, quarter, p in cells:
+        by_date.setdefault(quarter, {})[entity] = p
+    out = []
+    for snap in snapshots:
+        probs = by_date.get(snap.date)
+        if probs is None:
+            continue
+        needed = [nid for nid, node in snap.network.nodes.items() if node.level > 0]
+        if any(nid not in probs for nid in needed):
+            continue
+        out.append(NetworkSnapshot(
+            snap.date, snap.network.with_risk_values({nid: probs[nid] for nid in needed})
+        ))
+    if not out:
+        raise RiskRankError("no snapshot date is fully covered by the probability series")
+    return out
 
 
 def validate_hierarchy(net: RiskNetwork) -> ValidationReport:

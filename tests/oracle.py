@@ -23,10 +23,13 @@ after every row has been read.  ``assert_same_structure`` is the structure
 check it called, which sorted every snapshot's nodes and links into one key.
 ``ScanNetwork`` answers ``in_links`` by scanning every link, as the network
 did before its by-target index; ``k_paths`` on it walks the scan.
+``_rows`` is the row source that reader used: it checks a fixed header when
+given one and leaves the cell count of each row to its caller.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
 
@@ -41,7 +44,6 @@ from riskrank.io import (
     NODES_HEADER,
     _parse_float,
     _parse_quarter,
-    _rows,
 )
 from riskrank.network import (
     NetworkSnapshot,
@@ -274,6 +276,24 @@ def assert_same_structure(snapshots) -> None:
             raise StructuralDriftError(
                 f"snapshot {snap.date} does not share the series structure"
             )
+
+
+def _rows(path: Path, expected_header: list[str] | None = None):
+    """Yield (line_number, row) pairs after checking the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(path, 1, "missing header row") from None
+        if expected_header is not None and header != expected_header:
+            raise SchemaError(
+                path, 1, f"header {header} != expected {expected_header}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            yield reader.line_num, row, header
 
 
 def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:

@@ -172,6 +172,43 @@ def test_wrong_header_is_rejected(tmp_path):
         read_events(path)
 
 
+def read_network(directory):
+    return read_nodes_links(directory / "nodes.csv", directory / "links.csv")
+
+
+# format -> (file name, header, a valid data row, reader of the directory)
+FORMATS = {
+    "nodes": ("nodes.csv", ",".join(NODES_HEADER), "2005-Q1,S,0,,,", read_network),
+    "links": ("links.csv", ",".join(LINKS_HEADER), "2005-Q1,A,S,0.6", read_network),
+    "indicators": ("indicators.csv", "entity,date,ind_1,ind_2", "A,2005-Q1,0.5,",
+                   lambda d: read_indicators(d / "indicators.csv")),
+    "events": ("events.csv", "entity,crisis_start,crisis_end", "A,2008-Q1,2008-Q4",
+               lambda d: read_events(d / "events.csv")),
+    "probabilities": ("p.csv", "entity,date,p", "A,2005-Q1,0.5",
+                      lambda d: read_series(d / "p.csv")),
+    "decompositions": ("rr.csv", "date,target,individual,direct,indirect,total_raw,total",
+                       "2005-Q1,A,0.1,0.2,0,0.3,0.3", lambda d: read_series(d / "rr.csv")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_every_format_checks_header_and_row_length(tmp_path, kind):
+    name, header, valid, reader = FORMATS[kind]
+    (tmp_path / "nodes.csv").write_text(NODES_CSV_HEAD + "2005-Q1,A,1,S,0.5,\n")
+    (tmp_path / "links.csv").write_text(",".join(LINKS_HEADER) + "\n2005-Q1,A,S,0.6\n")
+    width = len(header.split(","))
+    for bad_row in (valid.rsplit(",", 1)[0], valid + ",x"):
+        (tmp_path / name).write_text(f"{header}\n{valid}\n{bad_row}\n")
+        with pytest.raises(SchemaError, match=f"expected {width} columns") as err:
+            reader(tmp_path)
+        assert err.value.line == 3
+    # a header-only file is judged by its header, not by its missing rows
+    (tmp_path / name).write_text("when," + header.split(",", 1)[1] + "\n")
+    with pytest.raises(SchemaError, match="header") as err:
+        reader(tmp_path)
+    assert err.value.line == 1
+
+
 def test_duplicate_indicator_cell(tmp_path):
     path = tmp_path / "indicators.csv"
     path.write_text("entity,date,ind_1\nA,2005-Q1,1.0\nA,2005-Q1,2.0\n")
@@ -389,6 +426,11 @@ def test_read_series_prob_and_decomposition(tmp_path):
     with pytest.raises(SchemaError, match="duplicate cell A 2005-Q1") as err:
         read_series(repeated)
     assert err.value.line == 4
+    nameless = tmp_path / "nameless.csv"
+    nameless.write_text("entity,date,p\nA,2005-Q1,0.5\n ,2005-Q2,0.1\n")
+    with pytest.raises(SchemaError, match="empty entity") as err:
+        read_series(nameless)
+    assert err.value.line == 3
 
 
 # ------------------------------------------------------------- synthesis
@@ -491,6 +533,29 @@ def test_cli_rejects_non_finite_weight(tmp_path, capsys, weight):
         assert capsys.readouterr().err == (
             f"error: schema: {links}:3: non-finite weight {weight!r}\n"
         )
+
+
+# (command line, missing flag); input paths are checked before any is read
+MISSING_INPUTS = [
+    (["validate"], "--nodes"),
+    (["validate", "--nodes", "n.csv", "--events", "e.csv"], "--links"),
+    (["riskrank", "--out", "out.csv"], "--nodes"),
+    (["riskrank", "--nodes", "n.csv", "--out", "out.csv"], "--links"),
+    (["report", "--out", "out.csv"], "--nodes"),
+    (["report", "--nodes", "n.csv", "--out", "out.csv"], "--links"),
+    (["backtest", "--events", "e.csv", "--out", "p.csv"], "--indicators"),
+    (["backtest", "--indicators", "i.csv", "--out", "p.csv"], "--events"),
+    (["evaluate", "p.csv"], "--events"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", MISSING_INPUTS)
+def test_cli_missing_input_is_one_diagnostic_line(tmp_path, monkeypatch, capsys,
+                                                  argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: invalid: {argv[0]} needs {flag}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_shapley_output(tmp_path, capsys):
