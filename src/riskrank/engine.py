@@ -31,10 +31,13 @@ the tests keep the per-snapshot Shapley-form operators as an oracle for this
 engine.
 
 All snapshots of a series share one structure, so each target's paths are
-enumerated once, on the first snapshot, as columns into the dates x links
-weights W and the dates x nodes risk levels X; every date is then scored at
-once.  Products and sums are taken in the order of a loop over the paths, so
-the numbers do not depend on how many dates are scored together.
+enumerated once, on the first snapshot, as ``k_paths`` rows.  A reversed
+row gives node columns into the dates x nodes risk levels X from the path
+start, and ``_Series.link_pos`` link columns into the dates x links weights
+W from the target outward; ``PATH_PAD`` picks the ones column both end in.
+Every date is then scored at once, with products and sums in the order of a
+loop over the paths, so the numbers do not depend on how many dates are
+scored together.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCapacityError
-from .network import NetworkSnapshot, assert_same_structure, k_paths
+from .network import PATH_PAD, NetworkSnapshot, assert_same_structure, k_paths
 
 CENTRAL_WEIGHT_MODES = ("unit", "shapley")
 
@@ -122,7 +125,11 @@ class _Series:
         self.node_ids = sorted(self.network.nodes)
         self.link_keys = sorted(self.network.links)
         self.node_col = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.link_col = {key: i for i, key in enumerate(self.link_keys)}
+        # a link's column by (source, target) position, else the ones column
+        size = len(self.node_ids) + 1  # PATH_PAD picks the extra row and column
+        self.link_pos = np.full((size, size), len(self.link_keys))
+        for col, (source, dst) in enumerate(self.link_keys):
+            self.link_pos[self.node_col[source], self.node_col[dst]] = col
         levels = [
             [snap.network.nodes[nid].risk_value for nid in self.node_ids]
             for snap in snaps
@@ -138,22 +145,10 @@ class _Series:
              for snap in snaps]
         )
 
-    def _compile(self, hits, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node columns from each path's start to the node before the target,
-        and link columns from the target outward, padded to length k."""
-        nodes = np.full((len(hits), k), len(self.node_ids), dtype=np.intp)
-        links = np.full((len(hits), k), len(self.link_keys), dtype=np.intp)
-        for p, hit in enumerate(hits):
-            path = hit.nodes
-            nodes[p, :hit.length] = [self.node_col[nid] for nid in path[:-1]]
-            links[p, :hit.length] = [
-                self.link_col[path[i - 1], path[i]] for i in range(hit.length, 0, -1)
-            ]
-        return nodes, links
-
     def _self_mass(self, target: str) -> np.ndarray:
         """Self exposure per date, else the incoming weight total capped at one."""
-        inbound = [col for (_, dst), col in self.link_col.items() if dst == target]
+        inbound = self.link_pos[:-1, self.node_col[target]]
+        inbound = inbound[inbound < len(self.link_keys)]
         fallback = np.minimum(_running_total(self.weights[:, inbound]), 1.0).tolist()
         given = [snap.network.nodes[target].self_exposure for snap in self.snaps]
         return np.array([f if s is None else s for s, f in zip(given, fallback)])
@@ -170,8 +165,9 @@ class _Series:
         k = cfg.max_path_length
         is_root = node.level == 0
         shapley = not is_root and cfg.central_weight_mode == "shapley"
-        hits = k_paths(self.network, target, k)
-        nodes, links = self._compile(hits, k)
+        rows = k_paths(self.network, target, k)
+        nodes = rows[:, :0:-1]
+        links = self.link_pos[rows[:, 1:], rows[:, :-1]]
         mass = _product(self.weights, links)
         value = mass * _product(self.risks, nodes)
         z = mass.sum(axis=1)
@@ -185,7 +181,7 @@ class _Series:
         own = (~self.known[:, self.node_col[target]], lambda d: _no_risk(target))
         if is_root:
             # the capacity form at k = 2 reports a root without in-links apart
-            what = "links" if k == 2 and not hits else "mass"
+            what = "links" if k == 2 and not len(rows) else "mass"
             checks = [(no_mass, lambda d: NoCapacityError(
                 f"node {target!r} has no incoming {what}"))]
         elif shapley:
@@ -198,8 +194,9 @@ class _Series:
         # Path nodes in the order the per-snapshot operators read their levels:
         # by id at k = 2, where they read the capacity's ground set, else in
         # path order.
-        seen = dict.fromkeys(self.node_col[nid] for hit in hits for nid in hit.nodes[:-1])
-        order = sorted(seen) if k == 2 else list(seen)
+        on_paths = nodes[nodes != PATH_PAD]
+        ids, first = np.unique(on_paths, return_index=True)
+        order = ids if k == 2 else on_paths[np.sort(first)]
         missing = ~self.known[:, order]
         checks.append((scored & missing.any(axis=1),
                        lambda d: _no_risk(self.node_ids[order[np.argmax(missing[d])]])))
@@ -209,7 +206,7 @@ class _Series:
             raise _Failure(d, next(error(d) for mask, error in checks if mask[d]))
 
         share = value / np.where(scored, z, 1.0)[:, None]
-        n_direct = sum(hit.length == 1 for hit in hits)
+        n_direct = np.count_nonzero((rows[:, 2:] == PATH_PAD).all(axis=1))
         direct = np.where(scored, _running_total(share[:, :n_direct]), 0.0)
         indirect = np.where(scored, _running_total(share[:, n_direct:]), 0.0)
         own_level = self.risks[:, self.node_col[target]]

@@ -386,13 +386,30 @@ class RunConfig:
             raise ValueError("preference grid must lie within [0,1]")
 
 
+# The JSON values each RunConfig annotation accepts; a bool is no integer.
+_CONFIG_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "str | None": ("a string or null", lambda v: v is None or type(v) is str),
+    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) is list
+                          and all(type(x) in (int, float) for x in v)),
+}
+
+
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("config file must hold a JSON object")
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
+    for key, value in doc.items():
+        kind, accepts = _CONFIG_TYPES[RunConfig.__dataclass_fields__[key].type]
+        if not accepts(value):
+            raise ValueError(f"config key {key!r} must be {kind}, not {json.dumps(value)}")
     if "mu_grid" in doc:
         doc["mu_grid"] = tuple(float(v) for v in doc["mu_grid"])
     return RunConfig(**doc)

@@ -198,44 +198,36 @@ def validate_hierarchy(net: RiskNetwork) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class PathHit:
-    """A simple directed path ending at the target, with its weight product."""
-
-    nodes: tuple[str, ...]
-    weight: float
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
+PATH_PAD = -1  # fills short k_paths rows; as an index it picks a last column
 
 
-def k_paths(net: RiskNetwork, target: str, k: int) -> list[PathHit]:
+def k_paths(net: RiskNetwork, target: str, k: int) -> np.ndarray:
     """All simple directed paths of length 1..k ending at ``target``.
 
-    Enumeration walks incoming links backwards from the target; nodes never
-    repeat.  Zero-weight links are structural and appear with weight-product
-    zero.  Results are sorted by (length, node sequence).
+    One row per path: positions in ``sorted(net.nodes)`` from the target
+    back to the path start, right-padded with ``PATH_PAD`` to k + 1 columns.
+    Rows grow one link at a time; a row that repeats a node (a self-link
+    too) is dropped.  Zero-weight links count.  Rows are sorted by (length,
+    node sequence from the start).
     """
     if k < 1:
         raise ValueError("path length bound k must be >= 1")
     if target not in net.nodes:
         raise ValueError(f"unknown node {target!r}")
-    hits: list[PathHit] = []
-
-    def extend(path: tuple[str, ...], product: float) -> None:
-        if len(path) - 1 >= k:
-            return
-        for source, weight in net.in_links(path[0]):
-            if source in path:
-                continue
-            grown = (source,) + path
-            hits.append(PathHit(grown, product * weight))
-            extend(grown, product * weight)
-
-    extend((target,), 1.0)
-    hits.sort(key=lambda h: (h.length, h.nodes))
-    return hits
+    position = {nid: i for i, nid in enumerate(sorted(net.nodes))}
+    into = np.zeros((len(position), len(position)), dtype=bool)
+    for source, dst in net.links:
+        into[position[dst], position[source]] = True
+    grown = np.array([[position[target]]], dtype=np.intp)
+    classes = []
+    for length in range(1, k + 1):
+        row, source = np.nonzero(into[grown[:, -1]])
+        grown = np.column_stack([grown[row], source])
+        grown = grown[(grown[:, :-1] != source[:, None]).all(axis=1)]
+        # lexsort keys on the last column first: the path start
+        grown = grown[np.lexsort(grown.T)]
+        classes.append(np.pad(grown, ((0, 0), (0, k - length)), constant_values=PATH_PAD))
+    return np.concatenate(classes)
 
 
 @dataclass(frozen=True)

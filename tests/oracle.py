@@ -10,6 +10,11 @@ and the path operator walks ``k_paths`` one hit at a time.  ``oracle_for``
 dispatches between them the way the package did: base operators at k = 2,
 the path operator otherwise.
 
+``k_paths`` is the recursive path enumerator that the numpy one replaced:
+it walks ``in_links`` backwards from the target and returns one ``PathHit``
+(node tuple from the start, weight product) per path, sorted by (length,
+node sequence).
+
 ``roc_auc`` and ``optimal_threshold`` are the evaluation routines the single
 sorted sweep replaced: a descending sweep for AUC, and a full binarize and
 recount of the series at every distinct probability for the threshold.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +57,48 @@ from riskrank.network import (
     RiskNetwork,
     build_capacity,
     default_self_exposure,
-    k_paths,
 )
 from riskrank.quarters import quarter_label
+
+
+@dataclass(frozen=True)
+class PathHit:
+    """A simple directed path ending at the target, with its weight product."""
+
+    nodes: tuple[str, ...]
+    weight: float
+
+    @property
+    def length(self) -> int:
+        return len(self.nodes) - 1
+
+
+def k_paths(net: RiskNetwork, target: str, k: int) -> list[PathHit]:
+    """All simple directed paths of length 1..k ending at ``target``.
+
+    Enumeration walks incoming links backwards from the target; nodes never
+    repeat.  Zero-weight links are structural and appear with weight-product
+    zero.  Results are sorted by (length, node sequence).
+    """
+    if k < 1:
+        raise ValueError("path length bound k must be >= 1")
+    if target not in net.nodes:
+        raise ValueError(f"unknown node {target!r}")
+    hits: list[PathHit] = []
+
+    def extend(path: tuple[str, ...], product: float) -> None:
+        if len(path) - 1 >= k:
+            return
+        for source, weight in net.in_links(path[0]):
+            if source in path:
+                continue
+            grown = (source,) + path
+            hits.append(PathHit(grown, product * weight))
+            extend(grown, product * weight)
+
+    extend((target,), 1.0)
+    hits.sort(key=lambda h: (h.length, h.nodes))
+    return hits
 
 
 def _finish(target: str, individual: float, direct: float, indirect: float,

@@ -365,6 +365,37 @@ def test_series_matches_oracle_on_changing_series(seed, k, mode, clamp):
             )
 
 
+def relabeled(snap, names):
+    """The snapshot with every node id replaced through ``names``."""
+    net = snap.network
+    nodes = [Node(names[n.id], n.level, names.get(n.parent_id), n.risk_value,
+                  n.self_exposure) for n in net.nodes.values()]
+    links = [(names[s], names[t], w) for (s, t), w in net.links.items()]
+    return NetworkSnapshot(snap.date, RiskNetwork.build(nodes, links))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["unit", "shapley"]), st.booleans())
+def test_series_equals_path_oracle_exactly(seed, k, mode, clamp):
+    """Products and sums run in the path operator's order, so the two agree
+    bit for bit.  Ids are shuffled so that any node, not only the root,
+    may sort last and sit next to the padding."""
+    rng = np.random.default_rng(seed)
+    snaps = changing_series(rng, int(rng.integers(1, 4)))
+    ids = sorted(snaps[0].network.nodes)
+    names = dict(zip(ids, (f"N{i:02d}" for i in rng.permutation(len(ids)))))
+    snaps = [relabeled(snap, names) for snap in snaps]
+    targets = sorted(snaps[0].network.nodes)
+    cfg = RiskRankConfig(mode, clamp, k)
+    try:
+        expected = [riskrank_kpath(snap, t, cfg) for snap in snaps for t in targets]
+    except (RiskRankError, ValueError):
+        return  # failures are compared by the test above
+    rows = riskrank_series(snaps, targets, cfg)
+    assert [row.decomposition for row in rows] == expected
+
+
 def test_series_rejects_structural_drift():
     snap = two_child_snapshot()
     other = RiskNetwork.build(

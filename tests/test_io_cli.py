@@ -24,7 +24,7 @@ from riskrank.io import (
     write_links_csv,
     write_nodes_csv,
 )
-from riskrank.network import NetworkSnapshot, Node, RiskNetwork, k_paths
+from riskrank.network import NetworkSnapshot, Node, RiskNetwork
 from riskrank.quarters import quarter_index, quarter_label
 from riskrank.synth import SynthSpec, generate_synthetic
 
@@ -336,7 +336,7 @@ def test_reader_and_in_links_match_oracle(tmp_path_factory, seed):
             for nid in candidate.nodes:
                 assert candidate.in_links(nid) == scan.in_links(nid)
                 for k in (1, 2, 3):
-                    assert k_paths(candidate, nid, k) == k_paths(scan, nid, k)
+                    assert oracle.k_paths(candidate, nid, k) == oracle.k_paths(scan, nid, k)
 
 
 # Rows that each reader rejects; {d} is a date of the series, {n} a node id
@@ -710,3 +710,57 @@ def test_run_config_validation(tmp_path):
     path.write_text(json.dumps({"who": 1}))
     with pytest.raises(ValueError, match="unknown config"):
         load_config(path)
+    path.write_text(json.dumps({"mu_grid": [0, 1], "clamp": False, "lag": 2,
+                                "start": None, "central_weight_mode": "shapley"}))
+    cfg = load_config(path)
+    assert (cfg.mu_grid, cfg.clamp, cfg.lag, cfg.start) == ((0.0, 1.0), False, 2, None)
+    # every field's default is a value its key accepts
+    defaults = RunConfig()
+    path.write_text(json.dumps({key: list(value) if isinstance(value, tuple) else value
+                                for key, value in vars(defaults).items()}))
+    assert load_config(path) == defaults
+
+
+# (config document, command, detail of the stderr line)
+BAD_CONFIGS = (
+    ({"h1": "5"}, "backtest", "config key 'h1' must be an integer, not \"5\""),
+    ({"lag": 1.0}, "backtest", "config key 'lag' must be an integer, not 1.0"),
+    ({"mu_grid": 0.5}, "evaluate", "config key 'mu_grid' must be a list of numbers, not 0.5"),
+    ({"mu_grid": [0.5, True]}, "evaluate",
+     "config key 'mu_grid' must be a list of numbers, not [0.5, true]"),
+    ({"clamp": "no"}, "riskrank", "config key 'clamp' must be true or false, not \"no\""),
+    ({"max_path_length": True}, "report",
+     "config key 'max_path_length' must be an integer, not true"),
+    ({"central_weight_mode": None}, "riskrank",
+     "config key 'central_weight_mode' must be a string, not null"),
+    ({"links": 3}, "validate", "config key 'links' must be a string or null, not 3"),
+    ([2, 12], "backtest", "config file must hold a JSON object"),
+)
+
+
+def test_cli_rejects_wrongly_typed_config(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--outdir", str(data), "--entities", "4", "--seed", "2"]) == 0
+    probs = tmp_path / "probabilities.csv"
+    assert main(["backtest", "--indicators", str(data / "indicators.csv"),
+                 "--events", str(data / "events.csv"), "--out", str(probs)]) == 0
+    inputs = {
+        "backtest": ["--indicators", str(data / "indicators.csv"),
+                     "--events", str(data / "events.csv")],
+        "evaluate": [str(probs), "--events", str(data / "events.csv")],
+        "riskrank": ["--nodes", str(data / "nodes.csv"), "--links", str(data / "links.csv")],
+        "validate": ["--nodes", str(data / "nodes.csv"), "--links", str(data / "links.csv")],
+    }
+    inputs["report"] = inputs["riskrank"]
+    config, out = tmp_path / "config.json", tmp_path / "out.csv"
+    capsys.readouterr()
+    for doc, command, detail in BAD_CONFIGS:
+        config.write_text(json.dumps(doc))
+        argv = [command, "--config", str(config), *inputs[command]]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1, doc
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid: {detail}\n"
+        assert captured.out == ""
+        assert not out.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riskrank.errors import NoCapacityError, StructuralDriftError
 from riskrank.network import (
+    PATH_PAD,
     NetworkSnapshot,
     Node,
     RiskNetwork,
@@ -17,6 +18,7 @@ from riskrank.network import (
     validate_hierarchy,
 )
 
+import oracle
 from conftest import random_snapshot
 
 
@@ -238,7 +240,7 @@ def test_scaling_everything_is_invariant_on_star_networks():
 
 def test_k1_paths_are_exactly_incoming_links():
     net = complete_three_siblings()
-    hits = k_paths(net, "S", 1)
+    hits = oracle.k_paths(net, "S", 1)
     assert {(h.nodes, h.weight) for h in hits} == {
         (("A", "S"), 1.0), (("B", "S"), 1.0), (("C", "S"), 1.0)
     }
@@ -250,16 +252,16 @@ def test_chain_path_value_is_weight_product():
          Node("B", 2, "A", 0.7), Node("C", 3, "B", 0.5)],
         [("A", "S", 0.6), ("B", "A", 0.8), ("C", "B", 0.9)],
     )
-    hits = {h.nodes: h.weight for h in k_paths(net, "S", 3)}
+    hits = {h.nodes: h.weight for h in oracle.k_paths(net, "S", 3)}
     assert hits[("C", "B", "A", "S")] == pytest.approx(0.9 * 0.8 * 0.6, abs=1e-15)
     assert set(hits) == {("A", "S"), ("B", "A", "S"), ("C", "B", "A", "S")}
 
 
 def test_complete_group_path_count_matches_bruteforce():
     net = complete_three_siblings()
-    hits = k_paths(net, "S", 2)
-    oracle = paths_by_bruteforce(net, "S", 2)
-    assert {h.nodes: h.weight for h in hits} == pytest.approx(oracle)
+    hits = oracle.k_paths(net, "S", 2)
+    expected = paths_by_bruteforce(net, "S", 2)
+    assert {h.nodes: h.weight for h in hits} == pytest.approx(expected)
     # 3 direct + 3*2 two-step paths through one sibling each
     assert len(hits) == 9
 
@@ -269,9 +271,9 @@ def test_complete_group_path_count_matches_bruteforce():
 def test_paths_match_bruteforce_and_are_simple(seed, k):
     rng = np.random.default_rng(seed)
     snap = random_snapshot(rng, max_children=5, two_level=True)
-    hits = k_paths(snap.network, "ROOT", k)
-    oracle = paths_by_bruteforce(snap.network, "ROOT", k)
-    assert {h.nodes: h.weight for h in hits} == pytest.approx(oracle)
+    hits = oracle.k_paths(snap.network, "ROOT", k)
+    expected = paths_by_bruteforce(snap.network, "ROOT", k)
+    assert {h.nodes: h.weight for h in hits} == pytest.approx(expected)
     for hit in hits:
         assert len(set(hit.nodes)) == len(hit.nodes)
 
@@ -282,7 +284,7 @@ def test_two_step_paths_reproduce_capacity_masses(seed):
     rng = np.random.default_rng(seed)
     snap = random_snapshot(rng, two_level=bool(rng.integers(2)))
     build = build_capacity(snap.network, "ROOT")
-    hits = k_paths(snap.network, "ROOT", 2)
+    hits = oracle.k_paths(snap.network, "ROOT", 2)
     singles = np.zeros(len(build.elements))
     pairs = np.zeros((len(build.elements), len(build.elements)))
     index = {nid: i for i, nid in enumerate(build.elements)}
@@ -298,9 +300,52 @@ def test_two_step_paths_reproduce_capacity_masses(seed):
     assert np.allclose(pairs / z, build.capacity.pairs, atol=1e-12)
 
 
+def node_sequences(net, rows):
+    """Node ids of each k_paths row, from the path start to the target."""
+    ids = sorted(net.nodes)
+    return [tuple(ids[i] for i in row[::-1] if i != PATH_PAD) for row in rows.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_path_rows_match_oracle_paths(seed):
+    rng = np.random.default_rng(seed)
+    net = random_snapshot(rng, max_children=5, two_level=bool(rng.integers(2)),
+                          density=float(rng.uniform(0.2, 1.0))).network
+    links = {key: 0.0 if rng.random() < 0.2 else w for key, w in net.links.items()}
+    for nid in net.nodes:
+        if rng.random() < 0.3:
+            links[nid, nid] = float(rng.uniform())
+    net = RiskNetwork(net.nodes, links)
+    for k in (1, 2, 3):
+        for target in net.nodes:
+            rows = k_paths(net, target, k)
+            assert rows.shape[1] == k + 1
+            assert node_sequences(net, rows) == [
+                hit.nodes for hit in oracle.k_paths(net, target, k)
+            ]
+
+
+def test_path_rows_layout():
+    net = RiskNetwork.build(
+        [Node("S", 0), Node("A", 1, "S", 0.4),
+         Node("B", 2, "A", 0.7), Node("C", 3, "B", 0.5)],
+        [("A", "S", 0.6), ("B", "A", 0.8), ("C", "B", 0.9), ("B", "B", 0.1)],
+    )
+    # positions in sorted ids: A 0, B 1, C 2, S 3; the self-link gives no path
+    chain = [[3, 0, PATH_PAD, PATH_PAD], [3, 0, 1, PATH_PAD], [3, 0, 1, 2]]
+    assert k_paths(net, "S", 3).tolist() == chain
+    # a k above the longest simple path only widens the padding
+    assert k_paths(net, "S", 5).tolist() == [row + [PATH_PAD] * 2 for row in chain]
+    for k in (1, 2, 3):
+        assert k_paths(net, "C", k).shape == (0, k + 1)
+
+
 def test_k_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="path length bound k must be >= 1"):
         k_paths(complete_three_siblings(), "S", 0)
+    with pytest.raises(ValueError, match="unknown node 'X'"):
+        k_paths(complete_three_siblings(), "X", 2)
 
 
 # ----------------------------------------------------------- snapshots
