@@ -64,6 +64,17 @@ def _diagnostic(exc: Exception) -> str:
     return f"error: {kind}: {detail}"
 
 
+def _parse_mu_grid(text: str) -> tuple[float, ...]:
+    grid = []
+    for item in text.split(","):
+        try:
+            grid.append(float(item))
+        except ValueError:
+            raise RiskRankError(
+                f"--mu-grid {text!r}: {item!r} is not a number") from None
+    return tuple(grid)
+
+
 def _load_run_config(args, *needed: str) -> RunConfig:
     """Defaults, then the config file, then the flags; every input path named
     in ``needed`` must be set by one of them."""
@@ -76,7 +87,7 @@ def _load_run_config(args, *needed: str) -> RunConfig:
     if getattr(args, "no_clamp", False):
         overrides["clamp"] = False
     if "mu_grid" in overrides:
-        overrides["mu_grid"] = tuple(float(v) for v in overrides["mu_grid"].split(","))
+        overrides["mu_grid"] = _parse_mu_grid(overrides["mu_grid"])
     cfg = replace(cfg, **overrides)
     for key in needed:
         if not getattr(cfg, key):

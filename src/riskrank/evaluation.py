@@ -15,8 +15,8 @@ AUC and the optimal threshold come from one sweep: the scores are sorted
 once, and every distinct score is an operating point whose signal counts are
 the positives and negatives scoring strictly above it.  AUC integrates the
 ROC curve through those points with the trapezoid rule, which coincides with
-the rank statistic (ties counted one half); the threshold search scores the
-contingency of each point.
+the rank statistic (ties counted one half); the threshold search computes the
+loss and U_a of every point at once from the sweep's count arrays.
 """
 
 from __future__ import annotations
@@ -87,21 +87,35 @@ def error_rates(cm: ContingencyMatrix) -> tuple[float | None, float | None]:
     return t1, t2
 
 
-def loss(cm: ContingencyMatrix, mu_pref: float) -> float:
-    """Preference-weighted loss; an undefined rate has prior zero and drops out."""
+def _check_preference(mu_pref: float) -> None:
     if not 0.0 <= mu_pref <= 1.0:
         raise ValueError("preference must lie in [0,1]")
-    t1, t2 = error_rates(cm)
-    term1 = mu_pref * t1 * cm.p1 if t1 is not None else 0.0
-    term2 = (1.0 - mu_pref) * t2 * cm.p2 if t2 is not None else 0.0
-    return term1 + term2
+
+
+def _best_guess_and_loss(tp, tn, fp, fn, mu_pref: float):
+    """Best unconditional guess min(mu*P1, (1-mu)*P2) and loss L(mu) from the
+    four counts, elementwise when they are arrays.  An empty class has no
+    error rate; its denominator is raised to one, so its loss term is 0.0."""
+    total = tp + tn + fp + fn
+    p1, p2 = (tp + fn) / total, (tn + fp) / total
+    t1 = fn / np.maximum(fn + tp, 1)
+    t2 = fp / np.maximum(tn + fp, 1)
+    return (np.minimum(mu_pref * p1, (1.0 - mu_pref) * p2),
+            mu_pref * t1 * p1 + (1.0 - mu_pref) * t2 * p2)
+
+
+def loss(cm: ContingencyMatrix, mu_pref: float) -> float:
+    """Preference-weighted loss; an undefined rate has prior zero and drops out."""
+    _check_preference(mu_pref)
+    return float(_best_guess_and_loss(cm.tp, cm.tn, cm.fp, cm.fn, mu_pref)[1])
 
 
 def usefulness(cm: ContingencyMatrix, mu_pref: float) -> tuple[float, float]:
     """(U_a, U_r).  When the best unconditional guess already achieves zero
     loss (mu_pref at the boundary), U_r is reported as zero."""
-    best_guess = min(mu_pref * cm.p1, (1.0 - mu_pref) * cm.p2)
-    u_a = best_guess - loss(cm, mu_pref)
+    _check_preference(mu_pref)
+    best_guess, lost = _best_guess_and_loss(cm.tp, cm.tn, cm.fp, cm.fn, mu_pref)
+    u_a, best_guess = float(best_guess - lost), float(best_guess)
     u_r = u_a / best_guess if best_guess > 0.0 else 0.0
     return u_a, u_r
 
@@ -159,21 +173,26 @@ def roc_auc(probs, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+def _sweep_usefulness(probs, labels, mu_pref: float):
+    """The sweep's thresholds with the loss and U_a at each, as arrays."""
+    p = np.asarray(probs, dtype=float)
+    taus, tp, fp, n_pos, n_neg = _sweep(p, np.asarray(labels), "threshold selection")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("threshold must lie in [0,1]")
+    _check_preference(mu_pref)
+    best_guess, lost = _best_guess_and_loss(tp, n_neg - fp, fp, n_pos - tp, mu_pref)
+    return taus, lost, best_guess - lost
+
+
 def optimal_threshold(probs, labels, mu_pref: float) -> float:
     """Threshold from the grid of observed probabilities maximizing U_a,
     ties resolved toward the smaller value."""
-    p = np.asarray(probs, dtype=float)
-    taus, pos_above, neg_above, n_pos, n_neg = _sweep(
-        p, np.asarray(labels), "threshold selection")
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError("threshold must lie in [0,1]")
+    taus, _, u_a = _sweep_usefulness(probs, labels, mu_pref)
     best_tau = None
     best_ua = -np.inf
-    for tau, tp, fp in zip(taus.tolist(), pos_above.tolist(), neg_above.tolist()):
-        cm = ContingencyMatrix(tp, n_neg - fp, fp, n_pos - tp)
-        u_a, _ = usefulness(cm, mu_pref)
-        if u_a > best_ua + 1e-15:
-            best_ua, best_tau = u_a, tau
+    for tau, ua in zip(taus.tolist(), u_a.tolist()):
+        if ua > best_ua + 1e-15:
+            best_ua, best_tau = ua, tau
     return best_tau
 
 

@@ -382,6 +382,8 @@ class RunConfig:
     def __post_init__(self):
         if not 1 <= self.h1 <= self.h2:
             raise ValueError("horizon must satisfy 1 <= h1 <= h2")
+        if not self.mu_grid:
+            raise ValueError("preference grid must hold at least one value")
         if any(not 0.0 <= mu <= 1.0 for mu in self.mu_grid):
             raise ValueError("preference grid must lie within [0,1]")
 

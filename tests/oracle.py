@@ -18,6 +18,8 @@ node sequence).
 ``roc_auc`` and ``optimal_threshold`` are the evaluation routines the single
 sorted sweep replaced: a descending sweep for AUC, and a full binarize and
 recount of the series at every distinct probability for the threshold.
+``loss`` and ``usefulness`` are the scalar scorers of one contingency matrix
+that the array scoring of the sweep replaced; the threshold oracle uses them.
 ``label_precrisis`` is the panel labeller that ``label_cells`` replaced, one
 vectorised pass per crisis episode over the quarter grid.
 
@@ -44,7 +46,7 @@ import numpy as np
 from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
 from riskrank.engine import RiskDecomposition, RiskRankConfig
 from riskrank.errors import NoCapacityError, SchemaError, StructuralDriftError
-from riskrank.evaluation import binarize, contingency, usefulness
+from riskrank.evaluation import ContingencyMatrix, binarize, contingency, error_rates
 from riskrank.io import (
     LINKS_HEADER,
     NODES_HEADER,
@@ -251,6 +253,25 @@ def roc_auc(probs, labels) -> float:
     tpr = np.concatenate([[0.0], tp[last_of_group] / n_pos])
     fpr = np.concatenate([[0.0], fp[last_of_group] / n_neg])
     return float(np.trapezoid(tpr, fpr))
+
+
+def loss(cm: ContingencyMatrix, mu_pref: float) -> float:
+    """Preference-weighted loss; an undefined rate has prior zero and drops out."""
+    if not 0.0 <= mu_pref <= 1.0:
+        raise ValueError("preference must lie in [0,1]")
+    t1, t2 = error_rates(cm)
+    term1 = mu_pref * t1 * cm.p1 if t1 is not None else 0.0
+    term2 = (1.0 - mu_pref) * t2 * cm.p2 if t2 is not None else 0.0
+    return term1 + term2
+
+
+def usefulness(cm: ContingencyMatrix, mu_pref: float) -> tuple[float, float]:
+    """(U_a, U_r).  When the best unconditional guess already achieves zero
+    loss (mu_pref at the boundary), U_r is reported as zero."""
+    best_guess = min(mu_pref * cm.p1, (1.0 - mu_pref) * cm.p2)
+    u_a = best_guess - loss(cm, mu_pref)
+    u_r = u_a / best_guess if best_guess > 0.0 else 0.0
+    return u_a, u_r
 
 
 def optimal_threshold(probs, labels, mu_pref: float, mask=None) -> float:

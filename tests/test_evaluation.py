@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrank import benchmarks
+from riskrank import benchmarks, evaluation
 from riskrank.evaluation import (
     ContingencyMatrix,
     EvalReport,
@@ -279,6 +279,76 @@ def test_optimal_threshold_matches_grid_oracle(seed, n, levels):
                             metrics(cm)))
     expected = EvalReport("m", oracle.roc_auc(p, y), tuple(rows))
     assert evaluate_series(probs, labels, DEFAULT_MU_GRID, "m", mask=mask) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 60), st.sampled_from([1, 2, 3, 5, None]),
+       st.one_of(st.sampled_from([0.0, 1.0, *DEFAULT_MU_GRID]),
+                 st.floats(0.0, 1.0, allow_nan=False)))
+def test_sweep_scores_equal_scalar_scores_of_each_point(seed, n, levels, mu):
+    """The loss and U_a arrays behind the threshold search equal, with ``==``,
+    the scalar loss and usefulness of each point's contingency matrix, both
+    today's and the per-matrix scorers they replaced."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        probs = rng.uniform(size=n)
+    else:
+        probs = rng.choice(np.round(rng.uniform(size=levels), 1), n)
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = [0, 1]
+    _, tp, fp, n_pos, n_neg = evaluation._sweep(probs, labels, "test")
+    taus, lost, u_a = evaluation._sweep_usefulness(probs, labels, mu)
+    assert len(taus) == len(lost) == len(u_a) == len(tp)
+    for i in range(len(taus)):
+        cm = ContingencyMatrix(int(tp[i]), n_neg - int(fp[i]), int(fp[i]), n_pos - int(tp[i]))
+        assert lost[i] == loss(cm, mu) == oracle.loss(cm, mu)
+        assert u_a[i] == usefulness(cm, mu)[0] == oracle.usefulness(cm, mu)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200), st.integers(0, 200),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)))
+def test_scalar_scores_equal_the_per_matrix_scorers(tp, tn, fp, fn, mu):
+    """Empty classes included, loss and usefulness give the old values."""
+    if tp + tn + fp + fn == 0:
+        tn = 1
+    cm = ContingencyMatrix(tp, tn, fp, fn)
+    assert loss(cm, mu) == oracle.loss(cm, mu)
+    assert usefulness(cm, mu) == oracle.usefulness(cm, mu)
+
+
+# (probs, labels, mu, message): the first failing check names the error
+THRESHOLD_ERRORS = (
+    ([0.1, 0.9], [1, 1], 0.5, "threshold selection needs both classes present"),
+    ([0.1, 1.5], [1, 1], 1.5, "threshold selection needs both classes present"),
+    ([0.1, 1.5], [0, 1], 0.5, "threshold must lie in [0,1]"),
+    ([-0.1, 0.9], [0, 1], 0.5, "threshold must lie in [0,1]"),
+    ([0.1, 0.9], [0, 1], 1.5, "preference must lie in [0,1]"),
+    ([0.1, 0.9], [0, 1], -0.5, "preference must lie in [0,1]"),
+    ([0.2, 1.5], [0, 1], 1.5, "threshold must lie in [0,1]"),
+)
+
+
+@pytest.mark.parametrize("probs, labels, mu, message", THRESHOLD_ERRORS)
+def test_optimal_threshold_error_precedence(probs, labels, mu, message):
+    with pytest.raises(ValueError) as info:
+        optimal_threshold(np.array(probs), np.array(labels), mu)
+    assert str(info.value) == message
+
+
+def test_eval_rows_hold_python_numbers():
+    """Report formatting sees built-in floats and ints, never numpy scalars."""
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 2, size=200)
+    probs = np.round(rng.uniform(size=200), 2)
+    report = evaluate_series(probs, labels, DEFAULT_MU_GRID, model="m")
+    assert type(report.auc) is float
+    for row in report.rows:
+        for value in (row.tau, row.loss, row.u_a, row.u_r):
+            assert type(value) is float
+        for cell in (row.cm.tp, row.cm.tn, row.cm.fp, row.cm.fn):
+            assert type(cell) is int
+        assert all(type(rate) is float for rate in (row.t1, row.t2))
 
 
 # ------------------------------------------------- benchmark chain

@@ -703,6 +703,8 @@ def test_run_config_validation(tmp_path):
         RunConfig(h1=8, h2=5)
     with pytest.raises(ValueError):
         RunConfig(mu_grid=(0.5, 1.2))
+    with pytest.raises(ValueError, match="preference grid must hold at least one value"):
+        RunConfig(mu_grid=())
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"h1": 4, "mu_grid": [0.2, 0.4]}))
     cfg = load_config(path)
@@ -760,6 +762,40 @@ def test_cli_rejects_wrongly_typed_config(tmp_path, capsys):
         if command != "validate":
             argv += ["--out", str(out)]
         assert main(argv) == 1, doc
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid: {detail}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+# (extra evaluate arguments, config document or None, detail of the stderr line)
+BAD_PREFERENCE_GRIDS = (
+    (["--mu-grid", "0.5,x"], None, "--mu-grid '0.5,x': 'x' is not a number"),
+    (["--mu-grid", ""], None, "--mu-grid '': '' is not a number"),
+    (["--mu-grid", "0.5,,1"], None, "--mu-grid '0.5,,1': '' is not a number"),
+    (["--mu-grid", "0.5,1.5"], None, "preference grid must lie within [0,1]"),
+    ([], {"mu_grid": []}, "preference grid must hold at least one value"),
+    (["--mu-grid", "0.5"], {"mu_grid": []}, "preference grid must hold at least one value"),
+)
+
+
+def test_cli_rejects_bad_preference_grid(tmp_path, capsys):
+    """A bad grid from the flag names the flag and its value; an empty grid
+    from a config file is refused; neither writes a report."""
+    data = tmp_path / "data"
+    assert main(["synth", "--outdir", str(data), "--entities", "4", "--seed", "2"]) == 0
+    probs = tmp_path / "probabilities.csv"
+    assert main(["backtest", "--indicators", str(data / "indicators.csv"),
+                 "--events", str(data / "events.csv"), "--out", str(probs)]) == 0
+    config, out = tmp_path / "config.json", tmp_path / "eval_report.csv"
+    capsys.readouterr()
+    for extra, doc, detail in BAD_PREFERENCE_GRIDS:
+        argv = ["evaluate", str(probs), "--events", str(data / "events.csv"),
+                "--out", str(out), *extra]
+        if doc is not None:
+            config.write_text(json.dumps(doc))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1, extra
         captured = capsys.readouterr()
         assert captured.err == f"error: invalid: {detail}\n"
         assert captured.out == ""
