@@ -16,7 +16,6 @@ from riskrank.early_warning import label_cells, recursive_backtest
 from riskrank.engine import RiskRankConfig, riskrank_series
 from riskrank.evaluation import evaluate_series
 from riskrank.io import read_events, read_indicators, read_nodes_links
-from riskrank.network import snapshots_with_probabilities
 from riskrank.synth import SynthSpec, generate_synthetic
 
 HORIZONS = ((5, 8), (5, 12), (5, 16))
@@ -34,13 +33,13 @@ def series_cells(result):
     return cells, np.array(probs)
 
 
-def aggregated_cells(snapshots, result):
+def aggregated_cells(series, result):
     individual, individual_probs = series_cells(result)
-    usable = snapshots_with_probabilities(snapshots, [
+    usable = series.with_probabilities([
         (entity, quarter, p) for (entity, quarter), p in zip(individual, individual_probs)
     ])
     targets = sorted(
-        nid for nid, node in usable[0].network.nodes.items() if node.level > 0
+        nid for nid, level in zip(usable.node_ids, usable.levels) if level > 0
     )
     cells, probs = [], []
     for row in riskrank_series(usable, targets, RiskRankConfig(central_weight_mode="unit")):
@@ -61,7 +60,7 @@ def main() -> None:
         )
         panel = read_indicators(paths["indicators"])
         events = read_events(paths["events"])
-        snapshots = read_nodes_links(paths["nodes"], paths["links"])
+        series = read_nodes_links(paths["nodes"], paths["links"])
 
         for h1, h2 in HORIZONS:
             result = recursive_backtest(panel, events, h1, h2, lag=1,
@@ -69,7 +68,7 @@ def main() -> None:
             print(f"\nhorizon {h1}-{h2} quarters")
             for name, (cells, probs) in (
                 ("individual", series_cells(result)),
-                ("aggregated", aggregated_cells(snapshots, result)),
+                ("aggregated", aggregated_cells(series, result)),
             ):
                 labels, excluded = label_cells(events, cells, h1, h2)
                 report = evaluate_series(probs, labels, MU_GRID, name,

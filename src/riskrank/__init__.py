@@ -54,6 +54,7 @@ from .evaluation import (
     usefulness,
 )
 from .network import (
+    NetworkSeries,
     NetworkSnapshot,
     Node,
     RiskNetwork,

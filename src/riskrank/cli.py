@@ -39,7 +39,7 @@ from .io import (
     write_probabilities,
     write_series_long,
 )
-from .network import build_capacity, snapshots_with_probabilities, validate_hierarchy
+from .network import build_capacity, validate_hierarchy
 from .quarters import quarter_index, quarter_label
 from .synth import SynthSpec, generate_synthetic
 
@@ -165,13 +165,11 @@ def cmd_score(args) -> int:
     """Score the targets over the series; ``riskrank`` and ``report`` differ
     only in the writer and the name of what it wrote."""
     cfg = _load_run_config(args, "nodes", "links")
-    snapshots = read_nodes_links(cfg.nodes, cfg.links)
+    series = read_nodes_links(cfg.nodes, cfg.links)
     if cfg.probabilities:
-        snapshots = snapshots_with_probabilities(
-            snapshots, read_series(cfg.probabilities).cells
-        )
-    targets = _resolve_targets(args.targets, snapshots)
-    rows = riskrank_series(snapshots, targets, _engine_config(cfg))
+        series = series.with_probabilities(read_series(cfg.probabilities).cells)
+    targets = _resolve_targets(args.targets, series)
+    rows = riskrank_series(series, targets, _engine_config(cfg))
     args.write(args.out, rows)
     print(f"wrote {len(rows)} {args.written} to {args.out}")
     return 0

@@ -30,11 +30,12 @@ product.  That capacity and the Choquet machinery stay as the specification;
 the tests keep the per-snapshot Shapley-form operators as an oracle for this
 engine.
 
-All snapshots of a series share one structure, so each target's paths are
-enumerated once, on the first snapshot, as ``k_paths`` rows.  A reversed
-row gives node columns into the dates x nodes risk levels X from the path
-start, and ``_Series.link_pos`` link columns into the dates x links weights
-W from the target outward; ``PATH_PAD`` picks the ones column both end in.
+A ``NetworkSeries`` holds one structure for all dates, so each target's
+paths are enumerated once, on the first snapshot, as ``k_paths`` rows.  A
+reversed row gives node columns into the series' dates x nodes risk levels X
+from the path start, and ``_Scorer.link_pos`` link columns into its dates x
+links weights W from the target outward; ``PATH_PAD`` picks the ones column
+both end in.
 Every date is then scored at once, with products and sums in the order of a
 loop over the paths, so the numbers do not depend on how many dates are
 scored together.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCapacityError
-from .network import PATH_PAD, NetworkSnapshot, assert_same_structure, k_paths
+from .network import PATH_PAD, NetworkSeries, NetworkSnapshot, k_paths
 
 CENTRAL_WEIGHT_MODES = ("unit", "shapley")
 
@@ -112,46 +113,33 @@ def _running_total(block: np.ndarray) -> np.ndarray:
     return np.cumsum(block, axis=1)[:, -1]
 
 
-class _Series:
-    """A fixed-structure snapshot series as dates x columns arrays.
+class _Scorer:
+    """A series' arrays as one ``riskrank_series`` call scores them.
 
-    Nodes and links are columns in sorted order; ``weights`` and ``risks``
-    end in a column of ones that padded path entries point at.
+    ``weights`` and ``risks`` are W and X with a trailing column of ones
+    that padded path entries point at.
     """
 
-    def __init__(self, snaps: list[NetworkSnapshot]):
-        self.snaps = snaps
-        self.network = snaps[0].network
-        self.node_ids = sorted(self.network.nodes)
-        self.link_keys = sorted(self.network.links)
-        self.node_col = {nid: i for i, nid in enumerate(self.node_ids)}
+    def __init__(self, series: NetworkSeries):
+        self.series = series
+        self.network = series[0].network
+        self.node_col = {nid: i for i, nid in enumerate(series.node_ids)}
         # a link's column by (source, target) position, else the ones column
-        size = len(self.node_ids) + 1  # PATH_PAD picks the extra row and column
-        self.link_pos = np.full((size, size), len(self.link_keys))
-        for col, (source, dst) in enumerate(self.link_keys):
+        size = len(series.node_ids) + 1  # PATH_PAD picks the extra row and column
+        self.link_pos = np.full((size, size), len(series.link_keys))
+        for col, (source, dst) in enumerate(series.link_keys):
             self.link_pos[self.node_col[source], self.node_col[dst]] = col
-        levels = [
-            [snap.network.nodes[nid].risk_value for nid in self.node_ids]
-            for snap in snaps
-        ]
-        self.known = np.array(
-            [[x is not None for x in row] for row in levels], dtype=bool
-        ).reshape(len(snaps), len(self.node_ids))
-        self.risks = np.array(
-            [[np.nan if x is None else x for x in row] + [1.0] for row in levels]
-        )
-        self.weights = np.array(
-            [[snap.network.links[key] for key in self.link_keys] + [1.0]
-             for snap in snaps]
-        )
+        ones = np.ones((len(series), 1))
+        self.weights = np.hstack([series.W, ones])
+        self.risks = np.hstack([series.X, ones])
 
     def _self_mass(self, target: str) -> np.ndarray:
         """Self exposure per date, else the incoming weight total capped at one."""
         inbound = self.link_pos[:-1, self.node_col[target]]
-        inbound = inbound[inbound < len(self.link_keys)]
-        fallback = np.minimum(_running_total(self.weights[:, inbound]), 1.0).tolist()
-        given = [snap.network.nodes[target].self_exposure for snap in self.snaps]
-        return np.array([f if s is None else s for s, f in zip(given, fallback)])
+        inbound = inbound[inbound < len(self.series.link_keys)]
+        fallback = np.minimum(_running_total(self.weights[:, inbound]), 1.0)
+        given = self.series.exposure[:, self.node_col[target]]
+        return np.where(np.isnan(given), fallback, given)
 
     def score(self, target: str, cfg: RiskRankConfig) -> tuple[np.ndarray, ...]:
         """Individual, direct, indirect, raw and final totals over all dates.
@@ -178,7 +166,8 @@ class _Series:
         scored = ~no_mass
 
         # Checks in the order the per-snapshot operators made them.
-        own = (~self.known[:, self.node_col[target]], lambda d: _no_risk(target))
+        known = self.series.known
+        own = (~known[:, self.node_col[target]], lambda d: _no_risk(target))
         if is_root:
             # the capacity form at k = 2 reports a root without in-links apart
             what = "links" if k == 2 and not len(rows) else "mass"
@@ -197,9 +186,9 @@ class _Series:
         on_paths = nodes[nodes != PATH_PAD]
         ids, first = np.unique(on_paths, return_index=True)
         order = ids if k == 2 else on_paths[np.sort(first)]
-        missing = ~self.known[:, order]
+        missing = ~known[:, order]
         checks.append((scored & missing.any(axis=1),
-                       lambda d: _no_risk(self.node_ids[order[np.argmax(missing[d])]])))
+                       lambda d: _no_risk(self.series.node_ids[order[np.argmax(missing[d])]])))
         failing = np.logical_or.reduce([mask for mask, _ in checks])
         if failing.any():
             d = int(np.argmax(failing))
@@ -211,7 +200,7 @@ class _Series:
         indirect = np.where(scored, _running_total(share[:, n_direct:]), 0.0)
         own_level = self.risks[:, self.node_col[target]]
         if is_root:
-            individual = np.zeros(len(self.snaps))
+            individual = np.zeros(len(self.series))
         elif shapley:
             individual = (self_mass / z) * own_level
         else:
@@ -223,30 +212,34 @@ class _Series:
 
 
 def riskrank_series(snapshots, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
-    """One decomposition per (date, target), snapshots taken in order.
+    """One decomposition per (date, target), dates taken in order.
 
-    All snapshots must share one structure; a drifting series is an error.
-    A failure is reported for the first failing (date, target) pair.
+    ``snapshots`` is a NetworkSeries, or snapshots that must share one
+    structure; a drifting series is an error.  A failure is reported for the
+    first failing (date, target) pair.
     """
-    snaps = list(snapshots)
     targets = list(targets)
-    assert_same_structure(snaps)
-    if not snaps:
-        return []
-    series = _Series(snaps)
+    if isinstance(snapshots, NetworkSeries):
+        series = snapshots
+    else:
+        snaps = list(snapshots)
+        if not snaps:
+            return []
+        series = NetworkSeries.from_snapshots(snaps)
+    scorer = _Scorer(series)
     columns, failures = [], []
     for j, target in enumerate(targets):
         try:
-            columns.append([part.tolist() for part in series.score(target, cfg)])
+            columns.append([part.tolist() for part in scorer.score(target, cfg)])
         except _Failure as failure:
             date_index, error = failure.args
             failures.append((date_index, j, error))
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
     return [
-        SeriesRow(snap.date, target,
+        SeriesRow(date, target,
                   RiskDecomposition(target, *(part[d] for part in parts)))
-        for d, snap in enumerate(snaps)
+        for d, date in enumerate(series.dates)
         for target, parts in zip(targets, columns)
     ]
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
 from .errors import SchemaError
-from .network import NetworkSnapshot, Node, RiskNetwork, assert_same_structure
+from .network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork
 from .quarters import quarter_index, quarter_label
 
 NODES_HEADER = ["date", "node_id", "level", "parent_id", "risk_value", "self_exposure"]
@@ -56,29 +56,47 @@ def fmt(value: float | None) -> str:
     return f"{value:.10g}"
 
 
-def _rows(path: Path):
-    """Yield the header row, then (line_number, row) for each data row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(path, 1, "missing header row")
-        yield header
-        width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise SchemaError(path, reader.line_num, f"expected {width} columns")
-            yield reader.line_num, row
+class _Rows:
+    """A CSV file's ``header`` row, then its data rows when iterated.
+
+    Blank rows are skipped, and a data row whose cell count differs from the
+    header's fails at its line.  ``line`` is the line number of the row last
+    yielded, so a caller looks it up only when it reports a problem.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._rows = self._read()
+        self.header = next(self._rows)
+
+    def _read(self):
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            self._reader = reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(self.path, 1, "missing header row")
+            yield header
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise SchemaError(self.path, reader.line_num, f"expected {width} columns")
+                yield row
+
+    def __iter__(self):
+        return self._rows
+
+    @property
+    def line(self) -> int:
+        return self._reader.line_num
 
 
-def _fixed_rows(path: Path, expected: list[str]):
-    """Data rows of a file whose header must equal ``expected``."""
-    rows = _rows(path)
-    header = next(rows)
-    if header != expected:
-        raise SchemaError(path, 1, f"header {header} != expected {expected}")
+def _fixed_rows(path: Path, expected: list[str]) -> _Rows:
+    """Rows of a file whose header must equal ``expected``."""
+    rows = _Rows(path)
+    if rows.header != expected:
+        raise SchemaError(path, 1, f"header {rows.header} != expected {expected}")
     return rows
 
 
@@ -106,16 +124,25 @@ def _parse_float(path: Path, line: int, text: str, what: str) -> float:
     return value
 
 
-def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
+def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     """Parse a snapshot series; all dates must share one structure.
 
     Each date's node map and link dict are built as the rows are read, so a
-    duplicate node id or link is reported at its own file and line.
+    duplicate node id or link is reported at its own file and line; every
+    row of both files is checked before the structure is compared across
+    dates.  Rows of one date usually come together, so a date is parsed
+    once per run of rows with the same date text.
     """
     nodes_path, links_path = Path(nodes_path), Path(links_path)
     per_date_nodes: dict[int, dict[str, Node]] = {}
-    for line, row in _fixed_rows(nodes_path, NODES_HEADER):
-        date = _parse_quarter(nodes_path, line, row[0])
+    last = None
+    rows = _fixed_rows(nodes_path, NODES_HEADER)
+    for row in rows:
+        line = rows.line
+        if row[0] != last:
+            date = _parse_quarter(nodes_path, line, row[0])
+            nodes = per_date_nodes.setdefault(date, {})
+            last = row[0]
         node_id = row[1].strip()
         if not node_id:
             raise SchemaError(nodes_path, line, "empty node_id")
@@ -136,7 +163,6 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
             exposure = _parse_float(nodes_path, line, row[5], "self_exposure")
             if exposure < 0.0:
                 raise SchemaError(nodes_path, line, "self_exposure must be >= 0")
-        nodes = per_date_nodes.setdefault(date, {})
         if node_id in nodes:
             raise SchemaError(
                 nodes_path, line,
@@ -147,31 +173,41 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
         raise SchemaError(nodes_path, 2, "no node rows")
 
     per_date_links: dict[int, dict[tuple[str, str], float]] = {}
-    for line, row in _fixed_rows(links_path, LINKS_HEADER):
-        date = _parse_quarter(links_path, line, row[0])
-        known = per_date_nodes.get(date)
-        if known is None:
-            raise SchemaError(links_path, line, f"link date {row[0]} has no node rows")
-        source, target = row[1].strip(), row[2].strip()
+    last = None
+    rows = _fixed_rows(links_path, LINKS_HEADER)
+    for date_text, source, target, weight_text in rows:
+        if date_text != last:
+            date = _parse_quarter(links_path, rows.line, date_text)
+            known = per_date_nodes.get(date)
+            if known is None:
+                raise SchemaError(links_path, rows.line,
+                                  f"link date {date_text} has no node rows")
+            links = per_date_links.setdefault(date, {})
+            last = date_text
+        source, target = source.strip(), target.strip()
         if source not in known or target not in known:
-            raise SchemaError(links_path, line, f"unknown entity in link {source}->{target}")
-        weight = _parse_float(links_path, line, row[3], "weight")
-        if weight < 0.0:
-            raise SchemaError(links_path, line, "weight must be >= 0")
-        links = per_date_links.setdefault(date, {})
-        if (source, target) in links:
+            raise SchemaError(links_path, rows.line,
+                              f"unknown entity in link {source}->{target}")
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            weight = math.nan
+        if not 0.0 <= weight < math.inf:
+            # a bad or non-finite weight fails in _parse_float, a negative one here
+            _parse_float(links_path, rows.line, weight_text, "weight")
+            raise SchemaError(links_path, rows.line, "weight must be >= 0")
+        key = source, target
+        if key in links:
             raise SchemaError(
-                links_path, line,
+                links_path, rows.line,
                 f"date {quarter_label(date)}: duplicate link {source!r} -> {target!r}",
             )
-        links[source, target] = weight
+        links[key] = weight
 
-    snapshots = [
+    return NetworkSeries.from_snapshots(
         NetworkSnapshot(date, RiskNetwork(per_date_nodes[date], per_date_links.get(date, {})))
         for date in sorted(per_date_nodes)
-    ]
-    assert_same_structure(snapshots)
-    return snapshots
+    )
 
 
 def write_nodes_csv(path, snapshots) -> None:
@@ -199,13 +235,13 @@ def write_links_csv(path, snapshots) -> None:
 
 def read_indicators(path) -> IndicatorPanel:
     path = Path(path)
-    rows = _rows(path)
-    header = next(rows)
-    if len(header) < 3 or header[:2] != ["entity", "date"]:
+    rows = _Rows(path)
+    if len(rows.header) < 3 or rows.header[:2] != ["entity", "date"]:
         raise SchemaError(path, 1, "header must be entity,date,ind_1,...")
-    names = tuple(header[2:])
+    names = tuple(rows.header[2:])
     cells: dict[tuple[str, int], list[float]] = {}
-    for line, row in rows:
+    for row in rows:
+        line = rows.line
         entity = row[0].strip()
         if not entity:
             raise SchemaError(path, line, "empty entity")
@@ -247,7 +283,9 @@ def write_indicators(path, panel: IndicatorPanel) -> None:
 def read_events(path) -> CrisisEvents:
     path = Path(path)
     events = []
-    for line, row in _fixed_rows(path, EVENTS_HEADER):
+    rows = _fixed_rows(path, EVENTS_HEADER)
+    for row in rows:
+        line = rows.line
         entity = row[0].strip()
         if not entity:
             raise SchemaError(path, line, "empty entity")
@@ -292,14 +330,14 @@ def write_probabilities(path, result) -> None:
 def read_series(path) -> ProbSeries:
     """Read a probability series; decomposition files count with p = total."""
     path = Path(path)
-    rows = _rows(path)
-    header = next(rows)
-    columns = SERIES_COLUMNS.get(tuple(header))
+    rows = _Rows(path)
+    columns = SERIES_COLUMNS.get(tuple(rows.header))
     if columns is None:
-        raise SchemaError(path, 1, f"unrecognized series header {header}")
-    entity_at, date_at, p_at = (header.index(name) for name in columns)
+        raise SchemaError(path, 1, f"unrecognized series header {rows.header}")
+    entity_at, date_at, p_at = (rows.header.index(name) for name in columns)
     cells: dict[tuple[str, int], float] = {}
-    for line, row in rows:
+    for row in rows:
+        line = rows.line
         entity = row[entity_at].strip()
         if not entity:
             raise SchemaError(path, line, "empty entity")

@@ -15,17 +15,23 @@ two-step path therefore enter the ground set with zero singleton mass and one
 pair term.  In root mode the masses are normalized to total one; central mode
 additionally gives the target itself a self-exposure singleton (interactions
 with the target stay zero) and leaves the masses raw for the caller to weight.
+
+A quarterly series observes one structure on every date, so a
+``NetworkSeries`` keeps the structure once and the values as dates x columns
+arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from .capacity import TwoAdditiveCapacity, ValidationReport
 from .errors import NoCapacityError, RiskRankError, StructuralDriftError
+from .quarters import quarter_label
 
 
 @dataclass(frozen=True)
@@ -121,26 +127,118 @@ class NetworkSnapshot:
     network: RiskNetwork
 
 
-def snapshots_with_probabilities(snapshots, cells) -> list[NetworkSnapshot]:
-    """Override node risk values with ``(entity, quarter, p)`` cells; dates
-    missing a probability for any valued node are dropped from the series."""
-    by_date: dict[int, dict[str, float]] = {}
-    for entity, quarter, p in cells:
-        by_date.setdefault(quarter, {})[entity] = p
-    out = []
-    for snap in snapshots:
-        probs = by_date.get(snap.date)
-        if probs is None:
-            continue
-        needed = [nid for nid, node in snap.network.nodes.items() if node.level > 0]
-        if any(nid not in probs for nid in needed):
-            continue
-        out.append(NetworkSnapshot(
-            snap.date, snap.network.with_risk_values({nid: probs[nid] for nid in needed})
-        ))
-    if not out:
-        raise RiskRankError("no snapshot date is fully covered by the probability series")
-    return out
+def _none_if_nan(x: float) -> float | None:
+    """A level or exposure read back from an array, where NaN marks none."""
+    return None if x != x else x
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkSeries:
+    """A snapshot series over one fixed structure, held as arrays.
+
+    The structure is kept once: node ids in sorted order with their levels
+    and parents, and the sorted (source, target) link keys.  Per date there
+    are the link weights ``W`` (dates x links), and the risk levels ``X`` and
+    self exposures (dates x nodes, NaN where a node has none).
+
+    Indexing and iterating yield ``NetworkSnapshot``s.  A series built by
+    ``from_snapshots`` hands back the snapshots its arrays were read from;
+    any other builds them from the arrays, nodes and links in sorted order.
+    """
+
+    dates: tuple[int, ...]
+    node_ids: tuple[str, ...]
+    levels: tuple[int, ...]
+    parents: tuple[str | None, ...]
+    link_keys: tuple[tuple[str, str], ...]
+    W: np.ndarray
+    X: np.ndarray
+    exposure: np.ndarray
+    _snapshots: tuple[NetworkSnapshot, ...] | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_snapshots(cls, snapshots) -> "NetworkSeries":
+        """The series of a non-empty snapshot list, dates in list order.
+
+        Raises StructuralDriftError unless every snapshot shares the first
+        one's structure.
+        """
+        snaps = tuple(snapshots)
+        if not snaps:
+            raise ValueError("a series needs at least one snapshot")
+        assert_same_structure(snaps)
+        first = snaps[0].network
+        node_ids, link_keys = tuple(sorted(first.nodes)), tuple(sorted(first.links))
+        nodes = [list(map(s.network.nodes.__getitem__, node_ids)) for s in snaps]
+
+        def table(rows, width):  # dates x width; None becomes NaN
+            return np.array(rows, dtype=float).reshape(len(snaps), width)
+
+        return cls(
+            dates=tuple(s.date for s in snaps),
+            node_ids=node_ids,
+            levels=tuple(first.nodes[nid].level for nid in node_ids),
+            parents=tuple(first.nodes[nid].parent_id for nid in node_ids),
+            link_keys=link_keys,
+            W=table([list(map(s.network.links.__getitem__, link_keys)) for s in snaps],
+                    len(link_keys)),
+            X=table([[n.risk_value for n in row] for row in nodes], len(node_ids)),
+            exposure=table([[n.self_exposure for n in row] for row in nodes], len(node_ids)),
+            _snapshots=snaps,
+        )
+
+    @cached_property
+    def known(self) -> np.ndarray:
+        """Dates x nodes: whether the node carries a risk level."""
+        return ~np.isnan(self.X)
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, index: int) -> NetworkSnapshot:
+        if self._snapshots is not None:
+            return self._snapshots[index]
+        d = range(len(self.dates))[index]
+        nodes = {
+            nid: Node(nid, level, parent, _none_if_nan(risk), _none_if_nan(exposure))
+            for nid, level, parent, risk, exposure in zip(
+                self.node_ids, self.levels, self.parents,
+                self.X[d].tolist(), self.exposure[d].tolist(),
+            )
+        }
+        links = dict(zip(self.link_keys, self.W[d].tolist()))
+        return NetworkSnapshot(self.dates[d], RiskNetwork(nodes, links))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.dates)))
+
+    def with_probabilities(self, cells) -> "NetworkSeries":
+        """Risk levels of the non-root nodes replaced by ``(entity, quarter,
+        p)`` cells; dates missing a probability for any such node are dropped."""
+        row = {date: d for d, date in enumerate(self.dates)}
+        valued = [i for i, level in enumerate(self.levels) if level > 0]
+        col = {self.node_ids[i]: j for j, i in enumerate(valued)}
+        probs = np.zeros((len(self.dates), len(valued)))
+        given = np.zeros(probs.shape, dtype=bool)
+        dated = np.zeros(len(self.dates), dtype=bool)
+        for entity, quarter, p in cells:
+            d = row.get(quarter)
+            if d is None:
+                continue
+            dated[d] = True
+            j = col.get(entity)
+            if j is not None:
+                probs[d, j] = p
+                given[d, j] = True
+        keep = dated & given.all(axis=1)
+        if not keep.any():
+            raise RiskRankError("no snapshot date is fully covered by the probability series")
+        X = self.X[keep]
+        X[:, valued] = probs[keep]
+        return replace(
+            self, dates=tuple(compress(self.dates, keep.tolist())), W=self.W[keep], X=X,
+            exposure=self.exposure[keep], _snapshots=None,
+        )
 
 
 def validate_hierarchy(net: RiskNetwork) -> ValidationReport:
@@ -307,7 +405,8 @@ def _node_shape(net: RiskNetwork) -> dict[str, tuple[int, str | None]]:
 
 
 def assert_same_structure(snapshots) -> None:
-    """Raise StructuralDriftError unless all snapshots share one structure."""
+    """Raise StructuralDriftError, naming the quarter of the first snapshot
+    whose node ids, levels, parents or link keys differ from the first's."""
     snaps = list(snapshots)
     if not snaps:
         return
@@ -316,5 +415,5 @@ def assert_same_structure(snapshots) -> None:
     for snap in snaps[1:]:
         if snap.network.links.keys() != links or _node_shape(snap.network) != nodes:
             raise StructuralDriftError(
-                f"snapshot {snap.date} does not share the series structure"
+                f"snapshot {quarter_label(snap.date)} does not share the series structure"
             )

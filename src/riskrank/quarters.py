@@ -26,7 +26,13 @@ def quarter_index(label: str) -> int:
     return year * 4 + (q - 1)
 
 
+@lru_cache(maxsize=1024)
 def quarter_label(index: int) -> str:
+    """Format an absolute quarter index as ``YYYY-Qn``.
+
+    Memoised like ``quarter_index``: writers label every row, and a series
+    repeats a few quarters on many rows.
+    """
     if index < 0:
         raise ValueError("quarter index must be nonnegative")
     return f"{index // 4:04d}-Q{index % 4 + 1}"

@@ -27,11 +27,20 @@ vectorised pass per crisis episode over the quarter grid.
 in its row loops replaced: it collects node and link rows per date and
 validates each date through ``RiskNetwork.build``, so duplicates are found
 after every row has been read.  ``assert_same_structure`` is the structure
-check it called, which sorted every snapshot's nodes and links into one key.
+check it called, which sorted every snapshot's nodes and links into one key;
+like the package's check, it names a drifting snapshot by its quarter.
 ``ScanNetwork`` answers ``in_links`` by scanning every link, as the network
 did before its by-target index; ``k_paths`` on it walks the scan.
 ``_rows`` is the row source that reader used: it checks a fixed header when
 given one and leaves the cell count of each row to its caller.
+
+``_Series`` is the engine's container that ``NetworkSeries`` replaced: it
+rebuilt the dates x links weights and dates x nodes levels from each
+snapshot's dicts on every scoring call.  It is kept as it was, except that
+it calls the package's ``k_paths`` as ``path_rows``, because ``k_paths``
+here is the recursive enumerator.  ``snapshots_with_probabilities`` is
+the probability override that the series' column assignment and row filter
+replaced: it copied every kept network with new risk values.
 """
 
 from __future__ import annotations
@@ -44,8 +53,15 @@ from pathlib import Path
 import numpy as np
 
 from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
-from riskrank.engine import RiskDecomposition, RiskRankConfig
-from riskrank.errors import NoCapacityError, SchemaError, StructuralDriftError
+from riskrank.engine import (
+    RiskDecomposition,
+    RiskRankConfig,
+    _Failure,
+    _no_risk,
+    _product,
+    _running_total,
+)
+from riskrank.errors import NoCapacityError, RiskRankError, SchemaError, StructuralDriftError
 from riskrank.evaluation import ContingencyMatrix, binarize, contingency, error_rates
 from riskrank.io import (
     LINKS_HEADER,
@@ -54,12 +70,14 @@ from riskrank.io import (
     _parse_quarter,
 )
 from riskrank.network import (
+    PATH_PAD,
     NetworkSnapshot,
     Node,
     RiskNetwork,
     build_capacity,
     default_self_exposure,
 )
+from riskrank.network import k_paths as path_rows
 from riskrank.quarters import quarter_label
 
 
@@ -340,7 +358,7 @@ def assert_same_structure(snapshots) -> None:
     for snap in snaps[1:]:
         if _structure_key(snap.network) != reference:
             raise StructuralDriftError(
-                f"snapshot {snap.date} does not share the series structure"
+                f"snapshot {quarter_label(snap.date)} does not share the series structure"
             )
 
 
@@ -422,3 +440,135 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
         snapshots.append(NetworkSnapshot(date, net))
     assert_same_structure(snapshots)
     return snapshots
+
+
+class _Series:
+    """A fixed-structure snapshot series as dates x columns arrays.
+
+    Nodes and links are columns in sorted order; ``weights`` and ``risks``
+    end in a column of ones that padded path entries point at.
+    """
+
+    def __init__(self, snaps: list[NetworkSnapshot]):
+        self.snaps = snaps
+        self.network = snaps[0].network
+        self.node_ids = sorted(self.network.nodes)
+        self.link_keys = sorted(self.network.links)
+        self.node_col = {nid: i for i, nid in enumerate(self.node_ids)}
+        # a link's column by (source, target) position, else the ones column
+        size = len(self.node_ids) + 1  # PATH_PAD picks the extra row and column
+        self.link_pos = np.full((size, size), len(self.link_keys))
+        for col, (source, dst) in enumerate(self.link_keys):
+            self.link_pos[self.node_col[source], self.node_col[dst]] = col
+        levels = [
+            [snap.network.nodes[nid].risk_value for nid in self.node_ids]
+            for snap in snaps
+        ]
+        self.known = np.array(
+            [[x is not None for x in row] for row in levels], dtype=bool
+        ).reshape(len(snaps), len(self.node_ids))
+        self.risks = np.array(
+            [[np.nan if x is None else x for x in row] + [1.0] for row in levels]
+        )
+        self.weights = np.array(
+            [[snap.network.links[key] for key in self.link_keys] + [1.0]
+             for snap in snaps]
+        )
+
+    def _self_mass(self, target: str) -> np.ndarray:
+        """Self exposure per date, else the incoming weight total capped at one."""
+        inbound = self.link_pos[:-1, self.node_col[target]]
+        inbound = inbound[inbound < len(self.link_keys)]
+        fallback = np.minimum(_running_total(self.weights[:, inbound]), 1.0).tolist()
+        given = [snap.network.nodes[target].self_exposure for snap in self.snaps]
+        return np.array([f if s is None else s for s, f in zip(given, fallback)])
+
+    def score(self, target: str, cfg: RiskRankConfig) -> tuple[np.ndarray, ...]:
+        """Individual, direct, indirect, raw and final totals over all dates.
+
+        Raises _Failure for the first date on which the target cannot be
+        scored.
+        """
+        node = self.network.nodes.get(target)
+        if node is None:
+            raise _Failure(0, ValueError(f"unknown node {target!r}"))
+        k = cfg.max_path_length
+        is_root = node.level == 0
+        shapley = not is_root and cfg.central_weight_mode == "shapley"
+        rows = path_rows(self.network, target, k)
+        nodes = rows[:, :0:-1]
+        links = self.link_pos[rows[:, 1:], rows[:, :-1]]
+        mass = _product(self.weights, links)
+        value = mass * _product(self.risks, nodes)
+        z = mass.sum(axis=1)
+        if shapley:
+            self_mass = self._self_mass(target)
+            z = z + self_mass
+        no_mass = z <= 0.0
+        scored = ~no_mass
+
+        # Checks in the order the per-snapshot operators made them.
+        own = (~self.known[:, self.node_col[target]], lambda d: _no_risk(target))
+        if is_root:
+            # the capacity form at k = 2 reports a root without in-links apart
+            what = "links" if k == 2 and not len(rows) else "mass"
+            checks = [(no_mass, lambda d: NoCapacityError(
+                f"node {target!r} has no incoming {what}"))]
+        elif shapley:
+            empty = (no_mass, lambda d: NoCapacityError(
+                f"node {target!r} has no incoming mass or self exposure"))
+            # the capacity form at k = 2 reads the target's own level first
+            checks = [own, empty] if k == 2 else [empty, own]
+        else:
+            checks = [own]
+        # Path nodes in the order the per-snapshot operators read their levels:
+        # by id at k = 2, where they read the capacity's ground set, else in
+        # path order.
+        on_paths = nodes[nodes != PATH_PAD]
+        ids, first = np.unique(on_paths, return_index=True)
+        order = ids if k == 2 else on_paths[np.sort(first)]
+        missing = ~self.known[:, order]
+        checks.append((scored & missing.any(axis=1),
+                       lambda d: _no_risk(self.node_ids[order[np.argmax(missing[d])]])))
+        failing = np.logical_or.reduce([mask for mask, _ in checks])
+        if failing.any():
+            d = int(np.argmax(failing))
+            raise _Failure(d, next(error(d) for mask, error in checks if mask[d]))
+
+        share = value / np.where(scored, z, 1.0)[:, None]
+        n_direct = np.count_nonzero((rows[:, 2:] == PATH_PAD).all(axis=1))
+        direct = np.where(scored, _running_total(share[:, :n_direct]), 0.0)
+        indirect = np.where(scored, _running_total(share[:, n_direct:]), 0.0)
+        own_level = self.risks[:, self.node_col[target]]
+        if is_root:
+            individual = np.zeros(len(self.snaps))
+        elif shapley:
+            individual = (self_mass / z) * own_level
+        else:
+            individual = own_level
+        total_raw = individual + direct + indirect
+        clamp = is_root or cfg.clamp
+        total = np.minimum(total_raw, 1.0) if clamp else total_raw
+        return individual, direct, indirect, total_raw, total
+
+
+def snapshots_with_probabilities(snapshots, cells) -> list[NetworkSnapshot]:
+    """Override node risk values with ``(entity, quarter, p)`` cells; dates
+    missing a probability for any valued node are dropped from the series."""
+    by_date: dict[int, dict[str, float]] = {}
+    for entity, quarter, p in cells:
+        by_date.setdefault(quarter, {})[entity] = p
+    out = []
+    for snap in snapshots:
+        probs = by_date.get(snap.date)
+        if probs is None:
+            continue
+        needed = [nid for nid, node in snap.network.nodes.items() if node.level > 0]
+        if any(nid not in probs for nid in needed):
+            continue
+        out.append(NetworkSnapshot(
+            snap.date, snap.network.with_risk_values({nid: probs[nid] for nid in needed})
+        ))
+    if not out:
+        raise RiskRankError("no snapshot date is fully covered by the probability series")
+    return out

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskrank import engine
 from riskrank.cli import main
 from riskrank.early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
-from riskrank.errors import RiskRankError, SchemaError
+from riskrank.engine import RiskRankConfig
+from riskrank.errors import RiskRankError, SchemaError, StructuralDriftError
 from riskrank.io import (
     LINKS_HEADER,
     NODES_HEADER,
@@ -337,6 +339,69 @@ def test_reader_and_in_links_match_oracle(tmp_path_factory, seed):
                 assert candidate.in_links(nid) == scan.in_links(nid)
                 for k in (1, 2, 3):
                     assert oracle.k_paths(candidate, nid, k) == oracle.k_paths(scan, nid, k)
+
+
+def assert_series_matches(series, snaps):
+    """The series' structure and arrays equal what the replaced engine
+    container built from ``snaps``, and it hands those snapshots back."""
+    old = oracle._Series(snaps)
+    assert series.dates == tuple(s.date for s in snaps)
+    assert series.node_ids == tuple(old.node_ids)
+    assert series.link_keys == tuple(old.link_keys)
+    assert series.levels == tuple(old.network.nodes[n].level for n in old.node_ids)
+    assert series.parents == tuple(old.network.nodes[n].parent_id for n in old.node_ids)
+    assert np.array_equal(series.W, old.weights[:, :-1], equal_nan=True)
+    assert np.array_equal(series.X, old.risks[:, :-1], equal_nan=True)
+    assert np.array_equal(series.known, old.known)
+    exposures = np.array([[s.network.nodes[n].self_exposure for n in old.node_ids]
+                          for s in snaps], dtype=float)
+    assert np.array_equal(series.exposure, exposures, equal_nan=True)
+    assert list(series) == list(snaps)
+    assert [series[d] for d in range(-len(snaps), 0)] == list(snaps)
+
+
+def scores_or_failure(series, target, cfg):
+    try:
+        return [part.tolist() for part in series.score(target, cfg)]
+    except engine._Failure as failure:
+        date_index, error = failure.args
+        return date_index, type(error), str(error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_series_arrays_and_override_match_the_oracle(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    nodes, links = write_network_files(tmp_path_factory.mktemp("net"),
+                                       *random_network_rows(rng))
+    try:
+        snaps = oracle.read_nodes_links(nodes, links)
+    except StructuralDriftError:
+        return  # the reader's error is compared by the test above
+    series = read_nodes_links(nodes, links)
+    assert_series_matches(series, snaps)
+
+    # probabilities on most (entity, quarter) cells, some for no node or date
+    entities = [*series.node_ids, "GHOST"]
+    quarters = [*series.dates, max(series.dates) + 1]
+    cells = [(e, q, float(rng.uniform())) for e in entities for q in quarters
+             if rng.random() < 0.9]
+    rng.shuffle(cells)
+    try:
+        expected = oracle.snapshots_with_probabilities(snaps, cells)
+    except RiskRankError as exc:
+        with pytest.raises(RiskRankError) as err:
+            series.with_probabilities(cells)
+        assert str(err.value) == str(exc)
+        return
+    overridden = series.with_probabilities(cells)
+    assert_series_matches(overridden, expected)
+
+    scorer, old = engine._Scorer(overridden), oracle._Series(expected)
+    for cfg in (RiskRankConfig(), RiskRankConfig("shapley", max_path_length=3)):
+        for target in series.node_ids:
+            assert scores_or_failure(scorer, target, cfg) == \
+                scores_or_failure(old, target, cfg)
 
 
 # Rows that each reader rejects; {d} is a date of the series, {n} a node id
@@ -696,6 +761,47 @@ def test_cli_scoring_errors(tmp_path, capsys, case, k):
                      "--out", str(tmp_path / "out.csv")])
         assert code == 1
         assert capsys.readouterr().err == lines[k] + "\n"
+
+
+def test_cli_names_the_drifting_quarter(tmp_path, capsys):
+    files = write_two_quarters(tmp_path, NODES, (DIRECT + ["A,B,0.5"], DIRECT))
+    out = tmp_path / "out.csv"
+    network = ["--nodes", str(files["nodes.csv"]), "--links", str(files["links.csv"])]
+    for argv in (["validate", *network], ["riskrank", *network, "--out", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: structural-drift: snapshot 2005-Q2 does not share the series structure\n"
+        )
+        assert not out.exists()
+
+
+def test_cli_scores_do_not_depend_on_row_order_or_padding(tmp_path):
+    data, copy = tmp_path / "data", tmp_path / "copy"
+    assert main(["synth", "--outdir", str(data), "--entities", "5", "--seed", "4",
+                 "--start-quarter", "2004-Q1", "--end-quarter", "2012-Q4"]) == 0
+    probs = data / "probabilities.csv"
+    assert main(["backtest", "--indicators", str(data / "indicators.csv"),
+                 "--events", str(data / "events.csv"), "--out", str(probs)]) == 0
+    rng = np.random.default_rng(4)
+    copy.mkdir()
+    for name, padded in (("nodes.csv", (0, 1, 3)), ("links.csv", (0, 1, 2))):
+        header, *rows = (data / name).read_text().splitlines()
+        rng.shuffle(rows)
+        rows = [",".join(f" {cell}  " if i in padded else cell
+                         for i, cell in enumerate(row.split(",")))
+                for row in rows]
+        (copy / name).write_text("\n".join([header, *rows]) + "\n")
+    for command, flags in (("riskrank", ["--targets", "all"]),
+                           ("riskrank", ["--targets", "all", "--mode", "shapley"]),
+                           ("report", ["--targets", "root", "--k", "3"])):
+        outputs = []
+        for directory in (data, copy):
+            out = directory / f"{command}.csv"
+            assert main([command, "--nodes", str(directory / "nodes.csv"),
+                         "--links", str(directory / "links.csv"),
+                         "--probabilities", str(probs), *flags, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_run_config_validation(tmp_path):

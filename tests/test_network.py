@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrank.errors import NoCapacityError, StructuralDriftError
+from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
 from riskrank.network import (
     PATH_PAD,
+    NetworkSeries,
     NetworkSnapshot,
     Node,
     RiskNetwork,
@@ -380,7 +381,7 @@ def test_structural_drift_is_detected():
     for drift, changes in DRIFTS.items():
         snaps = [NetworkSnapshot(d, two_level_network()) for d in (4, 5)]
         snaps.append(NetworkSnapshot(6, two_level_network(**changes)))
-        with pytest.raises(StructuralDriftError, match="snapshot 6 does not share"):
+        with pytest.raises(StructuralDriftError, match="snapshot 0001-Q3 does not share"):
             assert_same_structure(snaps)
             pytest.fail(f"{drift} was not caught")
 
@@ -398,6 +399,54 @@ def test_value_changes_are_not_drift():
     assert_same_structure([NetworkSnapshot(d, net) for d, net in
                            enumerate((base, revalued, reordered,
                                       base.with_risk_values({"A": 0.9})))])
+
+
+def test_series_holds_the_structure_once_and_the_values_per_date():
+    base = two_level_network()
+    revalued = two_level_network(nodes={"A": Node("A", 1, "S", None, self_exposure=0.7)},
+                                 links={("G", "A"): 0.25})
+    snaps = [NetworkSnapshot(8021, base), NetworkSnapshot(8022, revalued)]
+    series = NetworkSeries.from_snapshots(snaps)
+    assert series.dates == (8021, 8022)
+    assert series.node_ids == ("A", "B", "G", "S")
+    assert series.levels == (1, 1, 2, 0)
+    assert series.parents == ("S", "S", "A", None)
+    assert series.link_keys == (("A", "B"), ("A", "S"), ("B", "S"), ("G", "A"))
+    assert np.array_equal(series.W, [[0.3, 0.6, 0.4, 1.0], [0.3, 0.6, 0.4, 0.25]])
+    assert np.array_equal(series.X, [[0.5, 0.4, 0.3, np.nan], [np.nan, 0.4, 0.3, np.nan]],
+                          equal_nan=True)
+    assert np.array_equal(series.exposure, [[np.nan, 0.2, np.nan, np.nan],
+                                            [0.7, 0.2, np.nan, np.nan]], equal_nan=True)
+    assert series.known.tolist() == [[True, True, True, False], [False, True, True, False]]
+    assert len(series) == 2 and list(series) == snaps and series[-1] is snaps[1]
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        NetworkSeries.from_snapshots([])
+
+
+def test_probability_override_assigns_levels_and_drops_uncovered_dates():
+    series = NetworkSeries.from_snapshots(
+        NetworkSnapshot(d, two_level_network()) for d in (4, 5, 6)
+    )
+    cells = [("A", 4, 0.9), ("B", 4, 0.8), ("G", 4, 0.7), ("S", 4, 0.6),
+             ("A", 5, 0.1), ("B", 5, 0.2),
+             ("A", 6, 0.5), ("B", 6, 0.5), ("G", 6, 0.5), ("X", 6, 0.5), ("A", 6, 0.25)]
+    overridden = series.with_probabilities(cells)
+    assert overridden.dates == (4, 6)
+    # the root keeps its missing level; a later cell wins
+    assert np.array_equal(overridden.X, [[0.9, 0.8, 0.7, np.nan], [0.25, 0.5, 0.5, np.nan]],
+                          equal_nan=True)
+    assert np.array_equal(overridden.W, series.W[[0, 2]])
+    assert np.array_equal(series.X[:, 0], [0.5, 0.5, 0.5])  # the source is untouched
+    # snapshots of a derived series come from its arrays, in sorted order
+    snap = overridden[1]
+    assert snap.date == 6
+    assert list(snap.network.nodes) == ["A", "B", "G", "S"]
+    assert snap.network == two_level_network(nodes={
+        "A": Node("A", 1, "S", 0.25), "B": Node("B", 1, "S", 0.5, self_exposure=0.2),
+        "G": Node("G", 2, "A", 0.5),
+    })
+    with pytest.raises(RiskRankError, match="no snapshot date is fully covered"):
+        series.with_probabilities([("A", 5, 0.1), ("B", 5, 0.2), ("G", 7, 0.3)])
 
 
 def test_in_links_returns_a_copy_of_the_index():
