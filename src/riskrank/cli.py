@@ -110,15 +110,19 @@ def _resolve_targets(selector: str, snapshots) -> list[str]:
     if selector == "all":
         return sorted(nid for nid, node in net.nodes.items() if node.level > 0)
     targets = [t.strip() for t in selector.split(",") if t.strip()]
-    for target in targets:
+    if not targets:
+        raise RiskRankError(f"--targets {selector!r} names no node")
+    for i, target in enumerate(targets):
         if target not in net.nodes:
             raise RiskRankError(f"unknown target node {target!r}")
+        if target in targets[:i]:
+            raise RiskRankError(f"target {target!r} is named twice")
     return targets
 
 
 def cmd_validate(args) -> int:
     cfg = _load_run_config(args, "nodes", "links")
-    snapshots = read_nodes_links(cfg.nodes, cfg.links)
+    snapshots = list(read_nodes_links(cfg.nodes, cfg.links))
     if cfg.indicators:
         read_indicators(cfg.indicators)
     if cfg.events:

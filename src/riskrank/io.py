@@ -131,7 +131,8 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     duplicate node id or link is reported at its own file and line; every
     row of both files is checked before the structure is compared across
     dates.  Rows of one date usually come together, so a date is parsed
-    once per run of rows with the same date text.
+    once per run of rows with the same date text.  The per-date networks
+    are dropped once the series' arrays are built; its snapshots are views.
     """
     nodes_path, links_path = Path(nodes_path), Path(links_path)
     per_date_nodes: dict[int, dict[str, Node]] = {}

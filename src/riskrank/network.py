@@ -23,7 +23,7 @@ arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
 
@@ -141,9 +141,8 @@ class NetworkSeries:
     are the link weights ``W`` (dates x links), and the risk levels ``X`` and
     self exposures (dates x nodes, NaN where a node has none).
 
-    Indexing and iterating yield ``NetworkSnapshot``s.  A series built by
-    ``from_snapshots`` hands back the snapshots its arrays were read from;
-    any other builds them from the arrays, nodes and links in sorted order.
+    Indexing and iterating build each ``NetworkSnapshot`` anew from the
+    arrays, nodes and links in sorted order.
     """
 
     dates: tuple[int, ...]
@@ -154,20 +153,26 @@ class NetworkSeries:
     W: np.ndarray
     X: np.ndarray
     exposure: np.ndarray
-    _snapshots: tuple[NetworkSnapshot, ...] | None = field(default=None, repr=False)
 
     @classmethod
     def from_snapshots(cls, snapshots) -> "NetworkSeries":
         """The series of a non-empty snapshot list, dates in list order.
 
-        Raises StructuralDriftError unless every snapshot shares the first
-        one's structure.
+        Raises StructuralDriftError, naming the quarter of the first snapshot
+        whose node ids, levels, parents or link keys differ from the first's.
         """
         snaps = tuple(snapshots)
         if not snaps:
             raise ValueError("a series needs at least one snapshot")
-        assert_same_structure(snaps)
         first = snaps[0].network
+        shape = {nid: (n.level, n.parent_id) for nid, n in first.nodes.items()}
+        for snap in snaps[1:]:
+            net = snap.network
+            if (net.links.keys() != first.links.keys()
+                    or {nid: (n.level, n.parent_id) for nid, n in net.nodes.items()} != shape):
+                raise StructuralDriftError(
+                    f"snapshot {quarter_label(snap.date)} does not share the series structure"
+                )
         node_ids, link_keys = tuple(sorted(first.nodes)), tuple(sorted(first.links))
         nodes = [list(map(s.network.nodes.__getitem__, node_ids)) for s in snaps]
 
@@ -184,7 +189,6 @@ class NetworkSeries:
                     len(link_keys)),
             X=table([[n.risk_value for n in row] for row in nodes], len(node_ids)),
             exposure=table([[n.self_exposure for n in row] for row in nodes], len(node_ids)),
-            _snapshots=snaps,
         )
 
     @cached_property
@@ -196,8 +200,6 @@ class NetworkSeries:
         return len(self.dates)
 
     def __getitem__(self, index: int) -> NetworkSnapshot:
-        if self._snapshots is not None:
-            return self._snapshots[index]
         d = range(len(self.dates))[index]
         nodes = {
             nid: Node(nid, level, parent, _none_if_nan(risk), _none_if_nan(exposure))
@@ -237,7 +239,7 @@ class NetworkSeries:
         X[:, valued] = probs[keep]
         return replace(
             self, dates=tuple(compress(self.dates, keep.tolist())), W=self.W[keep], X=X,
-            exposure=self.exposure[keep], _snapshots=None,
+            exposure=self.exposure[keep],
         )
 
 
@@ -398,22 +400,3 @@ def build_capacity(net: RiskNetwork, target: str, mode: str = "root") -> Capacit
             raise NoCapacityError(f"node {target!r} has no incoming mass")
         return CapacityBuild(raw.normalize(), tuple(elements), target, mode, total)
     return CapacityBuild(raw, tuple(elements), target, mode, total)
-
-
-def _node_shape(net: RiskNetwork) -> dict[str, tuple[int, str | None]]:
-    return {nid: (n.level, n.parent_id) for nid, n in net.nodes.items()}
-
-
-def assert_same_structure(snapshots) -> None:
-    """Raise StructuralDriftError, naming the quarter of the first snapshot
-    whose node ids, levels, parents or link keys differ from the first's."""
-    snaps = list(snapshots)
-    if not snaps:
-        return
-    first = snaps[0].network
-    nodes, links = _node_shape(first), first.links.keys()
-    for snap in snaps[1:]:
-        if snap.network.links.keys() != links or _node_shape(snap.network) != nodes:
-            raise StructuralDriftError(
-                f"snapshot {quarter_label(snap.date)} does not share the series structure"
-            )

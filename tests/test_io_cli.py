@@ -26,7 +26,7 @@ from riskrank.io import (
     write_links_csv,
     write_nodes_csv,
 )
-from riskrank.network import NetworkSnapshot, Node, RiskNetwork
+from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork
 from riskrank.quarters import quarter_index, quarter_label
 from riskrank.synth import SynthSpec, generate_synthetic
 
@@ -315,7 +315,7 @@ def read_with(reader, nodes, links):
     except RiskRankError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     return [
-        (s.date, list(s.network.nodes.items()), list(s.network.links.items()))
+        (s.date, sorted(s.network.nodes.items()), sorted(s.network.links.items()))
         for s in snaps
     ]
 
@@ -343,7 +343,8 @@ def test_reader_and_in_links_match_oracle(tmp_path_factory, seed):
 
 def assert_series_matches(series, snaps):
     """The series' structure and arrays equal what the replaced engine
-    container built from ``snaps``, and it hands those snapshots back."""
+    container built from ``snaps``; its views equal those snapshots, items
+    in sorted order, and rebuild the very same arrays."""
     old = oracle._Series(snaps)
     assert series.dates == tuple(s.date for s in snaps)
     assert series.node_ids == tuple(old.node_ids)
@@ -356,8 +357,17 @@ def assert_series_matches(series, snaps):
     exposures = np.array([[s.network.nodes[n].self_exposure for n in old.node_ids]
                           for s in snaps], dtype=float)
     assert np.array_equal(series.exposure, exposures, equal_nan=True)
-    assert list(series) == list(snaps)
+    views = list(series)
+    assert views == list(snaps)
     assert [series[d] for d in range(-len(snaps), 0)] == list(snaps)
+    for view in views:
+        assert list(view.network.nodes) == sorted(view.network.nodes)
+        assert list(view.network.links) == sorted(view.network.links)
+    again = NetworkSeries.from_snapshots(views)
+    for name in ("dates", "node_ids", "levels", "parents", "link_keys"):
+        assert getattr(again, name) == getattr(series, name)
+    for name in ("W", "X", "exposure"):
+        assert np.array_equal(getattr(again, name), getattr(series, name), equal_nan=True)
 
 
 def scores_or_failure(series, target, cfg):
@@ -761,6 +771,24 @@ def test_cli_scoring_errors(tmp_path, capsys, case, k):
                      "--out", str(tmp_path / "out.csv")])
         assert code == 1
         assert capsys.readouterr().err == lines[k] + "\n"
+
+
+@pytest.mark.parametrize("selector,detail", [
+    ("A,A", "target 'A' is named twice"),
+    (" B , A ,B", "target 'B' is named twice"),
+    ("", "--targets '' names no node"),
+    (",", "--targets ',' names no node"),
+])
+def test_cli_rejects_a_target_list_naming_a_node_twice_or_none(tmp_path, capsys,
+                                                                selector, detail):
+    files = write_two_quarters(tmp_path, NODES, DIRECT)
+    out = tmp_path / "out.csv"
+    for command in ("riskrank", "report"):
+        assert main([command, "--nodes", str(files["nodes.csv"]),
+                     "--links", str(files["links.csv"]), "--targets", selector,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid: {detail}\n"
+        assert not out.exists()
 
 
 def test_cli_names_the_drifting_quarter(tmp_path, capsys):

@@ -12,7 +12,6 @@ from riskrank.network import (
     NetworkSnapshot,
     Node,
     RiskNetwork,
-    assert_same_structure,
     build_capacity,
     default_self_exposure,
     k_paths,
@@ -382,7 +381,7 @@ def test_structural_drift_is_detected():
         snaps = [NetworkSnapshot(d, two_level_network()) for d in (4, 5)]
         snaps.append(NetworkSnapshot(6, two_level_network(**changes)))
         with pytest.raises(StructuralDriftError, match="snapshot 0001-Q3 does not share"):
-            assert_same_structure(snaps)
+            NetworkSeries.from_snapshots(snaps)
             pytest.fail(f"{drift} was not caught")
 
 
@@ -396,9 +395,9 @@ def test_value_changes_are_not_drift():
     reordered = RiskNetwork(
         dict(reversed(base.nodes.items())), dict(reversed(base.links.items()))
     )
-    assert_same_structure([NetworkSnapshot(d, net) for d, net in
-                           enumerate((base, revalued, reordered,
-                                      base.with_risk_values({"A": 0.9})))])
+    NetworkSeries.from_snapshots([NetworkSnapshot(d, net) for d, net in
+                                  enumerate((base, revalued, reordered,
+                                             base.with_risk_values({"A": 0.9})))])
 
 
 def test_series_holds_the_structure_once_and_the_values_per_date():
@@ -418,7 +417,7 @@ def test_series_holds_the_structure_once_and_the_values_per_date():
     assert np.array_equal(series.exposure, [[np.nan, 0.2, np.nan, np.nan],
                                             [0.7, 0.2, np.nan, np.nan]], equal_nan=True)
     assert series.known.tolist() == [[True, True, True, False], [False, True, True, False]]
-    assert len(series) == 2 and list(series) == snaps and series[-1] is snaps[1]
+    assert len(series) == 2 and list(series) == snaps and series[-1] == snaps[1]
     with pytest.raises(ValueError, match="at least one snapshot"):
         NetworkSeries.from_snapshots([])
 
