@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,8 @@ class FuzzyMeasure:
     def from_subsets(cls, n: int, table: dict) -> "FuzzyMeasure":
         """Build from a map of 1-based index tuples (or iterables) to values.
 
-        Every one of the 2^n subsets must be present; a missing entry is a
-        structural error.
+        Every one of the 2^n subsets must be present once; a missing or
+        repeated entry is a structural error.
         """
         values = np.full(2**n, np.nan)
         for subset, val in table.items():
@@ -93,6 +94,8 @@ class FuzzyMeasure:
                 if not 1 <= idx <= n:
                     raise ValueError(f"index {idx} outside 1..{n}")
                 mask |= 1 << (idx - 1)
+            if not np.isnan(values[mask]):
+                raise ValueError(f"subset {_subset_label(mask)} is given twice")
             values[mask] = val
         missing = np.flatnonzero(np.isnan(values))
         if missing.size:
@@ -124,13 +127,33 @@ class FuzzyMeasure:
 
     @classmethod
     def from_json(cls, text: str) -> "FuzzyMeasure":
+        """Parse ``{"n": n, "mu": {"1,2": value, ...}}``, where "" keys the
+        empty set; a malformed document raises ValueError naming its fault."""
         doc = json.loads(text)
-        n = int(doc["n"])
+        if not isinstance(doc, dict) or not {"n", "mu"} <= doc.keys():
+            raise ValueError('measure must be a JSON object with keys "n" and "mu"')
+        n, mu = doc["n"], doc["mu"]
+        if type(n) is not int:  # a bool is no integer
+            raise ValueError(f"measure n must be an integer, not {json.dumps(n)}")
         if not 1 <= n <= MAX_GROUND_SIZE:
             raise ValueError(f"n must be in 1..{MAX_GROUND_SIZE}")
+        if not isinstance(mu, dict):
+            raise ValueError(f"measure mu must be an object, not {json.dumps(mu)}")
         table = {}
-        for key, val in doc["mu"].items():
-            subset = tuple(int(part) for part in key.split(",")) if key.strip() else ()
+        for key, val in mu.items():
+            try:
+                subset = tuple(int(part) for part in key.split(",")) if key else ()
+            except ValueError:
+                subset = None
+            # one spelling per index list, so that no two keys become one entry
+            if subset is None or ",".join(map(str, subset)) != key:
+                raise ValueError(
+                    f"measure mu key {json.dumps(key)} is not comma-separated integers"
+                )
+            # NaN, the infinities and integers beyond the float range fail the bound
+            if type(val) not in (int, float) or not abs(val) <= sys.float_info.max:
+                raise ValueError(f"measure mu[{json.dumps(key)}] must be a finite number, "
+                                 f"not {json.dumps(val)}")
             table[subset] = float(val)
         return cls.from_subsets(n, table)
 
@@ -297,10 +320,10 @@ class TwoAdditiveCapacity:
     def shapley_values(self) -> np.ndarray:
         return self.singleton + 0.5 * self.pairs.sum(axis=1)
 
-    def is_monotone(self, tol: float = MONOTONE_SLACK) -> bool:
+    def is_monotone(self) -> bool:
         """Monotone iff a_i plus the worst-case negative pair load stays >= 0."""
         worst = self.singleton + np.minimum(self.pairs, 0.0).sum(axis=1)
-        return bool(np.all(worst >= -tol))
+        return bool(np.all(worst >= -MONOTONE_SLACK))
 
     def normalize(self) -> "TwoAdditiveCapacity":
         z = self.total_mass

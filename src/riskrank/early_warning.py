@@ -138,20 +138,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _penalized_loglik(beta: np.ndarray, X: np.ndarray, y: np.ndarray,
-                      ridge: float) -> float:
+def _penalized_loglik(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     z = X @ beta
-    return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * ridge * beta @ beta)
+    return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * RIDGE_LAMBDA * beta @ beta)
 
 
-def fit_logit(X, y, ridge: float = RIDGE_LAMBDA, training_end: int = 0) -> LogitModel:
+def fit_logit(X, y, training_end: int = 0) -> LogitModel:
     """Ridge-penalized logistic regression by iteratively reweighted Newton steps.
 
-    Rows containing missing values are dropped.  The tiny ridge keeps the
-    maximizer finite under separation; steps are halved whenever they would
-    lower the penalized log-likelihood.  Convergence is declared when the
-    accepted step changes no coefficient by more than IRLS_TOL, within
-    IRLS_MAX_ITER iterations.
+    Rows containing missing values are dropped.  The tiny ridge RIDGE_LAMBDA
+    keeps the maximizer finite under separation; steps are halved whenever
+    they would lower the penalized log-likelihood.  Convergence is declared
+    when the accepted step changes no coefficient by more than IRLS_TOL,
+    within IRLS_MAX_ITER iterations.
     """
     Xv = np.asarray(X, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -167,17 +166,17 @@ def fit_logit(X, y, ridge: float = RIDGE_LAMBDA, training_end: int = 0) -> Logit
 
     design = np.column_stack([np.ones(Xv.shape[0]), Xv])
     beta = np.zeros(design.shape[1])
-    ll = _penalized_loglik(beta, design, yv, ridge)
+    ll = _penalized_loglik(beta, design, yv)
     for _ in range(IRLS_MAX_ITER):
         p = _sigmoid(design @ beta)
         w = p * (1.0 - p)
-        hess = design.T @ (design * w[:, None]) + ridge * np.eye(design.shape[1])
-        grad = design.T @ (yv - p) - ridge * beta
+        hess = design.T @ (design * w[:, None]) + RIDGE_LAMBDA * np.eye(design.shape[1])
+        grad = design.T @ (yv - p) - RIDGE_LAMBDA * beta
         step = np.linalg.solve(hess, grad)
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            new_ll = _penalized_loglik(candidate, design, yv, ridge)
+            new_ll = _penalized_loglik(candidate, design, yv)
             if new_ll >= ll - 1e-12:
                 break
             scale *= 0.5

@@ -211,21 +211,11 @@ class _Scorer:
         return individual, direct, indirect, total_raw, total
 
 
-def riskrank_series(snapshots, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
-    """One decomposition per (date, target), dates taken in order.
-
-    ``snapshots`` is a NetworkSeries, or snapshots that must share one
-    structure; a drifting series is an error.  A failure is reported for the
-    first failing (date, target) pair.
+def riskrank_series(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
+    """One decomposition per (date, target) of a NetworkSeries, dates taken
+    in order.  A failure is reported for the first failing (date, target) pair.
     """
     targets = list(targets)
-    if isinstance(snapshots, NetworkSeries):
-        series = snapshots
-    else:
-        snaps = list(snapshots)
-        if not snaps:
-            return []
-        series = NetworkSeries.from_snapshots(snaps)
     scorer = _Scorer(series)
     columns, failures = [], []
     for j, target in enumerate(targets):
@@ -247,4 +237,5 @@ def riskrank_series(snapshots, targets, cfg: RiskRankConfig = RiskRankConfig()) 
 def riskrank_for(snapshot: NetworkSnapshot, target: str,
                  cfg: RiskRankConfig = RiskRankConfig()) -> RiskDecomposition:
     """Decomposition of one target in one snapshot: a series of one."""
-    return riskrank_series([snapshot], [target], cfg)[0].decomposition
+    series = NetworkSeries.from_snapshots([snapshot])
+    return riskrank_series(series, [target], cfg)[0].decomposition

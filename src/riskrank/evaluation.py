@@ -61,18 +61,12 @@ def binarize(probs, tau: float) -> np.ndarray:
     return (np.asarray(probs, dtype=float) > tau).astype(np.int8)
 
 
-def contingency(predictions, labels, mask=None) -> ContingencyMatrix:
-    """Count the four cells, skipping masked entries."""
+def contingency(predictions, labels) -> ContingencyMatrix:
+    """Count the four cells."""
     b = np.asarray(predictions)
     c = np.asarray(labels)
     if b.shape != c.shape:
         raise ValueError("predictions and labels must have equal shape")
-    keep = np.ones(b.shape, dtype=bool) if mask is None else ~np.asarray(mask, dtype=bool)
-    if keep.shape != b.shape:
-        raise ValueError("mask shape mismatch")
-    b, c = b[keep], c[keep]
-    if b.size == 0:
-        raise ValueError("no observations left after masking")
     tp = int(np.sum((b == 1) & (c == 1)))
     tn = int(np.sum((b == 0) & (c == 0)))
     fp = int(np.sum((b == 1) & (c == 0)))

@@ -15,7 +15,8 @@ and a data row whose cell count differs from the header's fails at its line.
 The root node row leaves risk_value empty; empty cells generally mean
 "absent".  Floats are written with 10 significant digits so that identical
 runs produce identical bytes.  Schema problems are reported with the file
-and line they occur on.
+and line they occur on: a header problem at line 1, an empty file at line 2,
+and a data-row problem by the row source, at the line of the row it read.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class _Rows:
     """A CSV file's ``header`` row, then its data rows when iterated.
 
     Blank rows are skipped, and a data row whose cell count differs from the
-    header's fails at its line.  ``line`` is the line number of the row last
-    yielded, so a caller looks it up only when it reports a problem.
+    header's fails at its line.  ``fail``, ``quarter`` and ``number`` report
+    a problem with the row last yielded at this file and that row's line, so
+    a reader never tracks where its rows sit.
     """
 
     def __init__(self, path: Path):
@@ -81,15 +83,29 @@ class _Rows:
                 if len(row) != width:
                     if not row:
                         continue
-                    raise SchemaError(self.path, reader.line_num, f"expected {width} columns")
+                    raise self.fail(f"expected {width} columns")
                 yield row
 
     def __iter__(self):
         return self._rows
 
-    @property
-    def line(self) -> int:
-        return self._reader.line_num
+    def fail(self, message: str) -> SchemaError:
+        return SchemaError(self.path, self._reader.line_num, message)
+
+    def quarter(self, text: str) -> int:
+        try:
+            return quarter_index(text)
+        except ValueError as exc:
+            raise self.fail(str(exc)) from None
+
+    def number(self, text: str, what: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise self.fail(f"bad {what} {text!r}") from None
+        if not math.isfinite(value):
+            raise self.fail(f"non-finite {what} {text!r}")
+        return value
 
 
 def _fixed_rows(path: Path, expected: list[str]) -> _Rows:
@@ -107,23 +123,6 @@ def _write(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_quarter(path: Path, line: int, text: str) -> int:
-    try:
-        return quarter_index(text)
-    except ValueError as exc:
-        raise SchemaError(path, line, str(exc)) from None
-
-
-def _parse_float(path: Path, line: int, text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(path, line, f"bad {what} {text!r}") from None
-    if not math.isfinite(value):
-        raise SchemaError(path, line, f"non-finite {what} {text!r}")
-    return value
-
-
 def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     """Parse a snapshot series; all dates must share one structure.
 
@@ -139,36 +138,32 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     last = None
     rows = _fixed_rows(nodes_path, NODES_HEADER)
     for row in rows:
-        line = rows.line
         if row[0] != last:
-            date = _parse_quarter(nodes_path, line, row[0])
+            date = rows.quarter(row[0])
             nodes = per_date_nodes.setdefault(date, {})
             last = row[0]
         node_id = row[1].strip()
         if not node_id:
-            raise SchemaError(nodes_path, line, "empty node_id")
+            raise rows.fail("empty node_id")
         try:
             level = int(row[2])
         except ValueError:
-            raise SchemaError(nodes_path, line, f"bad level {row[2]!r}") from None
+            raise rows.fail(f"bad level {row[2]!r}") from None
         if level < 0:
-            raise SchemaError(nodes_path, line, "level must be >= 0")
+            raise rows.fail("level must be >= 0")
         parent = row[3].strip() or None
         risk = None
         if row[4].strip():
-            risk = _parse_float(nodes_path, line, row[4], "risk_value")
+            risk = rows.number(row[4], "risk_value")
             if not 0.0 <= risk <= 1.0:
-                raise SchemaError(nodes_path, line, f"risk_value {risk} outside [0,1]")
+                raise rows.fail(f"risk_value {risk} outside [0,1]")
         exposure = None
         if row[5].strip():
-            exposure = _parse_float(nodes_path, line, row[5], "self_exposure")
+            exposure = rows.number(row[5], "self_exposure")
             if exposure < 0.0:
-                raise SchemaError(nodes_path, line, "self_exposure must be >= 0")
+                raise rows.fail("self_exposure must be >= 0")
         if node_id in nodes:
-            raise SchemaError(
-                nodes_path, line,
-                f"date {quarter_label(date)}: duplicate node id {node_id!r}",
-            )
+            raise rows.fail(f"date {quarter_label(date)}: duplicate node id {node_id!r}")
         nodes[node_id] = Node(node_id, level, parent, risk, exposure)
     if not per_date_nodes:
         raise SchemaError(nodes_path, 2, "no node rows")
@@ -178,31 +173,26 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     rows = _fixed_rows(links_path, LINKS_HEADER)
     for date_text, source, target, weight_text in rows:
         if date_text != last:
-            date = _parse_quarter(links_path, rows.line, date_text)
+            date = rows.quarter(date_text)
             known = per_date_nodes.get(date)
             if known is None:
-                raise SchemaError(links_path, rows.line,
-                                  f"link date {date_text} has no node rows")
+                raise rows.fail(f"link date {date_text} has no node rows")
             links = per_date_links.setdefault(date, {})
             last = date_text
         source, target = source.strip(), target.strip()
         if source not in known or target not in known:
-            raise SchemaError(links_path, rows.line,
-                              f"unknown entity in link {source}->{target}")
+            raise rows.fail(f"unknown entity in link {source}->{target}")
         try:
             weight = float(weight_text)
         except ValueError:
             weight = math.nan
         if not 0.0 <= weight < math.inf:
-            # a bad or non-finite weight fails in _parse_float, a negative one here
-            _parse_float(links_path, rows.line, weight_text, "weight")
-            raise SchemaError(links_path, rows.line, "weight must be >= 0")
+            # a bad or non-finite weight fails in rows.number, a negative one here
+            rows.number(weight_text, "weight")
+            raise rows.fail("weight must be >= 0")
         key = source, target
         if key in links:
-            raise SchemaError(
-                links_path, rows.line,
-                f"date {quarter_label(date)}: duplicate link {source!r} -> {target!r}",
-            )
+            raise rows.fail(f"date {quarter_label(date)}: duplicate link {source!r} -> {target!r}")
         links[key] = weight
 
     return NetworkSeries.from_snapshots(
@@ -242,15 +232,14 @@ def read_indicators(path) -> IndicatorPanel:
     names = tuple(rows.header[2:])
     cells: dict[tuple[str, int], list[float]] = {}
     for row in rows:
-        line = rows.line
         entity = row[0].strip()
         if not entity:
-            raise SchemaError(path, line, "empty entity")
-        date = _parse_quarter(path, line, row[1])
+            raise rows.fail("empty entity")
+        date = rows.quarter(row[1])
         if (entity, date) in cells:
-            raise SchemaError(path, line, f"duplicate cell {entity} {row[1]}")
+            raise rows.fail(f"duplicate cell {entity} {row[1]}")
         values = [
-            _parse_float(path, line, cell, "indicator") if cell.strip() else np.nan
+            rows.number(cell, "indicator") if cell.strip() else np.nan
             for cell in row[2:]
         ]
         cells[(entity, date)] = values
@@ -286,16 +275,15 @@ def read_events(path) -> CrisisEvents:
     events = []
     rows = _fixed_rows(path, EVENTS_HEADER)
     for row in rows:
-        line = rows.line
         entity = row[0].strip()
         if not entity:
-            raise SchemaError(path, line, "empty entity")
-        start = _parse_quarter(path, line, row[1])
-        end = _parse_quarter(path, line, row[2]) if row[2].strip() else None
+            raise rows.fail("empty entity")
+        start = rows.quarter(row[1])
+        end = rows.quarter(row[2]) if row[2].strip() else None
         try:
             events.append(CrisisEvent(entity, start, end))
         except ValueError as exc:
-            raise SchemaError(path, line, str(exc)) from None
+            raise rows.fail(str(exc)) from None
     return CrisisEvents(tuple(events))
 
 
@@ -338,17 +326,16 @@ def read_series(path) -> ProbSeries:
     entity_at, date_at, p_at = (rows.header.index(name) for name in columns)
     cells: dict[tuple[str, int], float] = {}
     for row in rows:
-        line = rows.line
         entity = row[entity_at].strip()
         if not entity:
-            raise SchemaError(path, line, "empty entity")
+            raise rows.fail("empty entity")
         date_text = row[date_at]
-        date = _parse_quarter(path, line, date_text)
+        date = rows.quarter(date_text)
         if (entity, date) in cells:
-            raise SchemaError(path, line, f"duplicate cell {entity} {date_text}")
-        p = _parse_float(path, line, row[p_at], "probability")
+            raise rows.fail(f"duplicate cell {entity} {date_text}")
+        p = rows.number(row[p_at], "probability")
         if not 0.0 <= p <= 1.0:
-            raise SchemaError(path, line, f"probability {p} outside [0,1]")
+            raise rows.fail(f"probability {p} outside [0,1]")
         cells[(entity, date)] = p
     if not cells:
         raise SchemaError(path, 2, "no series rows")

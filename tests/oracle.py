@@ -33,6 +33,9 @@ like the package's check, it names a drifting snapshot by its quarter.
 did before its by-target index; ``k_paths`` on it walks the scan.
 ``_rows`` is the row source that reader used: it checks a fixed header when
 given one and leaves the cell count of each row to its caller.
+``_parse_quarter`` and ``_parse_float`` are the cell parsers it called with
+each row's file and line, before the package's row source located its own
+problems.
 
 ``_Series`` is the engine's container that ``NetworkSeries`` replaced: it
 rebuilt the dates x links weights and dates x nodes levels from each
@@ -63,12 +66,7 @@ from riskrank.engine import (
 )
 from riskrank.errors import NoCapacityError, RiskRankError, SchemaError, StructuralDriftError
 from riskrank.evaluation import ContingencyMatrix, binarize, contingency, error_rates
-from riskrank.io import (
-    LINKS_HEADER,
-    NODES_HEADER,
-    _parse_float,
-    _parse_quarter,
-)
+from riskrank.io import LINKS_HEADER, NODES_HEADER
 from riskrank.network import (
     PATH_PAD,
     NetworkSnapshot,
@@ -78,7 +76,7 @@ from riskrank.network import (
     default_self_exposure,
 )
 from riskrank.network import k_paths as path_rows
-from riskrank.quarters import quarter_label
+from riskrank.quarters import quarter_index, quarter_label
 
 
 @dataclass(frozen=True)
@@ -360,6 +358,23 @@ def assert_same_structure(snapshots) -> None:
             raise StructuralDriftError(
                 f"snapshot {quarter_label(snap.date)} does not share the series structure"
             )
+
+
+def _parse_quarter(path: Path, line: int, text: str) -> int:
+    try:
+        return quarter_index(text)
+    except ValueError as exc:
+        raise SchemaError(path, line, str(exc)) from None
+
+
+def _parse_float(path: Path, line: int, text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(path, line, f"bad {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(path, line, f"non-finite {what} {text!r}")
+    return value
 
 
 def _rows(path: Path, expected_header: list[str] | None = None):

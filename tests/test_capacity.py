@@ -123,6 +123,8 @@ def test_boundary_violation_is_reported():
 def test_missing_subset_entry_is_structural_error():
     with pytest.raises(ValueError, match="missing subset"):
         FuzzyMeasure.from_subsets(2, {(): 0.0, (1,): 0.5, (1, 2): 1.0})
+    with pytest.raises(ValueError, match=r"subset \{1,2\} is given twice"):
+        FuzzyMeasure.from_subsets(2, {(): 0.0, (1,): 0.5, (2,): 0.5, (1, 2): 1.0, (2, 1): 1.0})
 
 
 # ------------------------------------------------------ general Choquet

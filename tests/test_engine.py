@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series
 from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
-from riskrank.network import NetworkSnapshot, Node, RiskNetwork, build_capacity
+from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
 
 from conftest import random_snapshot
 from oracle import oracle_for, riskrank_kpath, riskrank_node, riskrank_root
@@ -272,7 +272,7 @@ def test_kpath_rejects_bad_k():
 
 def test_single_snapshot_series_matches_node_call():
     snap = two_child_snapshot()
-    rows = riskrank_series([snap], ["A"], UNIT)
+    rows = riskrank_series(NetworkSeries.from_snapshots([snap]), ["A"], UNIT)
     assert len(rows) == 1
     assert rows[0].decomposition == riskrank_node(snap, "A", UNIT)
 
@@ -280,7 +280,7 @@ def test_single_snapshot_series_matches_node_call():
 def test_constant_snapshots_give_constant_series():
     snap = two_child_snapshot()
     series = [NetworkSnapshot(q, snap.network) for q in range(4)]
-    rows = riskrank_series(series, ["S", "A"], UNIT)
+    rows = riskrank_series(NetworkSeries.from_snapshots(series), ["S", "A"], UNIT)
     totals = {target: {r.decomposition.total for r in rows if r.target == target}
               for target in ("S", "A")}
     assert all(len(v) == 1 for v in totals.values())
@@ -298,7 +298,7 @@ def test_randomized_series_equals_per_snapshot_calls(seed):
             for nid, node in base.network.nodes.items() if node.level > 0
         }
         snaps.append(NetworkSnapshot(q, base.network.with_risk_values(values)))
-    rows = riskrank_series(snaps, ["ROOT", "C0"], UNIT)
+    rows = riskrank_series(NetworkSeries.from_snapshots(snaps), ["ROOT", "C0"], UNIT)
     for row in rows:
         snap = snaps[row.date]
         assert row.decomposition == riskrank_for(snap, row.target, UNIT)
@@ -350,11 +350,11 @@ def test_series_matches_oracle_on_changing_series(seed, k, mode, clamp):
     if error is not None:
         # the first failing (date, target) pair is reported, as the oracle does
         with pytest.raises((RiskRankError, ValueError)) as raised:
-            riskrank_series(snaps, targets, cfg)
+            riskrank_series(NetworkSeries.from_snapshots(snaps), targets, cfg)
         assert type(raised.value) is type(error)
         assert str(raised.value) == str(error)
         return
-    rows = riskrank_series(snaps, targets, cfg)
+    rows = riskrank_series(NetworkSeries.from_snapshots(snaps), targets, cfg)
     assert [(r.date, r.target) for r in rows] == [
         (snap.date, target) for snap in snaps for target in targets
     ]
@@ -392,7 +392,7 @@ def test_series_equals_path_oracle_exactly(seed, k, mode, clamp):
         expected = [riskrank_kpath(snap, t, cfg) for snap in snaps for t in targets]
     except (RiskRankError, ValueError):
         return  # failures are compared by the test above
-    rows = riskrank_series(snaps, targets, cfg)
+    rows = riskrank_series(NetworkSeries.from_snapshots(snaps), targets, cfg)
     assert [row.decomposition for row in rows] == expected
 
 
@@ -403,5 +403,5 @@ def test_series_rejects_structural_drift():
     )
     with pytest.raises(StructuralDriftError):
         riskrank_series(
-            [snap, NetworkSnapshot(1, other)], ["S"], UNIT
+            NetworkSeries.from_snapshots([snap, NetworkSnapshot(1, other)]), ["S"], UNIT
         )

@@ -67,13 +67,9 @@ def test_contingency_hand_count():
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 2, 1, 1)
 
 
-def test_contingency_respects_mask():
-    b = np.array([1, 0, 1])
-    c = np.array([1, 1, 1])
-    cm = contingency(b, c, mask=np.array([False, True, False]))
-    assert (cm.tp, cm.fn) == (2, 0)
-    with pytest.raises(ValueError, match="masking"):
-        contingency(b, c, mask=np.ones(3, dtype=bool))
+def test_contingency_refuses_empty_input():
+    with pytest.raises(ValueError, match="must hold at least one observation"):
+        contingency(np.array([], dtype=np.int8), np.array([], dtype=np.int8))
 
 
 # --------------------------------------------------------- error rates

@@ -211,6 +211,31 @@ def test_every_format_checks_header_and_row_length(tmp_path, kind):
     assert err.value.line == 1
 
 
+# format -> (a bad data row, its message)
+BAD_ROW_AFTER_BLANKS = {
+    "nodes": ("2005-Q1,A,x,S,0.5,", "bad level 'x'"),
+    "links": ("2005-Q1,A,GHOST,0.6", "unknown entity in link A->GHOST"),
+    "indicators": ("A,2005-Q2,x,", "bad indicator 'x'"),
+    "events": ("B,2009-Q4,2009-Q1", f"crisis end {quarter_index('2009-Q1')} "
+                                    f"before start {quarter_index('2009-Q4')}"),
+    "probabilities": ("A,2005-Q2,1.5", "probability 1.5 outside [0,1]"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROW_AFTER_BLANKS))
+def test_line_numbers_count_blank_lines(tmp_path, kind):
+    name, header, valid, reader = FORMATS[kind]
+    bad_row, message = BAD_ROW_AFTER_BLANKS[kind]
+    (tmp_path / "nodes.csv").write_text(NODES_CSV_HEAD + "2005-Q1,A,1,S,0.5,\n")
+    (tmp_path / "links.csv").write_text(",".join(LINKS_HEADER) + "\n2005-Q1,A,S,0.6\n")
+    # the header, one valid row and two blank lines put the bad row on line 5
+    (tmp_path / name).write_text(f"{header}\n{valid}\n\n\n{bad_row}\n")
+    with pytest.raises(SchemaError) as err:
+        reader(tmp_path)
+    assert err.value.line == 5
+    assert str(err.value) == f"{tmp_path / name}:5: {message}"
+
+
 def test_duplicate_indicator_cell(tmp_path):
     path = tmp_path / "indicators.csv"
     path.write_text("entity,date,ind_1\nA,2005-Q1,1.0\nA,2005-Q1,2.0\n")
@@ -649,6 +674,42 @@ def test_cli_shapley_rejects_invalid_measure(tmp_path, capsys):
     path.write_text(json.dumps(measure))
     assert main(["shapley", "--measure", str(path)]) == 1
     assert "monotonicity" in capsys.readouterr().err
+
+
+# measure file text -> the one diagnostic line it must give
+MALFORMED_MEASURES = {
+    "empty-object": ('{}', 'measure must be a JSON object with keys "n" and "mu"'),
+    "no-mu": ('{"n": 2}', 'measure must be a JSON object with keys "n" and "mu"'),
+    "list": ('[]', 'measure must be a JSON object with keys "n" and "mu"'),
+    "float-n": ('{"n": 1.5, "mu": {"": 0, "1": 1}}', "measure n must be an integer, not 1.5"),
+    "bool-n": ('{"n": true, "mu": {"": 0, "1": 1}}', "measure n must be an integer, not true"),
+    "list-mu": ('{"n": 2, "mu": []}', "measure mu must be an object, not []"),
+    "null-value": ('{"n": 1, "mu": {"": null, "1": 1}}',
+                   'measure mu[""] must be a finite number, not null'),
+    "bool-value": ('{"n": 1, "mu": {"": 0, "1": true}}',
+                   'measure mu["1"] must be a finite number, not true'),
+    "string-value": ('{"n": 1, "mu": {"": 0, "1": "1"}}',
+                     'measure mu["1"] must be a finite number, not "1"'),
+    "nan-value": ('{"n": 1, "mu": {"": 0, "1": NaN}}',
+                  'measure mu["1"] must be a finite number, not NaN'),
+    "huge-value": ('{"n": 1, "mu": {"": 0, "1": 1' + "0" * 400 + '}}',
+                   'measure mu["1"] must be a finite number, not 1' + "0" * 400),
+    "bad-key": ('{"n": 1, "mu": {"": 0, "1": 1, "x": 1}}',
+                'measure mu key "x" is not comma-separated integers'),
+    "spaced-key": ('{"n": 1, "mu": {"": 0, "1": 1, " 1": 1}}',
+                   'measure mu key " 1" is not comma-separated integers'),
+    "same-subset": ('{"n": 2, "mu": {"": 0, "1": 0.5, "2": 0.5, "1,2": 1, "2,1": 1}}',
+                    "subset {1,2} is given twice"),
+}
+
+
+@pytest.mark.parametrize("text,line", MALFORMED_MEASURES.values(), ids=MALFORMED_MEASURES)
+def test_cli_shapley_malformed_measure_is_one_diagnostic_line(tmp_path, capsys, text, line):
+    path = tmp_path / "measure.json"
+    path.write_text(text)
+    assert main(["shapley", "--measure", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: invalid: {line}\n")
 
 
 def test_cli_fixture_check_passes(capsys):
