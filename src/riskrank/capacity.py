@@ -84,10 +84,10 @@ class FuzzyMeasure:
     def from_subsets(cls, n: int, table: dict) -> "FuzzyMeasure":
         """Build from a map of 1-based index tuples (or iterables) to values.
 
-        Every one of the 2^n subsets must be present once; a missing or
-        repeated entry is a structural error.
+        Every one of the 2^n subsets must be present once with a finite
+        value; a missing or repeated entry is a structural error.
         """
-        values = np.full(2**n, np.nan)
+        values = np.full(2**n, np.nan)  # NaN marks a subset not given yet
         for subset, val in table.items():
             mask = 0
             for idx in subset:
@@ -96,7 +96,10 @@ class FuzzyMeasure:
                 mask |= 1 << (idx - 1)
             if not np.isnan(values[mask]):
                 raise ValueError(f"subset {_subset_label(mask)} is given twice")
-            values[mask] = val
+            value = float(val)
+            if not math.isfinite(value):
+                raise ValueError(f"subset {_subset_label(mask)} has non-finite value {value}")
+            values[mask] = value
         missing = np.flatnonzero(np.isnan(values))
         if missing.size:
             raise ValueError(

@@ -18,7 +18,7 @@ import numpy as np
 from . import benchmarks
 from .capacity import FuzzyMeasure, interaction_index, shapley, validate_measure
 from .early_warning import label_cells, recursive_backtest
-from .engine import RiskRankConfig, riskrank_series
+from .engine import riskrank_series
 from .errors import (
     DegenerateFitError,
     NoCapacityError,
@@ -95,14 +95,6 @@ def _load_run_config(args, *needed: str) -> RunConfig:
     return cfg
 
 
-def _engine_config(cfg: RunConfig) -> RiskRankConfig:
-    return RiskRankConfig(
-        central_weight_mode=cfg.central_weight_mode,
-        clamp=cfg.clamp,
-        max_path_length=cfg.max_path_length,
-    )
-
-
 def _resolve_targets(selector: str, snapshots) -> list[str]:
     net = snapshots[0].network
     if selector == "root":
@@ -139,12 +131,9 @@ def cmd_validate(args) -> int:
         raise RiskRankError(
             f"hierarchy: {len(violations)} violations (first: {violations[0]})"
         )
+    # only NoCapacityError can fail here: nonnegative masses are monotone
     for snap in snapshots:
-        build = build_capacity(snap.network, snap.network.root().id, mode="root")
-        if not build.capacity.is_monotone():
-            raise RiskRankError(
-                f"capacity at {quarter_label(snap.date)} is not monotone"
-            )
+        build_capacity(snap.network, snap.network.root().id)
     print(f"ok: {len(snapshots)} snapshots, hierarchy and capacities valid")
     return 0
 
@@ -173,7 +162,7 @@ def cmd_score(args) -> int:
     if cfg.probabilities:
         series = series.with_probabilities(read_series(cfg.probabilities).cells)
     targets = _resolve_targets(args.targets, series)
-    rows = riskrank_series(series, targets, _engine_config(cfg))
+    rows = riskrank_series(series, targets, cfg)
     args.write(args.out, rows)
     print(f"wrote {len(rows)} {args.written} to {args.out}")
     return 0

@@ -18,10 +18,12 @@ s / z.
 
 At k = 2 the path masses are the Moebius masses of the 2-additive capacity
 ``build_capacity`` assembles: a_i = l(i, t) and a_ij = l(j, i) l(i, t) +
-l(i, j) l(j, t).  The path sum divided by z is therefore the Moebius form
-sum_i a_i x_i + sum_{i<j} a_ij x_i x_j of the normalized capacity, which with
-Shapley values v_i = a_i + 0.5 sum_j a_ij and interactions I_ij = a_ij is the
-Shapley/interaction form
+l(i, j) l(j, t).  This holds on every network, since both skip self-links;
+``test_k2_score_equals_capacity_masses_with_self_links`` checks it on
+networks with self-links.  The path sum divided by z is therefore the
+Moebius form sum_i a_i x_i + sum_{i<j} a_ij x_i x_j of the normalized
+capacity, which with Shapley values v_i = a_i + 0.5 sum_j a_ij and
+interactions I_ij = a_ij is the Shapley/interaction form
 
     sum_i (v_i - 0.5 * sum_j I_ij) x_i + sum_{i<j} I_ij x_i x_j
 

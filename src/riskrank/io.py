@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
+from .engine import RiskRankConfig
 from .errors import SchemaError
 from .network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork
 from .quarters import quarter_index, quarter_label
@@ -386,17 +387,15 @@ DEFAULT_MU_GRID = tuple(i / 10 for i in range(11))
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(RiskRankConfig):
     """Defaults shared by the CLI; a JSON config file overrides them and
-    explicit command-line flags override the file."""
+    explicit command-line flags override the file.  The engine settings are
+    the inherited ``RiskRankConfig`` fields."""
 
     h1: int = 5
     h2: int = 12
     mu_grid: tuple[float, ...] = DEFAULT_MU_GRID
     lag: int = 1
-    central_weight_mode: str = "unit"
-    clamp: bool = True
-    max_path_length: int = 2
     seed: int = 0
     start: str | None = None
     nodes: str | None = None
@@ -406,6 +405,7 @@ class RunConfig:
     probabilities: str | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if not 1 <= self.h1 <= self.h2:
             raise ValueError("horizon must satisfy 1 <= h1 <= h2")
         if not self.mu_grid:

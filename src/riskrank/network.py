@@ -12,9 +12,9 @@ singleton mass a_i = l(i, target), and each directed two-step path j -> i ->
 target contributes l(j, i) * l(i, target) to the pair mass a_ij (both
 directions are summed).  Nodes that only reach the target through such a
 two-step path therefore enter the ground set with zero singleton mass and one
-pair term.  In root mode the masses are normalized to total one; central mode
-additionally gives the target itself a self-exposure singleton (interactions
-with the target stay zero) and leaves the masses raw for the caller to weight.
+pair term.  Self-links are skipped, as ``k_paths`` skips them, so the masses
+are exactly those of the k = 2 paths into the target, normalized to total
+one.  The root capacity is the one ``validate`` checks.
 
 A quarterly series observes one structure on every date, so a
 ``NetworkSeries`` keeps the structure once and the values as dates x columns
@@ -332,71 +332,46 @@ def k_paths(net: RiskNetwork, target: str, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CapacityBuild:
-    """Capacity over a target's two-step in-neighborhood.
+    """Normalized capacity over a target's two-step in-neighborhood.
 
-    ``elements`` maps capacity indices to node ids; in central mode the target
-    itself is the last element.  ``raw_mass`` is the pre-normalization total.
+    ``elements`` maps capacity indices to node ids; ``raw_mass`` is the
+    pre-normalization total.
     """
 
     capacity: TwoAdditiveCapacity
     elements: tuple[str, ...]
-    target: str
-    mode: str
     raw_mass: float
 
-    def index_of(self, node_id: str) -> int:
-        return self.elements.index(node_id)
 
-
-def default_self_exposure(net: RiskNetwork, node_id: str) -> float:
-    """Fallback self-loop weight: incoming weight total capped at one."""
-    node = net.nodes[node_id]
-    if node.self_exposure is not None:
-        return node.self_exposure
-    return min(sum(w for _, w in net.in_links(node_id)), 1.0)
-
-
-def build_capacity(net: RiskNetwork, target: str, mode: str = "root") -> CapacityBuild:
+def build_capacity(net: RiskNetwork, target: str) -> CapacityBuild:
     """Construct the 2-additive capacity used to aggregate risk at ``target``.
 
-    mode "root": ground set is the two-step in-neighborhood, masses normalized
-    to one; a target with no incoming mass has no capacity.  mode "central":
-    the target joins the ground set with its self-exposure as singleton mass
-    and zero interactions, and the masses are left unnormalized.
+    The ground set is the two-step in-neighborhood, the masses are those of
+    the paths of length at most two into the target (self-links skipped, as
+    in ``k_paths``), normalized to one; a target with no incoming mass has no
+    capacity.
     """
-    if mode not in ("root", "central"):
-        raise ValueError(f"unknown capacity mode {mode!r}")
     if target not in net.nodes:
         raise ValueError(f"unknown node {target!r}")
-    direct = dict(net.in_links(target))
+    direct = {source: w for source, w in net.in_links(target) if source != target}
     reach2 = set(direct)
     for mid in direct:
         for source, _ in net.in_links(mid):
             if source != target:
                 reach2.add(source)
     elements = sorted(reach2)
-    if mode == "central":
-        elements.append(target)
     n = len(elements)
     if n == 0:
         raise NoCapacityError(f"node {target!r} has no incoming links")
-    singles = np.zeros(n)
+    singles = np.array([direct.get(nid, 0.0) for nid in elements])
     pairs = np.zeros((n, n))
-    for i, nid in enumerate(elements):
-        if nid == target:
-            singles[i] = default_self_exposure(net, target)
-        else:
-            singles[i] = direct.get(nid, 0.0)
-    neighbor_count = n - 1 if mode == "central" else n
-    for i in range(neighbor_count):
-        for j in range(i + 1, neighbor_count):
+    for i in range(n):
+        for j in range(i + 1, n):
             a, b = elements[i], elements[j]
             mass = net.weight(b, a) * direct.get(a, 0.0) + net.weight(a, b) * direct.get(b, 0.0)
             pairs[i, j] = pairs[j, i] = mass
     raw = TwoAdditiveCapacity(singles, pairs, normalized=False)
     total = raw.total_mass
-    if mode == "root":
-        if total <= 0.0:
-            raise NoCapacityError(f"node {target!r} has no incoming mass")
-        return CapacityBuild(raw.normalize(), tuple(elements), target, mode, total)
-    return CapacityBuild(raw, tuple(elements), target, mode, total)
+    if total <= 0.0:
+        raise NoCapacityError(f"node {target!r} has no incoming mass")
+    return CapacityBuild(raw.normalize(), tuple(elements), total)

@@ -10,6 +10,14 @@ and the path operator walks ``k_paths`` one hit at a time.  ``oracle_for``
 dispatches between them the way the package did: base operators at k = 2,
 the path operator otherwise.
 
+``build_capacity`` here is the two-mode capacity builder those operators
+used, with its ``CapacityBuild`` and ``default_self_exposure``.  In root
+mode its masses are normalized to total one.  Central mode, which only the
+Shapley node operator uses, additionally gives the target itself a
+self-exposure singleton (interactions with the target stay zero) and leaves
+the masses raw for the caller to weight.  Unlike the package's builder, it
+takes a self-link on the target into the ground set.
+
 ``k_paths`` is the recursive path enumerator that the numpy one replaced:
 it walks ``in_links`` backwards from the target and returns one ``PathHit``
 (node tuple from the start, weight product) per path, sorted by (length,
@@ -55,6 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
+from riskrank.capacity import TwoAdditiveCapacity
 from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
 from riskrank.engine import (
     RiskDecomposition,
@@ -67,16 +76,81 @@ from riskrank.engine import (
 from riskrank.errors import NoCapacityError, RiskRankError, SchemaError, StructuralDriftError
 from riskrank.evaluation import ContingencyMatrix, binarize, contingency, error_rates
 from riskrank.io import LINKS_HEADER, NODES_HEADER
-from riskrank.network import (
-    PATH_PAD,
-    NetworkSnapshot,
-    Node,
-    RiskNetwork,
-    build_capacity,
-    default_self_exposure,
-)
+from riskrank.network import PATH_PAD, NetworkSnapshot, Node, RiskNetwork
 from riskrank.network import k_paths as path_rows
 from riskrank.quarters import quarter_index, quarter_label
+
+
+@dataclass(frozen=True)
+class CapacityBuild:
+    """Capacity over a target's two-step in-neighborhood.
+
+    ``elements`` maps capacity indices to node ids; in central mode the target
+    itself is the last element.  ``raw_mass`` is the pre-normalization total.
+    """
+
+    capacity: TwoAdditiveCapacity
+    elements: tuple[str, ...]
+    target: str
+    mode: str
+    raw_mass: float
+
+    def index_of(self, node_id: str) -> int:
+        return self.elements.index(node_id)
+
+
+def default_self_exposure(net: RiskNetwork, node_id: str) -> float:
+    """Fallback self-loop weight: incoming weight total capped at one."""
+    node = net.nodes[node_id]
+    if node.self_exposure is not None:
+        return node.self_exposure
+    return min(sum(w for _, w in net.in_links(node_id)), 1.0)
+
+
+def build_capacity(net: RiskNetwork, target: str, mode: str = "root") -> CapacityBuild:
+    """Construct the 2-additive capacity used to aggregate risk at ``target``.
+
+    mode "root": ground set is the two-step in-neighborhood, masses normalized
+    to one; a target with no incoming mass has no capacity.  mode "central":
+    the target joins the ground set with its self-exposure as singleton mass
+    and zero interactions, and the masses are left unnormalized.
+    """
+    if mode not in ("root", "central"):
+        raise ValueError(f"unknown capacity mode {mode!r}")
+    if target not in net.nodes:
+        raise ValueError(f"unknown node {target!r}")
+    direct = dict(net.in_links(target))
+    reach2 = set(direct)
+    for mid in direct:
+        for source, _ in net.in_links(mid):
+            if source != target:
+                reach2.add(source)
+    elements = sorted(reach2)
+    if mode == "central":
+        elements.append(target)
+    n = len(elements)
+    if n == 0:
+        raise NoCapacityError(f"node {target!r} has no incoming links")
+    singles = np.zeros(n)
+    pairs = np.zeros((n, n))
+    for i, nid in enumerate(elements):
+        if nid == target:
+            singles[i] = default_self_exposure(net, target)
+        else:
+            singles[i] = direct.get(nid, 0.0)
+    neighbor_count = n - 1 if mode == "central" else n
+    for i in range(neighbor_count):
+        for j in range(i + 1, neighbor_count):
+            a, b = elements[i], elements[j]
+            mass = net.weight(b, a) * direct.get(a, 0.0) + net.weight(a, b) * direct.get(b, 0.0)
+            pairs[i, j] = pairs[j, i] = mass
+    raw = TwoAdditiveCapacity(singles, pairs, normalized=False)
+    total = raw.total_mass
+    if mode == "root":
+        if total <= 0.0:
+            raise NoCapacityError(f"node {target!r} has no incoming mass")
+        return CapacityBuild(raw.normalize(), tuple(elements), target, mode, total)
+    return CapacityBuild(raw, tuple(elements), target, mode, total)
 
 
 @dataclass(frozen=True)

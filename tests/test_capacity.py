@@ -125,6 +125,15 @@ def test_missing_subset_entry_is_structural_error():
         FuzzyMeasure.from_subsets(2, {(): 0.0, (1,): 0.5, (1, 2): 1.0})
     with pytest.raises(ValueError, match=r"subset \{1,2\} is given twice"):
         FuzzyMeasure.from_subsets(2, {(): 0.0, (1,): 0.5, (2,): 0.5, (1, 2): 1.0, (2, 1): 1.0})
+    # a non-finite value is refused at its own subset, so it is never taken
+    # for a missing entry and never hides a repeated one
+    with pytest.raises(ValueError, match=r"subset \{1\} has non-finite value nan"):
+        FuzzyMeasure.from_subsets(1, {(): 0.0, (1,): float("nan")})
+    with pytest.raises(ValueError, match=r"subset \{1,2\} has non-finite value nan"):
+        FuzzyMeasure.from_subsets(
+            2, {(): 0.0, (1,): 0.5, (2,): 0.5, (1, 2): float("nan"), (2, 1): 1.0})
+    with pytest.raises(ValueError, match=r"subset \{2\} has non-finite value inf"):
+        FuzzyMeasure.from_subsets(2, {(): 0.0, (1,): 0.5, (2,): float("inf"), (1, 2): 1.0})
 
 
 # ------------------------------------------------------ general Choquet

