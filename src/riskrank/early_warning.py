@@ -119,7 +119,6 @@ def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
 class LogitModel:
     coefficients: np.ndarray
     intercept: float
-    training_end: int
 
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float).copy()
@@ -143,7 +142,7 @@ def _penalized_loglik(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * RIDGE_LAMBDA * beta @ beta)
 
 
-def fit_logit(X, y, training_end: int = 0) -> LogitModel:
+def fit_logit(X, y) -> LogitModel:
     """Ridge-penalized logistic regression by iteratively reweighted Newton steps.
 
     Rows containing missing values are dropped.  The tiny ridge RIDGE_LAMBDA
@@ -184,7 +183,7 @@ def fit_logit(X, y, training_end: int = 0) -> LogitModel:
         ll = new_ll
         if np.max(np.abs(scale * step)) < IRLS_TOL:
             break
-    return LogitModel(beta[1:], float(beta[0]), training_end)
+    return LogitModel(beta[1:], float(beta[0]))
 
 
 def predict_prob(model: LogitModel, X) -> np.ndarray:
@@ -249,12 +248,11 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
             continue
         X = panel.values[rows[:, 0], rows[:, 1], :]
         y = labels.labels[rows[:, 0], rows[:, 1]]
-        actual_end = int(qarr[rows[:, 1].max()])
         try:
-            model = fit_logit(X, y, training_end=actual_end)
+            model = fit_logit(X, y)
         except DegenerateFitError:
             continue
-        training_end[t] = model.training_end
+        training_end[t] = int(qarr[rows[:, 1].max()])
         probs[:, qi] = predict_prob(model, panel.values[:, qi, :])
     probs.flags.writeable = False
     return BacktestResult(panel.entities, panel.quarters, probs, training_end, labels)

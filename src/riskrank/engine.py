@@ -13,8 +13,8 @@ The root carries no risk level of its own and its total is always clamped at
 one.  A non-root target adds its own level x_c as the individual term:
 "unit" mode gives it weight one outside the normalizer (the total is clamped
 at one unless clamping is off), "shapley" mode adds its self exposure s (by
-default the incoming weight total capped at one) to z and weights x_c by
-s / z.
+default the incoming weight total capped at one; a self-link is never an
+in-link) to z and weights x_c by s / z.
 
 At k = 2 the path masses are the Moebius masses of the 2-additive capacity
 ``build_capacity`` assembles: a_i = l(i, t) and a_ij = l(j, i) l(i, t) +
@@ -28,19 +28,21 @@ interactions I_ij = a_ij is the Shapley/interaction form
     sum_i (v_i - 0.5 * sum_j I_ij) x_i + sum_{i<j} I_ij x_i x_j
 
 of the 2-additive Choquet integral with its conjunctive min replaced by the
-product.  That capacity and the Choquet machinery stay as the specification;
-the tests keep the per-snapshot Shapley-form operators as an oracle for this
-engine.
+product.  That capacity and the Choquet machinery stay as the specification.
+A target that cannot be scored fails the same way at every k, in the order
+of the path operator the tests keep: no mass (at the root, or in "shapley"
+mode), then its own missing level, then the first path entry lacking one.
+That operator checks values and failures at every k; the Shapley-form
+operators check values at k = 2.
 
 A ``NetworkSeries`` holds one structure for all dates, so each target's
 paths are enumerated once, on the first snapshot, as ``k_paths`` rows.  A
 reversed row gives node columns into the series' dates x nodes risk levels X
 from the path start, and ``_Scorer.link_pos`` link columns into its dates x
 links weights W from the target outward; ``PATH_PAD`` picks the ones column
-both end in.
-Every date is then scored at once, with products and sums in the order of a
-loop over the paths, so the numbers do not depend on how many dates are
-scored together.
+both end in.  Every date is then scored at once, with products and sums in
+the order of a loop over the paths, so the numbers do not depend on how
+many dates are scored together.
 """
 
 from __future__ import annotations
@@ -136,11 +138,13 @@ class _Scorer:
         self.risks = np.hstack([series.X, ones])
 
     def _self_mass(self, target: str) -> np.ndarray:
-        """Self exposure per date, else the incoming weight total capped at one."""
-        inbound = self.link_pos[:-1, self.node_col[target]]
+        """Self exposure per date, else the in-link weight total capped at one;
+        a self-link is skipped."""
+        col = self.node_col[target]
+        inbound = np.delete(self.link_pos[:-1, col], col)
         inbound = inbound[inbound < len(self.series.link_keys)]
         fallback = np.minimum(_running_total(self.weights[:, inbound]), 1.0)
-        given = self.series.exposure[:, self.node_col[target]]
+        given = self.series.exposure[:, col]
         return np.where(np.isnan(given), fallback, given)
 
     def score(self, target: str, cfg: RiskRankConfig) -> tuple[np.ndarray, ...]:
@@ -152,45 +156,31 @@ class _Scorer:
         node = self.network.nodes.get(target)
         if node is None:
             raise _Failure(0, ValueError(f"unknown node {target!r}"))
-        k = cfg.max_path_length
         is_root = node.level == 0
         shapley = not is_root and cfg.central_weight_mode == "shapley"
-        rows = k_paths(self.network, target, k)
+        rows = k_paths(self.network, target, cfg.max_path_length)
         nodes = rows[:, :0:-1]
         links = self.link_pos[rows[:, 1:], rows[:, :-1]]
         mass = _product(self.weights, links)
         value = mass * _product(self.risks, nodes)
-        z = mass.sum(axis=1)
-        if shapley:
-            self_mass = self._self_mass(target)
-            z = z + self_mass
-        no_mass = z <= 0.0
-        scored = ~no_mass
+        self_mass = self._self_mass(target) if shapley else 0.0
+        z = mass.sum(axis=1) + self_mass
+        scored = z > 0.0
 
-        # Checks in the order the per-snapshot operators made them.
+        # Checks in the order the path operator makes them at every k.
         known = self.series.known
-        own = (~known[:, self.node_col[target]], lambda d: _no_risk(target))
-        if is_root:
-            # the capacity form at k = 2 reports a root without in-links apart
-            what = "links" if k == 2 and not len(rows) else "mass"
-            checks = [(no_mass, lambda d: NoCapacityError(
-                f"node {target!r} has no incoming {what}"))]
-        elif shapley:
-            empty = (no_mass, lambda d: NoCapacityError(
-                f"node {target!r} has no incoming mass or self exposure"))
-            # the capacity form at k = 2 reads the target's own level first
-            checks = [own, empty] if k == 2 else [empty, own]
-        else:
-            checks = [own]
-        # Path nodes in the order the per-snapshot operators read their levels:
-        # by id at k = 2, where they read the capacity's ground set, else in
-        # path order.
+        checks = []
+        if is_root or shapley:
+            what = "mass" if is_root else "mass or self exposure"
+            checks.append((~scored, lambda d: NoCapacityError(
+                f"node {target!r} has no incoming {what}")))
+        if not is_root:
+            checks.append((~known[:, self.node_col[target]], lambda d: _no_risk(target)))
+        # Path entries in the order the path operator reads their levels.
         on_paths = nodes[nodes != PATH_PAD]
-        ids, first = np.unique(on_paths, return_index=True)
-        order = ids if k == 2 else on_paths[np.sort(first)]
-        missing = ~known[:, order]
-        checks.append((scored & missing.any(axis=1),
-                       lambda d: _no_risk(self.series.node_ids[order[np.argmax(missing[d])]])))
+        on_path = np.bincount(on_paths, minlength=known.shape[1]) > 0
+        checks.append((scored & (~known[:, on_path]).any(axis=1),
+                       lambda d: _no_risk(self.series.node_ids[on_paths[np.argmax(~known[d, on_paths])]])))
         failing = np.logical_or.reduce([mask for mask, _ in checks])
         if failing.any():
             d = int(np.argmax(failing))

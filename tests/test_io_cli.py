@@ -783,60 +783,55 @@ def test_cli_report_long_form(tmp_path):
     assert len(lines) == 1 + 76 * 4
 
 
-# (nodes, links, flags, {k: stderr line}); each line is the one the
-# per-snapshot scoring operators printed.
+# (nodes, links, flags, stderr line); each line is the one the path
+# operator prints, the same at every path bound.
 ERROR_CASES = {
     "root-without-in-links": (
         NODES, ["B,A,0.5"], ["--targets", "root"],
-        {2: "error: no-capacity: node 'S' has no incoming links",
-         3: "error: no-capacity: node 'S' has no incoming mass"},
+        "error: no-capacity: node 'S' has no incoming mass",
     ),
     "root-with-zero-in-links": (
         NODES, ["A,S,0", "B,S,0", "C,S,0", "B,A,0.5"], ["--targets", "root"],
-        {k: "error: no-capacity: node 'S' has no incoming mass" for k in (2, 3)},
+        "error: no-capacity: node 'S' has no incoming mass",
     ),
     "shapley-without-mass": (
         NODES, DIRECT, ["--targets", "A", "--mode", "shapley"],
-        {k: "error: no-capacity: node 'A' has no incoming mass or self exposure"
-         for k in (2, 3)},
+        "error: no-capacity: node 'A' has no incoming mass or self exposure",
     ),
     "missing-risk-value": (
         (NODES, ["S,0,,,", "A,1,S,0.5,", "B,1,S,,", "C,1,S,0.3,"]),
         DIRECT + ["B,A,0.5"], ["--targets", "root"],
-        {k: "error: invalid: node 'B' carries no risk value" for k in (2, 3)},
+        "error: invalid: node 'B' carries no risk value",
     ),
     "missing-risk-values-read-order": (
         ["S,0,,,", "A,1,S,,", "B,1,S,0.4,", "C,1,S,,"],
         ["B,S,0.6", "C,S,0.4", "A,B,0.5"], ["--targets", "root"],
-        {2: "error: invalid: node 'A' carries no risk value",
-         3: "error: invalid: node 'C' carries no risk value"},
+        "error: invalid: node 'C' carries no risk value",
     ),
     "shapley-missing-risk-without-mass": (
         ["S,0,,,", "A,1,S,,", "B,1,S,0.4,", "C,1,S,0.3,"], DIRECT,
         ["--targets", "A", "--mode", "shapley"],
-        {2: "error: invalid: node 'A' carries no risk value",
-         3: "error: no-capacity: node 'A' has no incoming mass or self exposure"},
+        "error: no-capacity: node 'A' has no incoming mass or self exposure",
     ),
     "first-date-before-first-target": (
         NODES, (DIRECT + ["B,A,0.5", "A,B,0"], DIRECT + ["B,A,0", "A,B,0.5"]),
         ["--targets", "A,B", "--mode", "shapley"],
-        {k: "error: no-capacity: node 'B' has no incoming mass or self exposure"
-         for k in (2, 3)},
+        "error: no-capacity: node 'B' has no incoming mass or self exposure",
     ),
 }
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_cli_scoring_errors(tmp_path, capsys, case, k):
-    nodes, links, flags, lines = ERROR_CASES[case]
+    nodes, links, flags, line = ERROR_CASES[case]
     files = write_two_quarters(tmp_path, nodes, links)
     for command in ("riskrank", "report"):
         code = main([command, "--nodes", str(files["nodes.csv"]),
                      "--links", str(files["links.csv"]), "--k", str(k), *flags,
                      "--out", str(tmp_path / "out.csv")])
         assert code == 1
-        assert capsys.readouterr().err == lines[k] + "\n"
+        assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("selector,detail", [
