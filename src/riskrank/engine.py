@@ -35,14 +35,14 @@ mode), then its own missing level, then the first path entry lacking one.
 That operator checks values and failures at every k; the Shapley-form
 operators check values at k = 2.
 
-A ``NetworkSeries`` holds one structure for all dates, so each target's
-paths are enumerated once, on the first snapshot, as ``k_paths`` rows.  A
-reversed row gives node columns into the series' dates x nodes risk levels X
-from the path start, and ``_Scorer.link_pos`` link columns into its dates x
-links weights W from the target outward; ``PATH_PAD`` picks the ones column
-both end in.  Every date is then scored at once, with products and sums in
-the order of a loop over the paths, so the numbers do not depend on how
-many dates are scored together.
+A ``NetworkSeries`` holds one structure for all dates, so each target's paths
+are enumerated once, on the first snapshot, as ``k_paths`` rows.  A reversed
+row gives node columns into the series' dates x nodes risk levels X from the
+path start, and the first snapshot's ``link_table``, shared with ``k_paths``,
+link columns into its dates x links weights W from the target outward;
+``PATH_PAD`` picks the ones column both end in.  Every date is then scored at
+once, with products and sums in the order of a loop over the paths, so the
+numbers do not depend on how many dates are scored together.
 """
 
 from __future__ import annotations
@@ -128,11 +128,7 @@ class _Scorer:
         self.series = series
         self.network = series[0].network
         self.node_col = {nid: i for i, nid in enumerate(series.node_ids)}
-        # a link's column by (source, target) position, else the ones column
-        size = len(series.node_ids) + 1  # PATH_PAD picks the extra row and column
-        self.link_pos = np.full((size, size), len(series.link_keys))
-        for col, (source, dst) in enumerate(series.link_keys):
-            self.link_pos[self.node_col[source], self.node_col[dst]] = col
+        self.link_pos = self.network.link_table  # k_paths reads it for every target
         ones = np.ones((len(series), 1))
         self.weights = np.hstack([series.W, ones])
         self.risks = np.hstack([series.X, ones])

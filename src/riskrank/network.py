@@ -14,7 +14,9 @@ directions are summed).  Nodes that only reach the target through such a
 two-step path therefore enter the ground set with zero singleton mass and one
 pair term.  Self-links are skipped, as ``k_paths`` skips them, so the masses
 are exactly those of the k = 2 paths into the target, normalized to total
-one.  The root capacity is the one ``validate`` checks.
+one.  The root capacity is the one ``validate`` checks.  Paths, capacities,
+in-links and the engine's link columns all read one cached adjacency per
+network, ``RiskNetwork.link_table``.
 
 A quarterly series observes one structure on every date, so a
 ``NetworkSeries`` keeps the structure once and the values as dates x columns
@@ -83,22 +85,27 @@ class RiskNetwork:
         return self.links.get((source, target), 0.0)
 
     @cached_property
-    def _in_index(self) -> dict[str, list[tuple[str, float]]]:
-        """Incoming (source, weight) lists by target, sorted by source."""
-        index: dict[str, list[tuple[str, float]]] = {}
-        for (source, target), weight in self.links.items():
-            index.setdefault(target, []).append((source, weight))
-        for found in index.values():
-            found.sort()
-        return index
+    def link_table(self) -> np.ndarray:
+        """``[s, t]``: the index in ``sorted(links)`` of the link from node s
+        to node t, by position in ``sorted(nodes)``, else ``len(links)``, as on
+        the extra last row and column that ``PATH_PAD`` picks.  Built once, on
+        first use, so ``links`` must not change afterwards."""
+        position = {nid: i for i, nid in enumerate(sorted(self.nodes))}
+        table = np.full((len(position) + 1,) * 2, len(self.links))
+        for index, (source, target) in enumerate(sorted(self.links)):
+            table[position[source], position[target]] = index
+        table.flags.writeable = False  # every caller shares the cached table
+        return table
 
     def in_links(self, node_id: str) -> list[tuple[str, float]]:
-        """Incoming links sorted by source id (zero-weight links included).
-
-        Reads a by-target index that is built once per network, on the first
-        call, so ``links`` must not change afterwards.
-        """
-        return list(self._in_index.get(node_id, ()))
+        """Incoming links sorted by source id, zero-weight and self-links
+        included, from the node's ``link_table`` column; a new list, [] if unknown."""
+        if node_id not in self.nodes:
+            return []
+        ids = sorted(self.nodes)
+        column = self.link_table[:-1, ids.index(node_id)]
+        return [(ids[s], self.links[ids[s], node_id])
+                for s in np.flatnonzero(column < len(self.links)).tolist()]
 
     def risk_of(self, node_id: str) -> float:
         value = self.nodes[node_id].risk_value
@@ -314,11 +321,9 @@ def k_paths(net: RiskNetwork, target: str, k: int) -> np.ndarray:
         raise ValueError("path length bound k must be >= 1")
     if target not in net.nodes:
         raise ValueError(f"unknown node {target!r}")
-    position = {nid: i for i, nid in enumerate(sorted(net.nodes))}
-    into = np.zeros((len(position), len(position)), dtype=bool)
-    for source, dst in net.links:
-        into[position[dst], position[source]] = True
-    grown = np.array([[position[target]]], dtype=np.intp)
+    # into[t, s]: whether the link s -> t exists, by node position
+    into = (net.link_table[:-1, :-1] < len(net.links)).T
+    grown = np.array([[sorted(net.nodes).index(target)]], dtype=np.intp)
     classes = []
     for length in range(1, k + 1):
         row, source = np.nonzero(into[grown[:, -1]])
@@ -353,25 +358,23 @@ def build_capacity(net: RiskNetwork, target: str) -> CapacityBuild:
     """
     if target not in net.nodes:
         raise ValueError(f"unknown node {target!r}")
-    direct = {source: w for source, w in net.in_links(target) if source != target}
-    reach2 = set(direct)
-    for mid in direct:
-        for source, _ in net.in_links(mid):
-            if source != target:
-                reach2.add(source)
-    elements = sorted(reach2)
-    n = len(elements)
-    if n == 0:
-        raise NoCapacityError(f"node {target!r} has no incoming links")
-    singles = np.array([direct.get(nid, 0.0) for nid in elements])
-    pairs = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = elements[i], elements[j]
-            mass = net.weight(b, a) * direct.get(a, 0.0) + net.weight(a, b) * direct.get(b, 0.0)
-            pairs[i, j] = pairs[j, i] = mass
-    raw = TwoAdditiveCapacity(singles, pairs, normalized=False)
-    total = raw.total_mass
-    if total <= 0.0:
+    ids = sorted(net.nodes)
+    t = ids.index(target)
+    # W[a, b]: the weight of the link a -> b by node position, 0.0 if none
+    W = np.array([*map(net.links.__getitem__, sorted(net.links)), 0.0])[net.link_table]
+    direct = net.link_table[:, t] < len(net.links)
+    # in-neighbours and the sources of links into them, the target left out;
+    # a self-link on t adds only t's in-neighbours again
+    ground = direct | (net.link_table[:, direct] < len(net.links)).any(axis=1)
+    ground[t] = False
+    E = np.flatnonzero(ground)
+    singles = W[E, t]
+    # onward[i, j] = w(e_i -> e_j) * w(e_j -> t): the two-step path e_i -> e_j -> t
+    onward = W[np.ix_(E, E)] * singles
+    np.fill_diagonal(onward, 0.0)
+    pairs = onward.T + onward
+    total = float(singles.sum() + pairs.sum() / 2.0)
+    if total <= 0.0:  # an empty ground set too
         raise NoCapacityError(f"node {target!r} has no incoming mass")
-    return CapacityBuild(raw.normalize(), tuple(elements), total)
+    raw = TwoAdditiveCapacity(singles, pairs, normalized=False)
+    return CapacityBuild(raw.normalize(), tuple(ids[e] for e in E.tolist()), total)

@@ -61,3 +61,14 @@ def random_snapshot(rng: np.random.Generator, max_children: int = 8,
                 if a != b and rng.random() < density:
                     links.append((a, b, float(rng.uniform(0.0, 1.0))))
     return NetworkSnapshot(0, RiskNetwork.build(nodes, links))
+
+
+def with_self_links(rng, net):
+    """``net`` with a self-link of random weight on about half of its nodes,
+    the root included."""
+    looped = [nid for nid in sorted(net.nodes) if rng.random() < 0.5]
+    return RiskNetwork.build(
+        net.nodes.values(),
+        [(s, t, w) for (s, t), w in net.links.items()]
+        + [(nid, nid, float(rng.uniform(0.1, 1.0))) for nid in looped],
+    )

@@ -12,7 +12,7 @@ from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series
 from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
 from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
 
-from conftest import random_snapshot
+from conftest import random_snapshot, with_self_links
 from oracle import oracle_for, riskrank_kpath, riskrank_node, riskrank_root
 
 UNIT = RiskRankConfig(central_weight_mode="unit")
@@ -80,17 +80,6 @@ def test_root_score_equals_mobius_form(seed):
         dec.total_raw, abs=1e-12
     )
     assert 0.0 <= dec.total <= 1.0
-
-
-def with_self_links(rng, net):
-    """``net`` with a self-link of random weight on about half of its nodes,
-    the root included."""
-    looped = [nid for nid in sorted(net.nodes) if rng.random() < 0.5]
-    return RiskNetwork.build(
-        net.nodes.values(),
-        [(s, t, w) for (s, t), w in net.links.items()]
-        + [(nid, nid, float(rng.uniform(0.1, 1.0))) for nid in looped],
-    )
 
 
 @settings(max_examples=150, deadline=None)

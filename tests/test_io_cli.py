@@ -408,6 +408,18 @@ def scores_or_failure(series, target, cfg):
         return date_index, type(error), str(error)
 
 
+def kpath_failure(snaps, target, cfg):
+    """The first date on which ``oracle.riskrank_kpath`` fails for ``target``,
+    with its error type and message, as ``scores_or_failure`` gives them;
+    None if it scores every date."""
+    for date_index, snap in enumerate(snaps):
+        try:
+            oracle.riskrank_kpath(snap, target, cfg)
+        except (RiskRankError, ValueError) as error:
+            return date_index, type(error), str(error)
+    return None
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
 def test_series_arrays_and_override_match_the_oracle(tmp_path_factory, seed):
@@ -437,11 +449,14 @@ def test_series_arrays_and_override_match_the_oracle(tmp_path_factory, seed):
     overridden = series.with_probabilities(cells)
     assert_series_matches(overridden, expected)
 
+    # failures as the path operator reports them, date by date; values from
+    # the old series container
     scorer, old = engine._Scorer(overridden), oracle._Series(expected)
     for cfg in (RiskRankConfig(), RiskRankConfig("shapley", max_path_length=3)):
         for target in series.node_ids:
-            assert scores_or_failure(scorer, target, cfg) == \
-                scores_or_failure(old, target, cfg)
+            want = kpath_failure(expected, target, cfg) or \
+                [part.tolist() for part in old.score(target, cfg)]
+            assert scores_or_failure(scorer, target, cfg) == want
 
 
 # Rows that each reader rejects; {d} is a date of the series, {n} a node id
@@ -589,9 +604,23 @@ def test_cli_validate_empty_links_is_no_capacity(tmp_path, capsys):
     code = main(["validate", "--nodes", str(tmp_path / "nodes.csv"),
                  "--links", str(tmp_path / "links.csv")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: no-capacity:")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == "error: no-capacity: node 'S' has no incoming mass\n"
+
+
+def test_cli_validate_and_riskrank_agree_on_a_root_without_in_links(tmp_path, capsys):
+    (tmp_path / "nodes.csv").write_text(
+        "date,node_id,level,parent_id,risk_value,self_exposure\n"
+        "2005-Q1,S,0,,,\n2005-Q1,A,1,S,0.5,\n2005-Q1,B,1,S,0.4,\n"
+    )
+    (tmp_path / "links.csv").write_text("date,source_id,target_id,weight\n2005-Q1,B,A,0.5\n")
+    network = ["--nodes", str(tmp_path / "nodes.csv"), "--links", str(tmp_path / "links.csv")]
+    line = "error: no-capacity: node 'S' has no incoming mass\n"
+    assert main(["validate", *network]) == 1
+    assert capsys.readouterr().err == line
+    for k in ("1", "2", "3"):
+        assert main(["riskrank", *network, "--targets", "root", "--k", k,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == line
 
 
 def test_cli_validate_reports_hierarchy_violation(tmp_path, capsys):

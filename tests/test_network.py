@@ -18,7 +18,7 @@ from riskrank.network import (
 )
 
 import oracle
-from conftest import random_snapshot
+from conftest import random_snapshot, with_self_links
 
 
 def paths_by_bruteforce(net, target, k):
@@ -454,3 +454,34 @@ def test_in_links_returns_a_copy_of_the_index():
     found.clear()
     assert net.in_links("S") == [("A", 1.0), ("B", 1.0), ("C", 1.0)]
     assert net.in_links("nobody") == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_capacity_and_in_links_from_the_link_table_equal_the_oracle_bit_for_bit(seed):
+    """The package skips self-links, the oracle takes one on the target into
+    the ground set, so the oracle reads the network without them."""
+    rng = np.random.default_rng(seed)
+    net = random_snapshot(rng, two_level=bool(rng.integers(2)),
+                          density=float(rng.uniform())).network
+    if rng.random() < 0.5:
+        net = with_self_links(rng, net)
+    if rng.random() < 0.3:  # zero-weight links, and targets without in-mass
+        net = RiskNetwork(net.nodes, {key: 0.0 if rng.random() < 0.5 else w
+                                      for key, w in net.links.items()})
+    plain = RiskNetwork(net.nodes, {(s, t): w for (s, t), w in net.links.items() if s != t})
+    for target in sorted(net.nodes):
+        try:
+            want = oracle.build_capacity(plain, target, "root")
+        except NoCapacityError:
+            with pytest.raises(NoCapacityError):
+                build_capacity(net, target)
+            continue
+        got = build_capacity(net, target)
+        assert got.elements == want.elements
+        assert got.raw_mass == want.raw_mass
+        assert np.array_equal(got.capacity.singleton, want.capacity.singleton)
+        assert np.array_equal(got.capacity.pairs, want.capacity.pairs)
+    scan = oracle.ScanNetwork(net.nodes, net.links)
+    for node_id in [*sorted(net.nodes), "nobody"]:
+        assert net.in_links(node_id) == scan.in_links(node_id)
