@@ -109,15 +109,11 @@ class FuzzyMeasure:
 
     @classmethod
     def additive(cls, weights) -> "FuzzyMeasure":
-        """Additive measure with the given singleton masses."""
+        """Additive measure with the given singleton masses: the measure
+        induced by a capacity with no pair masses."""
         w = np.asarray(weights, dtype=float)
-        n = w.size
-        values = np.zeros(2**n)
-        for i in range(n):
-            bit = 1 << i
-            masks = np.arange(2**n)
-            values[masks & bit != 0] += w[i]
-        return cls(values)
+        no_pairs = np.zeros((w.size, w.size))
+        return TwoAdditiveCapacity(w, no_pairs, normalized=False).induced_measure()
 
     def to_json(self) -> str:
         entries = {}

@@ -19,13 +19,7 @@ from . import benchmarks
 from .capacity import FuzzyMeasure, interaction_index, shapley, validate_measure
 from .early_warning import label_cells, recursive_backtest
 from .engine import riskrank_series
-from .errors import (
-    DegenerateFitError,
-    NoCapacityError,
-    RiskRankError,
-    SchemaError,
-    StructuralDriftError,
-)
+from .errors import RiskRankError
 from .evaluation import evaluate_series
 from .io import (
     RunConfig,
@@ -43,23 +37,9 @@ from .network import build_capacity, validate_hierarchy
 from .quarters import quarter_index, quarter_label
 from .synth import SynthSpec, generate_synthetic
 
-_ERROR_KINDS = {
-    SchemaError: "schema",
-    NoCapacityError: "no-capacity",
-    DegenerateFitError: "degenerate-fit",
-    StructuralDriftError: "structural-drift",
-}
-
 
 def _diagnostic(exc: Exception) -> str:
-    kind = "invalid"
-    for cls, name in _ERROR_KINDS.items():
-        if isinstance(exc, cls):
-            kind = name
-            break
-    else:
-        if isinstance(exc, OSError):
-            kind = "io"
+    kind = getattr(exc, "kind", "io" if isinstance(exc, OSError) else "invalid")
     detail = " ".join(str(exc).split())
     return f"error: {kind}: {detail}"
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError
+from .quarters import quarter_label
 
 RIDGE_LAMBDA = 1e-6
 IRLS_TOL = 1e-8
@@ -55,7 +56,8 @@ class CrisisEvent:
 
     def __post_init__(self):
         if self.end is not None and self.end < self.start:
-            raise ValueError(f"crisis end {self.end} before start {self.start}")
+            raise ValueError(f"crisis end {quarter_label(self.end)} "
+                             f"before start {quarter_label(self.start)}")
 
     @property
     def last_quarter(self) -> int:
@@ -219,8 +221,9 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
     labeled rows dated at most t - lag, then predict quarter t.
 
     The start quarter must leave at least MIN_TRAIN_QUARTERS panel quarters
-    of training data.  Quarters whose training window holds a single class
-    yield masked predictions rather than a model.
+    of training data and come no later than the last panel quarter.
+    Quarters whose training window holds a single class yield masked
+    predictions rather than a model.
     """
     if lag < 0:
         raise ValueError("publication lag must be >= 0")
@@ -232,9 +235,12 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
     n_train_quarters = int(np.sum(qarr <= start - lag))
     if n_train_quarters < MIN_TRAIN_QUARTERS:
         raise ValueError(
-            f"start {start} leaves {n_train_quarters} training quarters, "
+            f"start {quarter_label(start)} leaves {n_train_quarters} training quarters, "
             f"need >= {MIN_TRAIN_QUARTERS}"
         )
+    if start > panel.quarters[-1]:
+        raise ValueError(f"start {quarter_label(start)} is after the last panel quarter "
+                         f"{quarter_label(panel.quarters[-1])}")
     labels = label_precrisis(events, panel, h1, h2)
     usable = ~labels.excluded & ~np.isnan(panel.values).any(axis=2)
     probs = np.full((len(panel.entities), len(panel.quarters)), np.nan)

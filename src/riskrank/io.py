@@ -257,18 +257,14 @@ def read_indicators(path) -> IndicatorPanel:
 
 
 def write_indicators(path, panel: IndicatorPanel) -> None:
-    def body():
-        for ei, entity in enumerate(panel.entities):
-            for qi, quarter in enumerate(panel.quarters):
-                row_values = panel.values[ei, qi, :]
-                if np.isnan(row_values).all():
-                    continue
-                yield [
-                    entity, quarter_label(quarter),
-                    *("" if np.isnan(v) else fmt(float(v)) for v in row_values),
-                ]
-
-    _write(path, ["entity", "date", *panel.indicator_names], body())
+    """One row per (entity, quarter) with some value, entities then quarters
+    in panel order; a missing value (NaN) is an empty cell."""
+    _write(path, ["entity", "date", *panel.indicator_names], (
+        [entity, quarter_label(quarter), *("" if v != v else fmt(v) for v in row)]
+        for entity, rows in zip(panel.entities, panel.values.tolist())
+        for quarter, row in zip(panel.quarters, rows)
+        if any(v == v for v in row)
+    ))
 
 
 def read_events(path) -> CrisisEvents:

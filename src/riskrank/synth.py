@@ -5,7 +5,8 @@ Crisis episodes are drawn first; indicators then carry a drift term in the
 has genuine signal to find.  The network is a root with the entities as a
 complete level-1 sibling group: every entity links to the root, sibling links
 are kept with the configured density, and weights stay constant over time.
-Everything is a pure function of the seed.
+So the network is built once, and the series over it sets each quarter's
+entity risk levels.  Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
 from .io import write_events, write_indicators, write_links_csv, write_nodes_csv
-from .network import NetworkSnapshot, Node, RiskNetwork
+from .network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork
 from .quarters import quarter_index
 
 ROOT_ID = "SYS"
@@ -96,23 +97,21 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
     )
 
     to_root = rng.uniform(0.5, 1.5, size=len(entities))
-    sibling = np.zeros((len(entities), len(entities)))
-    for i in range(len(entities)):
-        for j in range(len(entities)):
-            if i != j and rng.random() < spec.network_density:
-                sibling[i, j] = rng.uniform(0.05, 1.0)
-
-    snapshots = []
-    for qi, quarter in enumerate(quarters):
-        nodes = [Node(ROOT_ID, 0)]
-        links = []
-        for ei, entity in enumerate(entities):
-            nodes.append(Node(entity, 1, ROOT_ID, float(risk[ei, qi])))
-            links.append((entity, ROOT_ID, float(to_root[ei])))
-            for ej, other in enumerate(entities):
-                if sibling[ei, ej] > 0.0:
-                    links.append((entity, other, float(sibling[ei, ej])))
-        snapshots.append(NetworkSnapshot(quarter, RiskNetwork.build(nodes, links)))
+    links = []
+    for entity, weight in zip(entities, to_root.tolist()):
+        links.append((entity, ROOT_ID, weight))
+        for other in entities:
+            if other != entity and rng.random() < spec.network_density:
+                links.append((entity, other, rng.uniform(0.05, 1.0)))
+    net = RiskNetwork.build(
+        [Node(ROOT_ID, 0), *(Node(entity, 1, ROOT_ID) for entity in entities)], links)
+    series = NetworkSeries.from_snapshots(
+        NetworkSnapshot(quarter, net) for quarter in quarters
+    ).with_probabilities(
+        (entity, quarter, level)
+        for entity, row in zip(entities, risk.tolist())
+        for quarter, level in zip(quarters, row)
+    )
 
     paths = {
         "indicators": outdir / "indicators.csv",
@@ -122,6 +121,6 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
     }
     write_indicators(paths["indicators"], panel)
     write_events(paths["events"], CrisisEvents(tuple(events)))
-    write_nodes_csv(paths["nodes"], snapshots)
-    write_links_csv(paths["links"], snapshots)
+    write_nodes_csv(paths["nodes"], series)
+    write_links_csv(paths["links"], series)
     return paths

@@ -49,9 +49,11 @@ problems.
 rebuilt the dates x links weights and dates x nodes levels from each
 snapshot's dicts on every scoring call.  It is kept as it was, except that
 it calls the package's ``k_paths`` as ``path_rows``, because ``k_paths``
-here is the recursive enumerator.  ``snapshots_with_probabilities`` is
-the probability override that the series' column assignment and row filter
-replaced: it copied every kept network with new risk values.
+here is the recursive enumerator, and that it checks no failures: its
+callers score only targets that ``riskrank_kpath`` scores on every date.
+``snapshots_with_probabilities`` is the probability override that the
+series' column assignment and row filter replaced: it copied every kept
+network with new risk values.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
 from riskrank.engine import (
     RiskDecomposition,
     RiskRankConfig,
-    _Failure,
-    _no_risk,
     _product,
     _running_total,
 )
@@ -580,16 +580,12 @@ class _Series:
     def score(self, target: str, cfg: RiskRankConfig) -> tuple[np.ndarray, ...]:
         """Individual, direct, indirect, raw and final totals over all dates.
 
-        Raises _Failure for the first date on which the target cannot be
-        scored.
+        Checks no failure: callers score only targets that the path operator
+        scores on every date.
         """
-        node = self.network.nodes.get(target)
-        if node is None:
-            raise _Failure(0, ValueError(f"unknown node {target!r}"))
-        k = cfg.max_path_length
-        is_root = node.level == 0
+        is_root = self.network.nodes[target].level == 0
         shapley = not is_root and cfg.central_weight_mode == "shapley"
-        rows = path_rows(self.network, target, k)
+        rows = path_rows(self.network, target, cfg.max_path_length)
         nodes = rows[:, :0:-1]
         links = self.link_pos[rows[:, 1:], rows[:, :-1]]
         mass = _product(self.weights, links)
@@ -598,36 +594,7 @@ class _Series:
         if shapley:
             self_mass = self._self_mass(target)
             z = z + self_mass
-        no_mass = z <= 0.0
-        scored = ~no_mass
-
-        # Checks in the order the per-snapshot operators made them.
-        own = (~self.known[:, self.node_col[target]], lambda d: _no_risk(target))
-        if is_root:
-            # the capacity form at k = 2 reports a root without in-links apart
-            what = "links" if k == 2 and not len(rows) else "mass"
-            checks = [(no_mass, lambda d: NoCapacityError(
-                f"node {target!r} has no incoming {what}"))]
-        elif shapley:
-            empty = (no_mass, lambda d: NoCapacityError(
-                f"node {target!r} has no incoming mass or self exposure"))
-            # the capacity form at k = 2 reads the target's own level first
-            checks = [own, empty] if k == 2 else [empty, own]
-        else:
-            checks = [own]
-        # Path nodes in the order the per-snapshot operators read their levels:
-        # by id at k = 2, where they read the capacity's ground set, else in
-        # path order.
-        on_paths = nodes[nodes != PATH_PAD]
-        ids, first = np.unique(on_paths, return_index=True)
-        order = ids if k == 2 else on_paths[np.sort(first)]
-        missing = ~self.known[:, order]
-        checks.append((scored & missing.any(axis=1),
-                       lambda d: _no_risk(self.node_ids[order[np.argmax(missing[d])]])))
-        failing = np.logical_or.reduce([mask for mask, _ in checks])
-        if failing.any():
-            d = int(np.argmax(failing))
-            raise _Failure(d, next(error(d) for mask, error in checks if mask[d]))
+        scored = z > 0.0
 
         share = value / np.where(scored, z, 1.0)[:, None]
         n_direct = np.count_nonzero((rows[:, 2:] == PATH_PAD).all(axis=1))

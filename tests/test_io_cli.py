@@ -221,8 +221,7 @@ BAD_ROW_AFTER_BLANKS = {
     "nodes": ("2005-Q1,A,x,S,0.5,", "bad level 'x'"),
     "links": ("2005-Q1,A,GHOST,0.6", "unknown entity in link A->GHOST"),
     "indicators": ("A,2005-Q2,x,", "bad indicator 'x'"),
-    "events": ("B,2009-Q4,2009-Q1", f"crisis end {quarter_index('2009-Q1')} "
-                                    f"before start {quarter_index('2009-Q4')}"),
+    "events": ("B,2009-Q4,2009-Q1", "crisis end 2009-Q1 before start 2009-Q4"),
     "probabilities": ("A,2005-Q2,1.5", "probability 1.5 outside [0,1]"),
 }
 
@@ -649,6 +648,22 @@ def test_cli_schema_error_has_single_diagnostic_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: schema:")
     assert "events.csv:2" in err
+
+
+@pytest.mark.parametrize("start,detail", [
+    ("2003-Q1", "start 2003-Q1 leaves 0 training quarters, need >= 8"),
+    ("2030-Q1", "start 2030-Q1 is after the last panel quarter 2012-Q4"),
+])
+def test_cli_backtest_start_outside_the_panel_is_one_error(tmp_path, capsys, start, detail):
+    data, probs = tmp_path / "data", tmp_path / "probabilities.csv"
+    assert main(["synth", "--outdir", str(data), "--entities", "3", "--seed", "4",
+                 "--start-quarter", "2004-Q1", "--end-quarter", "2012-Q4"]) == 0
+    capsys.readouterr()
+    assert main(["backtest", "--indicators", str(data / "indicators.csv"),
+                 "--events", str(data / "events.csv"), "--start", start,
+                 "--out", str(probs)]) == 1
+    assert capsys.readouterr().err == f"error: invalid: {detail}\n"
+    assert not probs.exists()
 
 
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
