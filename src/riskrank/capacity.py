@@ -9,8 +9,9 @@ telescoping sum
 
 where x_(1) <= ... <= x_(n) and C_(i) is the index set of the i-th and larger
 sorted values.  Importance of single elements is summarized by the Shapley
-vector, pairwise synergy by the Shapley interaction index; for a 2-additive
-capacity the interaction index coincides with the pair Moebius mass.
+vector, pairwise synergy by the Shapley interaction index: orders 1 and 2 of
+one index, computed by one routine.  For a 2-additive capacity the pair
+interaction coincides with the pair Moebius mass.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -217,62 +219,48 @@ def choquet_general(x, measure: FuzzyMeasure) -> float:
     return float(total)
 
 
-def shapley(measure: FuzzyMeasure) -> np.ndarray:
-    """Shapley importance vector.
+def _interaction(measure: FuzzyMeasure, order: int) -> dict[tuple[int, ...], float]:
+    """Shapley interaction index of every set S of s = ``order`` elements,
+    keyed by its sorted members:
 
-    v_i = sum over K not containing i of
-          (n-|K|-1)! |K|! / n! * (mu(K + {i}) - mu(K)).
+    I(S) = sum over K avoiding S of (n-|K|-s)! |K|! / (n-s+1)! *
+           sum over L inside S of (-1)^(s-|L|) mu(K + L),
 
-    Efficiency gives sum(v) = mu(N).
+    the inner sum taken from L = S down to the empty set.
     """
     n = measure.n
     mu = measure.values
     fact = [math.factorial(k) for k in range(n + 1)]
     coef = np.array(
-        [fact[n - k - 1] * fact[k] / fact[n] for k in range(n)]
+        [fact[n - k - order] * fact[k] / fact[n - order + 1] for k in range(n - order + 1)]
     )
     masks = np.arange(mu.size)
     sizes = np.array([int(m).bit_count() for m in masks])
-    v = np.zeros(n)
-    for i in range(n):
-        bit = 1 << i
-        without = masks[masks & bit == 0]
-        v[i] = float(np.sum(coef[sizes[without]] * (mu[without | bit] - mu[without])))
-    return v
+    out = {}
+    for members in combinations(range(n), order):
+        bits = [1 << i for i in members]
+        without = masks[masks & sum(bits) == 0]
+        delta = mu[without | sum(bits)]
+        for size in range(order - 1, -1, -1):
+            for part in combinations(bits, size):
+                delta = delta + (-1) ** (order - size) * mu[without | sum(part)]
+        out[members] = float(np.sum(coef[sizes[without]] * delta))
+    return out
+
+
+def shapley(measure: FuzzyMeasure) -> np.ndarray:
+    """Shapley importance vector, the index of each single element;
+    efficiency gives sum(v) = mu(N)."""
+    return np.array(list(_interaction(measure, 1).values()))
 
 
 def interaction_index(measure: FuzzyMeasure) -> np.ndarray:
-    """Shapley interaction index for every unordered pair, as a symmetric matrix.
-
-    I(i,j) = sum over K avoiding both of
-             (n-|K|-2)! |K|! / (n-1)! *
-             (mu(K+{i,j}) - mu(K+{i}) - mu(K+{j}) + mu(K)).
-
-    For a 2-additive capacity this recovers the pair Moebius mass exactly.
-    """
-    n = measure.n
-    out = np.zeros((n, n))
-    if n < 2:
-        return out
-    mu = measure.values
-    fact = [math.factorial(k) for k in range(n + 1)]
-    coef = np.array(
-        [fact[n - k - 2] * fact[k] / fact[n - 1] for k in range(n - 1)]
-    )
-    masks = np.arange(mu.size)
-    sizes = np.array([int(m).bit_count() for m in masks])
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = 1 << i, 1 << j
-            without = masks[(masks & (bi | bj)) == 0]
-            delta = (
-                mu[without | bi | bj]
-                - mu[without | bi]
-                - mu[without | bj]
-                + mu[without]
-            )
-            val = float(np.sum(coef[sizes[without]] * delta))
-            out[i, j] = out[j, i] = val
+    """Shapley interaction index for every unordered pair, as a symmetric
+    matrix (zero for n < 2, which has no pairs).  For a 2-additive capacity
+    this recovers the pair Moebius mass exactly."""
+    out = np.zeros((measure.n, measure.n))
+    for (i, j), value in _interaction(measure, 2).items():
+        out[i, j] = out[j, i] = value
     return out
 
 

@@ -80,8 +80,9 @@ def _resolve_targets(selector: str, snapshots) -> list[str]:
     if selector == "root":
         return [net.root().id]
     if selector == "all":
-        return sorted(nid for nid, node in net.nodes.items() if node.level > 0)
-    targets = [t.strip() for t in selector.split(",") if t.strip()]
+        targets = sorted(nid for nid, node in net.nodes.items() if node.level > 0)
+    else:
+        targets = [t.strip() for t in selector.split(",") if t.strip()]
     if not targets:
         raise RiskRankError(f"--targets {selector!r} names no node")
     for i, target in enumerate(targets):

@@ -58,6 +58,11 @@ def fmt(value: float | None) -> str:
     return f"{value:.10g}"
 
 
+def _cell(value: float) -> str:
+    """A float cell; a missing value (NaN) is an empty cell."""
+    return "" if value != value else fmt(value)
+
+
 class _Rows:
     """A CSV file's ``header`` row, then its data rows when iterated.
 
@@ -202,26 +207,23 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     )
 
 
-def write_nodes_csv(path, snapshots) -> None:
+def write_nodes_csv(path, series: NetworkSeries) -> None:
+    """Each date's node rows, read from the series' columns."""
     _write(path, NODES_HEADER, (
-        [
-            quarter_label(snap.date),
-            node.id,
-            node.level,
-            node.parent_id or "",
-            fmt(node.risk_value) if node.risk_value is not None else "",
-            fmt(node.self_exposure) if node.self_exposure is not None else "",
-        ]
-        for snap in snapshots
-        for _, node in sorted(snap.network.nodes.items())
+        [label, node_id, level, parent or "", _cell(risk), _cell(exposure)]
+        for label, risks, exposures in zip(
+            map(quarter_label, series.dates), series.X, series.exposure)
+        for node_id, level, parent, risk, exposure in zip(
+            series.node_ids, series.levels, series.parents, risks.tolist(), exposures.tolist())
     ))
 
 
-def write_links_csv(path, snapshots) -> None:
+def write_links_csv(path, series: NetworkSeries) -> None:
+    """Each date's link rows, read from the series' columns."""
     _write(path, LINKS_HEADER, (
-        [quarter_label(snap.date), source, target, fmt(snap.network.links[(source, target)])]
-        for snap in snapshots
-        for (source, target) in sorted(snap.network.links)
+        [label, source, target, fmt(weight)]
+        for label, weights in zip(map(quarter_label, series.dates), series.W)
+        for (source, target), weight in zip(series.link_keys, weights.tolist())
     ))
 
 
@@ -260,7 +262,7 @@ def write_indicators(path, panel: IndicatorPanel) -> None:
     """One row per (entity, quarter) with some value, entities then quarters
     in panel order; a missing value (NaN) is an empty cell."""
     _write(path, ["entity", "date", *panel.indicator_names], (
-        [entity, quarter_label(quarter), *("" if v != v else fmt(v) for v in row)]
+        [entity, quarter_label(quarter), *map(_cell, row)]
         for entity, rows in zip(panel.entities, panel.values.tolist())
         for quarter, row in zip(panel.quarters, rows)
         if any(v == v for v in row)
@@ -306,10 +308,10 @@ class ProbSeries:
 def write_probabilities(path, result) -> None:
     """Backtest output; masked cells are simply absent."""
     _write(path, PROBS_HEADER, (
-        [entity, quarter_label(quarter), fmt(float(p))]
-        for entity, row in zip(result.entities, result.probabilities)
+        [entity, quarter_label(quarter), fmt(p)]
+        for entity, row in zip(result.entities, result.probabilities.tolist())
         for quarter, p in zip(result.quarters, row)
-        if not np.isnan(p)
+        if p == p
     ))
 
 

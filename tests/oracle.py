@@ -54,6 +54,12 @@ callers score only targets that ``riskrank_kpath`` scores on every date.
 ``snapshots_with_probabilities`` is the probability override that the
 series' column assignment and row filter replaced: it copied every kept
 network with new risk values.
+
+``write_nodes_csv`` and ``write_links_csv`` are the network writers that
+reading the series' columns replaced: they walk the snapshots they are
+given, sorting each one's nodes and links.  ``shapley`` and
+``interaction_index`` are the two index loops that the package's one
+interaction routine of orders 1 and 2 replaced.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from riskrank.capacity import TwoAdditiveCapacity
+from riskrank.capacity import FuzzyMeasure, TwoAdditiveCapacity
 from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
 from riskrank.engine import (
     RiskDecomposition,
@@ -75,7 +81,7 @@ from riskrank.engine import (
 )
 from riskrank.errors import NoCapacityError, RiskRankError, SchemaError, StructuralDriftError
 from riskrank.evaluation import ContingencyMatrix, binarize, contingency, error_rates
-from riskrank.io import LINKS_HEADER, NODES_HEADER
+from riskrank.io import LINKS_HEADER, NODES_HEADER, _write, fmt
 from riskrank.network import PATH_PAD, NetworkSnapshot, Node, RiskNetwork
 from riskrank.network import k_paths as path_rows
 from riskrank.quarters import quarter_index, quarter_label
@@ -632,4 +638,86 @@ def snapshots_with_probabilities(snapshots, cells) -> list[NetworkSnapshot]:
         ))
     if not out:
         raise RiskRankError("no snapshot date is fully covered by the probability series")
+    return out
+
+
+def write_nodes_csv(path, snapshots) -> None:
+    _write(path, NODES_HEADER, (
+        [
+            quarter_label(snap.date),
+            node.id,
+            node.level,
+            node.parent_id or "",
+            fmt(node.risk_value) if node.risk_value is not None else "",
+            fmt(node.self_exposure) if node.self_exposure is not None else "",
+        ]
+        for snap in snapshots
+        for _, node in sorted(snap.network.nodes.items())
+    ))
+
+
+def write_links_csv(path, snapshots) -> None:
+    _write(path, LINKS_HEADER, (
+        [quarter_label(snap.date), source, target, fmt(snap.network.links[(source, target)])]
+        for snap in snapshots
+        for (source, target) in sorted(snap.network.links)
+    ))
+
+
+def shapley(measure: FuzzyMeasure) -> np.ndarray:
+    """Shapley importance vector.
+
+    v_i = sum over K not containing i of
+          (n-|K|-1)! |K|! / n! * (mu(K + {i}) - mu(K)).
+
+    Efficiency gives sum(v) = mu(N).
+    """
+    n = measure.n
+    mu = measure.values
+    fact = [math.factorial(k) for k in range(n + 1)]
+    coef = np.array(
+        [fact[n - k - 1] * fact[k] / fact[n] for k in range(n)]
+    )
+    masks = np.arange(mu.size)
+    sizes = np.array([int(m).bit_count() for m in masks])
+    v = np.zeros(n)
+    for i in range(n):
+        bit = 1 << i
+        without = masks[masks & bit == 0]
+        v[i] = float(np.sum(coef[sizes[without]] * (mu[without | bit] - mu[without])))
+    return v
+
+
+def interaction_index(measure: FuzzyMeasure) -> np.ndarray:
+    """Shapley interaction index for every unordered pair, as a symmetric matrix.
+
+    I(i,j) = sum over K avoiding both of
+             (n-|K|-2)! |K|! / (n-1)! *
+             (mu(K+{i,j}) - mu(K+{i}) - mu(K+{j}) + mu(K)).
+
+    For a 2-additive capacity this recovers the pair Moebius mass exactly.
+    """
+    n = measure.n
+    out = np.zeros((n, n))
+    if n < 2:
+        return out
+    mu = measure.values
+    fact = [math.factorial(k) for k in range(n + 1)]
+    coef = np.array(
+        [fact[n - k - 2] * fact[k] / fact[n - 1] for k in range(n - 1)]
+    )
+    masks = np.arange(mu.size)
+    sizes = np.array([int(m).bit_count() for m in masks])
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = 1 << i, 1 << j
+            without = masks[(masks & (bi | bj)) == 0]
+            delta = (
+                mu[without | bi | bj]
+                - mu[without | bi]
+                - mu[without | bj]
+                + mu[without]
+            )
+            val = float(np.sum(coef[sizes[without]] * delta))
+            out[i, j] = out[j, i] = val
     return out

@@ -1,7 +1,9 @@
 """Capacities, Choquet integrals and indices against independent oracles.
 
 The oracles below work on frozenset tables and itertools enumeration, never
-on the bitmask arrays the implementation uses.
+on the bitmask arrays the implementation uses.  ``oracle.shapley`` and
+``oracle.interaction_index`` are the bitmask loops the one index routine
+replaced; the package must match them bit for bit.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from riskrank.capacity import (
     validate_measure,
 )
 
+import oracle
 from conftest import random_capacity, random_measure
 
 
@@ -259,6 +262,15 @@ def test_mobius_roundtrip_recovers_capacity(seed, n):
     measure = cap.induced_measure()
     assert np.allclose(shapley(measure), cap.shapley_values(), atol=1e-12)
     assert np.allclose(interaction_index(measure), cap.pairs, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 10), st.booleans())
+def test_indices_equal_the_two_loop_oracle_bit_for_bit(seed, n, monotone):
+    rng = np.random.default_rng(seed)
+    measure = random_measure(rng, n) if monotone else FuzzyMeasure(rng.normal(size=2**n))
+    assert np.array_equal(shapley(measure), oracle.shapley(measure))
+    assert np.array_equal(interaction_index(measure), oracle.interaction_index(measure))
 
 
 # ------------------------------------------------- 2-additive integral

@@ -47,7 +47,8 @@ def small_snapshots():
             [("A", "S", 0.6), ("B", "S", 0.4), ("B", "A", 0.5)],
         )
     q = quarter_index("2005-Q1")
-    return [NetworkSnapshot(q, net(0.8, 0.5)), NetworkSnapshot(q + 1, net(0.3, 0.9))]
+    return NetworkSeries.from_snapshots([NetworkSnapshot(q, net(0.8, 0.5)),
+                                         NetworkSnapshot(q + 1, net(0.3, 0.9))])
 
 
 # -------------------------------------------------------------- quarters
@@ -456,6 +457,36 @@ def test_series_arrays_and_override_match_the_oracle(tmp_path_factory, seed):
             want = kpath_failure(expected, target, cfg) or \
                 [part.tolist() for part in old.score(target, cfg)]
             assert scores_or_failure(scorer, target, cfg) == want
+
+
+def assert_writers_match_the_oracle(directory, series):
+    for write, oracle_write in ((write_nodes_csv, oracle.write_nodes_csv),
+                                (write_links_csv, oracle.write_links_csv)):
+        write(directory / "columns.csv", series)
+        oracle_write(directory / "snapshots.csv", series)
+        assert (directory / "columns.csv").read_bytes() == \
+            (directory / "snapshots.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_network_writers_match_the_oracle(tmp_path_factory, seed):
+    """The column writers write the bytes of the snapshot-walking ones: on a
+    read series, on its probability override (NaN root levels, dates without
+    exposures), on its last date alone and on its nodes without links."""
+    rng = np.random.default_rng(seed)
+    directory = tmp_path_factory.mktemp("net")
+    try:
+        series = read_nodes_links(*write_network_files(directory, *random_network_rows(rng)))
+    except StructuralDriftError:
+        return
+    cells = [(e, q, float(rng.uniform())) for e in series.node_ids for q in series.dates]
+    no_links = NetworkSeries.from_snapshots(
+        NetworkSnapshot(s.date, RiskNetwork(s.network.nodes, {})) for s in series)
+    assert no_links.W.shape == (len(series), 0)
+    for candidate in (series, series.with_probabilities(cells),
+                      NetworkSeries.from_snapshots([series[-1]]), no_links):
+        assert_writers_match_the_oracle(directory, candidate)
 
 
 # Rows that each reader rejects; {d} is a date of the series, {n} a node id
@@ -893,6 +924,19 @@ def test_cli_rejects_a_target_list_naming_a_node_twice_or_none(tmp_path, capsys,
                      "--links", str(files["links.csv"]), "--targets", selector,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: invalid: {detail}\n"
+        assert not out.exists()
+
+
+def test_cli_targets_all_without_a_non_root_node_is_an_error(tmp_path, capsys):
+    (tmp_path / "nodes.csv").write_text(
+        "date,node_id,level,parent_id,risk_value,self_exposure\n2005-Q1,S,0,,,\n")
+    (tmp_path / "links.csv").write_text("date,source_id,target_id,weight\n")
+    out = tmp_path / "out.csv"
+    for command in ("riskrank", "report"):
+        assert main([command, "--nodes", str(tmp_path / "nodes.csv"),
+                     "--links", str(tmp_path / "links.csv"), "--targets", "all",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: invalid: --targets 'all' names no node\n"
         assert not out.exists()
 
 
