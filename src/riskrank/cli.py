@@ -34,7 +34,7 @@ from .io import (
     write_series_long,
 )
 from .network import build_capacity, validate_hierarchy
-from .quarters import quarter_index, quarter_label
+from .quarters import quarter_index
 from .synth import SynthSpec, generate_synthetic
 
 
@@ -75,18 +75,17 @@ def _load_run_config(args, *needed: str) -> RunConfig:
     return cfg
 
 
-def _resolve_targets(selector: str, snapshots) -> list[str]:
-    net = snapshots[0].network
+def _resolve_targets(selector: str, series) -> list[str]:
     if selector == "root":
-        return [net.root().id]
+        return [series.root()]
     if selector == "all":
-        targets = sorted(nid for nid, node in net.nodes.items() if node.level > 0)
+        targets = [nid for nid, level in zip(series.node_ids, series.levels) if level > 0]
     else:
         targets = [t.strip() for t in selector.split(",") if t.strip()]
     if not targets:
         raise RiskRankError(f"--targets {selector!r} names no node")
     for i, target in enumerate(targets):
-        if target not in net.nodes:
+        if target not in series.node_ids:
             raise RiskRankError(f"unknown target node {target!r}")
         if target in targets[:i]:
             raise RiskRankError(f"target {target!r} is named twice")
@@ -95,27 +94,21 @@ def _resolve_targets(selector: str, snapshots) -> list[str]:
 
 def cmd_validate(args) -> int:
     cfg = _load_run_config(args, "nodes", "links")
-    snapshots = list(read_nodes_links(cfg.nodes, cfg.links))
+    series = read_nodes_links(cfg.nodes, cfg.links)
     if cfg.indicators:
         read_indicators(cfg.indicators)
     if cfg.events:
         read_events(cfg.events)
-    violations = []
-    for snap in snapshots:
-        report = validate_hierarchy(snap.network)
-        violations.extend(
-            f"{quarter_label(snap.date)}: {v}" for v in report.violations
-        )
+    violations = validate_hierarchy(series).violations
     for line in violations:
         print(line)
     if violations:
-        raise RiskRankError(
-            f"hierarchy: {len(violations)} violations (first: {violations[0]})"
-        )
+        raise RiskRankError(f"hierarchy: {len(violations)} violations (first: {violations[0]})")
     # only NoCapacityError can fail here: nonnegative masses are monotone
-    for snap in snapshots:
-        build_capacity(snap.network, snap.network.root().id)
-    print(f"ok: {len(snapshots)} snapshots, hierarchy and capacities valid")
+    root = series.root()
+    for snap in series:
+        build_capacity(snap.network, root)
+    print(f"ok: {len(series)} snapshots, hierarchy and capacities valid")
     return 0
 
 

@@ -36,13 +36,14 @@ That operator checks values and failures at every k; the Shapley-form
 operators check values at k = 2.
 
 A ``NetworkSeries`` holds one structure for all dates, so each target's paths
-are enumerated once, on the first snapshot, as ``k_paths`` rows.  A reversed
-row gives node columns into the series' dates x nodes risk levels X from the
-path start, and the first snapshot's ``link_table``, shared with ``k_paths``,
-link columns into its dates x links weights W from the target outward;
-``PATH_PAD`` picks the ones column both end in.  Every date is then scored at
-once, with products and sums in the order of a loop over the paths, so the
-numbers do not depend on how many dates are scored together.
+are enumerated once, on the series itself, as ``k_paths`` rows; no snapshot
+view is built.  A reversed row gives node columns into the series' dates x
+nodes risk levels X from the path start, and the series' ``link_table``,
+shared with ``k_paths``, link columns into its dates x links weights W from
+the target outward; ``PATH_PAD`` picks the ones column both end in.  Every
+date is then scored at once, with products and sums in the order of a loop
+over the paths, so the numbers do not depend on how many dates are scored
+together.
 """
 
 from __future__ import annotations
@@ -126,9 +127,8 @@ class _Scorer:
 
     def __init__(self, series: NetworkSeries):
         self.series = series
-        self.network = series[0].network
         self.node_col = {nid: i for i, nid in enumerate(series.node_ids)}
-        self.link_pos = self.network.link_table  # k_paths reads it for every target
+        self.link_pos = series.link_table  # k_paths reads it for every target
         ones = np.ones((len(series), 1))
         self.weights = np.hstack([series.W, ones])
         self.risks = np.hstack([series.X, ones])
@@ -149,12 +149,12 @@ class _Scorer:
         Raises _Failure for the first date on which the target cannot be
         scored.
         """
-        node = self.network.nodes.get(target)
-        if node is None:
+        col = self.node_col.get(target)
+        if col is None:
             raise _Failure(0, ValueError(f"unknown node {target!r}"))
-        is_root = node.level == 0
+        is_root = self.series.levels[col] == 0
         shapley = not is_root and cfg.central_weight_mode == "shapley"
-        rows = k_paths(self.network, target, cfg.max_path_length)
+        rows = k_paths(self.series, target, cfg.max_path_length)
         nodes = rows[:, :0:-1]
         links = self.link_pos[rows[:, 1:], rows[:, :-1]]
         mass = _product(self.weights, links)
@@ -171,7 +171,7 @@ class _Scorer:
             checks.append((~scored, lambda d: NoCapacityError(
                 f"node {target!r} has no incoming {what}")))
         if not is_root:
-            checks.append((~known[:, self.node_col[target]], lambda d: _no_risk(target)))
+            checks.append((~known[:, col], lambda d: _no_risk(target)))
         # Path entries in the order the path operator reads their levels.
         on_paths = nodes[nodes != PATH_PAD]
         on_path = np.bincount(on_paths, minlength=known.shape[1]) > 0
@@ -186,7 +186,7 @@ class _Scorer:
         n_direct = np.count_nonzero((rows[:, 2:] == PATH_PAD).all(axis=1))
         direct = np.where(scored, _running_total(share[:, :n_direct]), 0.0)
         indirect = np.where(scored, _running_total(share[:, n_direct:]), 0.0)
-        own_level = self.risks[:, self.node_col[target]]
+        own_level = self.risks[:, col]
         if is_root:
             individual = np.zeros(len(self.series))
         elif shapley:

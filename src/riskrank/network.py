@@ -15,12 +15,12 @@ two-step path therefore enter the ground set with zero singleton mass and one
 pair term.  Self-links are skipped, as ``k_paths`` skips them, so the masses
 are exactly those of the k = 2 paths into the target, normalized to total
 one.  The root capacity is the one ``validate`` checks.  Paths, capacities,
-in-links and the engine's link columns all read one cached adjacency per
-network, ``RiskNetwork.link_table``.
+in-links and the engine's link columns all read one cached adjacency, the
+``link_table`` of a network's or a series' sorted node ids and link keys.
 
 A quarterly series observes one structure on every date, so a
 ``NetworkSeries`` keeps the structure once and the values as dates x columns
-arrays.
+arrays, and ``validate_hierarchy`` checks each structural rule once.
 """
 
 from __future__ import annotations
@@ -45,6 +45,18 @@ class Node:
     self_exposure: float | None = None
 
 
+def _link_table(node_ids, link_keys) -> np.ndarray:
+    """``[s, t]``: the index in ``link_keys`` of the link from node s to node
+    t, by position in ``node_ids``, else ``len(link_keys)``, as on the extra
+    last row and column that ``PATH_PAD`` picks; read-only, as it is shared."""
+    position = {nid: i for i, nid in enumerate(node_ids)}
+    table = np.full((len(position) + 1,) * 2, len(link_keys))
+    for index, (source, target) in enumerate(link_keys):
+        table[position[source], position[target]] = index
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class RiskNetwork:
     """Immutable-by-convention container of nodes and directed weighted links."""
@@ -57,8 +69,8 @@ class RiskNetwork:
         """Assemble from Node iterables and (source, target, weight) triples.
 
         Duplicate ids/links and links touching unknown nodes are hard errors;
-        semantic problems (extra roots, bad ranges...) are left for
-        validate_hierarchy so they can be reported rather than raised.
+        hierarchy problems (extra roots, wrong parents...) are left for the
+        series' validate_hierarchy so they can be reported rather than raised.
         """
         node_map: dict[str, Node] = {}
         for node in nodes:
@@ -75,43 +87,28 @@ class RiskNetwork:
             link_map[key] = float(weight)
         return cls(node_map, link_map)
 
-    def root(self) -> Node:
-        roots = [n for n in self.nodes.values() if n.level == 0]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one level-0 node, found {len(roots)}")
-        return roots[0]
+    @cached_property
+    def node_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.nodes))
 
-    def weight(self, source: str, target: str) -> float:
-        return self.links.get((source, target), 0.0)
+    @cached_property
+    def link_keys(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(self.links))
 
     @cached_property
     def link_table(self) -> np.ndarray:
-        """``[s, t]``: the index in ``sorted(links)`` of the link from node s
-        to node t, by position in ``sorted(nodes)``, else ``len(links)``, as on
-        the extra last row and column that ``PATH_PAD`` picks.  Built once, on
-        first use, so ``links`` must not change afterwards."""
-        position = {nid: i for i, nid in enumerate(sorted(self.nodes))}
-        table = np.full((len(position) + 1,) * 2, len(self.links))
-        for index, (source, target) in enumerate(sorted(self.links)):
-            table[position[source], position[target]] = index
-        table.flags.writeable = False  # every caller shares the cached table
-        return table
+        """Built once, on first use: nodes and links must not change afterwards."""
+        return _link_table(self.node_ids, self.link_keys)
 
     def in_links(self, node_id: str) -> list[tuple[str, float]]:
         """Incoming links sorted by source id, zero-weight and self-links
         included, from the node's ``link_table`` column; a new list, [] if unknown."""
         if node_id not in self.nodes:
             return []
-        ids = sorted(self.nodes)
+        ids = self.node_ids
         column = self.link_table[:-1, ids.index(node_id)]
         return [(ids[s], self.links[ids[s], node_id])
                 for s in np.flatnonzero(column < len(self.links)).tolist()]
-
-    def risk_of(self, node_id: str) -> float:
-        value = self.nodes[node_id].risk_value
-        if value is None:
-            raise ValueError(f"node {node_id!r} carries no risk value")
-        return value
 
     def with_risk_values(self, values: dict[str, float]) -> "RiskNetwork":
         """Copy of the network with risk values replaced where given."""
@@ -203,6 +200,18 @@ class NetworkSeries:
         """Dates x nodes: whether the node carries a risk level."""
         return ~np.isnan(self.X)
 
+    @cached_property
+    def link_table(self) -> np.ndarray:
+        """The structure's ``_link_table``, as ``RiskNetwork.link_table``."""
+        return _link_table(self.node_ids, self.link_keys)
+
+    def root(self) -> str:
+        """The id of the one level-0 node."""
+        roots = [nid for nid, level in zip(self.node_ids, self.levels) if level == 0]
+        if len(roots) != 1:
+            raise ValueError(f"expected exactly one level-0 node, found {len(roots)}")
+        return roots[0]
+
     def __len__(self) -> int:
         return len(self.dates)
 
@@ -250,80 +259,74 @@ class NetworkSeries:
         )
 
 
-def validate_hierarchy(net: RiskNetwork) -> ValidationReport:
-    """Report root uniqueness, level/parent consistency, value ranges and
-    links that escape their sibling group."""
-    violations: list[str] = []
-    roots = [n for n in net.nodes.values() if n.level == 0]
-    if len(roots) != 1:
-        violations.append(f"hierarchy: found {len(roots)} level-0 nodes, expected 1")
-    for node in sorted(net.nodes.values(), key=lambda n: n.id):
-        if node.level < 0:
-            violations.append(f"hierarchy: node {node.id} has negative level")
-        if node.level == 0:
-            if node.risk_value is not None:
-                violations.append(f"hierarchy: root {node.id} must not carry a risk value")
-            if node.parent_id is not None:
-                violations.append(f"hierarchy: root {node.id} must not have a parent")
+def validate_hierarchy(series: NetworkSeries) -> ValidationReport:
+    """Hierarchy violations of a series, each line led by its quarter.
+
+    Every date shares the structure, so its rules are checked once: one
+    root, without a parent; every other node's parent known and one level
+    up; links only to the parent or within the sibling group, none to
+    itself.  Whether a node carries a risk level (only non-roots may) is
+    checked per date.  A date's lines are the root count, each node by id
+    (level line, then parent line), then each link by key.  Value ranges
+    are left to the reader, which refuses them.
+    """
+    level = dict(zip(series.node_ids, series.levels))
+    parent = dict(zip(series.node_ids, series.parents))
+    roots = series.levels.count(0)
+    # (column of the node whose level decides the line, or None for always, line)
+    lines = [(None, f"hierarchy: found {roots} level-0 nodes, expected 1")] if roots != 1 else []
+    for col, (nid, lvl, par) in enumerate(zip(series.node_ids, series.levels, series.parents)):
+        if lvl == 0:
+            lines.append((col, f"hierarchy: root {nid} must not carry a risk value"))
+            if par is not None:
+                lines.append((None, f"hierarchy: root {nid} must not have a parent"))
             continue
-        if node.risk_value is None:
-            violations.append(f"range: node {node.id} lacks a risk value")
-        elif not 0.0 <= node.risk_value <= 1.0:
-            violations.append(
-                f"range: node {node.id} risk value {node.risk_value:.6g} outside [0,1]"
-            )
-        if node.self_exposure is not None and node.self_exposure < 0.0:
-            violations.append(f"range: node {node.id} self exposure negative")
-        if node.parent_id is None:
-            violations.append(f"hierarchy: node {node.id} at level {node.level} has no parent")
-        elif node.parent_id not in net.nodes:
-            violations.append(f"hierarchy: node {node.id} parent {node.parent_id} unknown")
-        elif net.nodes[node.parent_id].level != node.level - 1:
-            violations.append(
-                f"hierarchy: node {node.id} at level {node.level} has parent "
-                f"{node.parent_id} at level {net.nodes[node.parent_id].level}"
-            )
-    for (source, target), weight in sorted(net.links.items()):
-        if weight < 0.0:
-            violations.append(f"range: link {source} -> {target} weight negative")
+        lines.append((col, f"range: node {nid} lacks a risk value"))
+        if par is None:
+            lines.append((None, f"hierarchy: node {nid} at level {lvl} has no parent"))
+        elif par not in level:
+            lines.append((None, f"hierarchy: node {nid} parent {par} unknown"))
+        elif level[par] != lvl - 1:
+            lines.append((None, f"hierarchy: node {nid} at level {lvl} has parent {par} "
+                                f"at level {level[par]}"))
+    for source, target in series.link_keys:
         if source == target:
-            violations.append(
-                f"structure: self-link on {source}; self-exposure belongs on the node"
-            )
-            continue
-        src, dst = net.nodes[source], net.nodes[target]
-        is_parent_link = src.parent_id == target
-        is_sibling_link = (
-            src.parent_id is not None
-            and src.parent_id == dst.parent_id
-            and src.level == dst.level
-        )
-        if not (is_parent_link or is_sibling_link):
-            violations.append(
-                f"structure: link {source} -> {target} leaves its sibling group"
-            )
+            lines.append((None, f"structure: self-link on {source}; "
+                                "self-exposure belongs on the node"))
+        elif not (parent[source] == target or (
+                parent[source] is not None and parent[source] == parent[target]
+                and level[source] == level[target])):
+            lines.append((None, f"structure: link {source} -> {target} leaves its sibling group"))
+    # dates x nodes: a root that carries a level, or another node without one
+    flagged = series.known == (np.array(series.levels) == 0)
+    structural = any(col is None for col, _ in lines)
+    violations = []
+    for d in np.flatnonzero(flagged.any(axis=1) | structural).tolist():
+        label, row = quarter_label(series.dates[d]), flagged[d].tolist()
+        violations += (f"{label}: {line}" for col, line in lines if col is None or row[col])
     return ValidationReport(tuple(violations))
 
 
 PATH_PAD = -1  # fills short k_paths rows; as an index it picks a last column
 
 
-def k_paths(net: RiskNetwork, target: str, k: int) -> np.ndarray:
+def k_paths(net: RiskNetwork | NetworkSeries, target: str, k: int) -> np.ndarray:
     """All simple directed paths of length 1..k ending at ``target``.
 
-    One row per path: positions in ``sorted(net.nodes)`` from the target
-    back to the path start, right-padded with ``PATH_PAD`` to k + 1 columns.
-    Rows grow one link at a time; a row that repeats a node (a self-link
-    too) is dropped.  Zero-weight links count.  Rows are sorted by (length,
-    node sequence from the start).
+    ``net`` is a network or a series: only its structure is read.  One row
+    per path: positions in ``net.node_ids`` from the target back to the path
+    start, right-padded with ``PATH_PAD`` to k + 1 columns.  Rows grow one
+    link at a time; a row that repeats a node (a self-link too) is dropped.
+    Zero-weight links count.  Rows are sorted by (length, node sequence from
+    the start).
     """
     if k < 1:
         raise ValueError("path length bound k must be >= 1")
-    if target not in net.nodes:
+    if target not in net.node_ids:
         raise ValueError(f"unknown node {target!r}")
     # into[t, s]: whether the link s -> t exists, by node position
-    into = (net.link_table[:-1, :-1] < len(net.links)).T
-    grown = np.array([[sorted(net.nodes).index(target)]], dtype=np.intp)
+    into = (net.link_table[:-1, :-1] < len(net.link_keys)).T
+    grown = np.array([[net.node_ids.index(target)]], dtype=np.intp)
     classes = []
     for length in range(1, k + 1):
         row, source = np.nonzero(into[grown[:, -1]])
@@ -358,10 +361,10 @@ def build_capacity(net: RiskNetwork, target: str) -> CapacityBuild:
     """
     if target not in net.nodes:
         raise ValueError(f"unknown node {target!r}")
-    ids = sorted(net.nodes)
+    ids = net.node_ids
     t = ids.index(target)
     # W[a, b]: the weight of the link a -> b by node position, 0.0 if none
-    W = np.array([*map(net.links.__getitem__, sorted(net.links)), 0.0])[net.link_table]
+    W = np.array([*map(net.links.__getitem__, net.link_keys), 0.0])[net.link_table]
     direct = net.link_table[:, t] < len(net.links)
     # in-neighbours and the sources of links into them, the target left out;
     # a self-link on t adds only t's in-neighbours again

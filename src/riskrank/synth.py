@@ -39,7 +39,7 @@ class SynthSpec:
     def __post_init__(self):
         if self.entities < 1 or self.indicators < 1:
             raise ValueError("entity and indicator counts must be positive")
-        if self.crisis_intensity < 0.0 or not 0.0 <= self.network_density <= 1.0:
+        if not 0.0 <= self.crisis_intensity < np.inf or not 0.0 <= self.network_density <= 1.0:
             raise ValueError("bad crisis intensity or network density")
         if quarter_index(self.end) <= quarter_index(self.start):
             raise ValueError("end quarter must come after start quarter")

@@ -10,6 +10,18 @@ and the path operator walks ``k_paths`` one hit at a time.  ``oracle_for``
 dispatches between them the way the package did: base operators at k = 2,
 the path operator otherwise.
 
+``root_node``, ``weight`` and ``risk_of`` are the ``RiskNetwork`` methods
+those operators read a snapshot with; no package code used them after the
+engine moved to the series' arrays.
+
+``validate_hierarchy`` is the per-snapshot hierarchy check that the
+package's series check replaced: it checks one network's structure, its
+risk levels and its value ranges, and ``validate`` ran it on every date.
+It is the specification of the series check, which must print the same
+lines, led by each date's quarter.  Its range rules (a negative level, a
+risk value outside [0,1], a negative self exposure or weight) have no
+counterpart there, because the reader refuses such values.
+
 ``build_capacity`` here is the two-mode capacity builder those operators
 used, with its ``CapacityBuild`` and ``default_self_exposure``.  In root
 mode its masses are normalized to total one.  Central mode, which only the
@@ -71,7 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from riskrank.capacity import FuzzyMeasure, TwoAdditiveCapacity
+from riskrank.capacity import FuzzyMeasure, TwoAdditiveCapacity, ValidationReport
 from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
 from riskrank.engine import (
     RiskDecomposition,
@@ -85,6 +97,79 @@ from riskrank.io import LINKS_HEADER, NODES_HEADER, _write, fmt
 from riskrank.network import PATH_PAD, NetworkSnapshot, Node, RiskNetwork
 from riskrank.network import k_paths as path_rows
 from riskrank.quarters import quarter_index, quarter_label
+
+
+def root_node(net: RiskNetwork) -> Node:
+    roots = [n for n in net.nodes.values() if n.level == 0]
+    if len(roots) != 1:
+        raise ValueError(f"expected exactly one level-0 node, found {len(roots)}")
+    return roots[0]
+
+
+def weight(net: RiskNetwork, source: str, target: str) -> float:
+    return net.links.get((source, target), 0.0)
+
+
+def risk_of(net: RiskNetwork, node_id: str) -> float:
+    value = net.nodes[node_id].risk_value
+    if value is None:
+        raise ValueError(f"node {node_id!r} carries no risk value")
+    return value
+
+
+def validate_hierarchy(net: RiskNetwork) -> ValidationReport:
+    """Report root uniqueness, level/parent consistency, value ranges and
+    links that escape their sibling group."""
+    violations: list[str] = []
+    roots = [n for n in net.nodes.values() if n.level == 0]
+    if len(roots) != 1:
+        violations.append(f"hierarchy: found {len(roots)} level-0 nodes, expected 1")
+    for node in sorted(net.nodes.values(), key=lambda n: n.id):
+        if node.level < 0:
+            violations.append(f"hierarchy: node {node.id} has negative level")
+        if node.level == 0:
+            if node.risk_value is not None:
+                violations.append(f"hierarchy: root {node.id} must not carry a risk value")
+            if node.parent_id is not None:
+                violations.append(f"hierarchy: root {node.id} must not have a parent")
+            continue
+        if node.risk_value is None:
+            violations.append(f"range: node {node.id} lacks a risk value")
+        elif not 0.0 <= node.risk_value <= 1.0:
+            violations.append(
+                f"range: node {node.id} risk value {node.risk_value:.6g} outside [0,1]"
+            )
+        if node.self_exposure is not None and node.self_exposure < 0.0:
+            violations.append(f"range: node {node.id} self exposure negative")
+        if node.parent_id is None:
+            violations.append(f"hierarchy: node {node.id} at level {node.level} has no parent")
+        elif node.parent_id not in net.nodes:
+            violations.append(f"hierarchy: node {node.id} parent {node.parent_id} unknown")
+        elif net.nodes[node.parent_id].level != node.level - 1:
+            violations.append(
+                f"hierarchy: node {node.id} at level {node.level} has parent "
+                f"{node.parent_id} at level {net.nodes[node.parent_id].level}"
+            )
+    for (source, target), weight in sorted(net.links.items()):
+        if weight < 0.0:
+            violations.append(f"range: link {source} -> {target} weight negative")
+        if source == target:
+            violations.append(
+                f"structure: self-link on {source}; self-exposure belongs on the node"
+            )
+            continue
+        src, dst = net.nodes[source], net.nodes[target]
+        is_parent_link = src.parent_id == target
+        is_sibling_link = (
+            src.parent_id is not None
+            and src.parent_id == dst.parent_id
+            and src.level == dst.level
+        )
+        if not (is_parent_link or is_sibling_link):
+            violations.append(
+                f"structure: link {source} -> {target} leaves its sibling group"
+            )
+    return ValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -153,7 +238,7 @@ def build_capacity(net: RiskNetwork, target: str, mode: str = "root") -> Capacit
     for i in range(neighbor_count):
         for j in range(i + 1, neighbor_count):
             a, b = elements[i], elements[j]
-            mass = net.weight(b, a) * direct.get(a, 0.0) + net.weight(a, b) * direct.get(b, 0.0)
+            mass = weight(net, b, a) * direct.get(a, 0.0) + weight(net, a, b) * direct.get(b, 0.0)
             pairs[i, j] = pairs[j, i] = mass
     raw = TwoAdditiveCapacity(singles, pairs, normalized=False)
     total = raw.total_mass
@@ -223,9 +308,9 @@ def _pairwise_parts(capacity, x: np.ndarray) -> tuple[float, float]:
 def riskrank_root(snapshot: NetworkSnapshot) -> RiskDecomposition:
     """Systemic score at the root; no individual term, normalized capacity."""
     net = snapshot.network
-    root = net.root()
+    root = root_node(net)
     build = build_capacity(net, root.id, mode="root")
-    x = np.array([net.risk_of(nid) for nid in build.elements])
+    x = np.array([risk_of(net, nid) for nid in build.elements])
     direct, indirect = _pairwise_parts(build.capacity, x)
     return _finish(root.id, 0.0, direct, indirect, clamp=True)
 
@@ -239,7 +324,7 @@ def riskrank_node(snapshot: NetworkSnapshot, target: str,
         raise ValueError(f"unknown node {target!r}")
     if node.level == 0:
         raise ValueError("target is the root; use riskrank_root")
-    x_c = net.risk_of(target)
+    x_c = risk_of(net, target)
 
     if cfg.central_weight_mode == "unit":
         individual = x_c
@@ -247,7 +332,7 @@ def riskrank_node(snapshot: NetworkSnapshot, target: str,
             build = build_capacity(net, target, mode="root")
         except NoCapacityError:
             return _finish(target, individual, 0.0, 0.0, cfg.clamp)
-        x = np.array([net.risk_of(nid) for nid in build.elements])
+        x = np.array([risk_of(net, nid) for nid in build.elements])
         direct, indirect = _pairwise_parts(build.capacity, x)
         return _finish(target, individual, direct, indirect, cfg.clamp)
 
@@ -258,7 +343,7 @@ def riskrank_node(snapshot: NetworkSnapshot, target: str,
         )
     capacity = build.capacity.normalize()
     x = np.array([
-        x_c if nid == target else net.risk_of(nid) for nid in build.elements
+        x_c if nid == target else risk_of(net, nid) for nid in build.elements
     ])
     v = capacity.shapley_values()
     self_idx = build.index_of(target)
@@ -302,23 +387,23 @@ def riskrank_kpath(snapshot: NetworkSnapshot, target: str,
             raise NoCapacityError(
                 f"node {target!r} has no incoming mass or self exposure"
             )
-        return _finish(target, net.risk_of(target), 0.0, 0.0, cfg.clamp)
+        return _finish(target, risk_of(net, target), 0.0, 0.0, cfg.clamp)
 
     if is_root:
         individual = 0.0
         clamp = True
     elif cfg.central_weight_mode == "unit":
         # self term bypasses the normalizer: z is the path mass alone
-        individual = net.risk_of(target)
+        individual = risk_of(net, target)
         clamp = cfg.clamp
     else:
-        individual = (self_mass / z) * net.risk_of(target)
+        individual = (self_mass / z) * risk_of(net, target)
         clamp = cfg.clamp
 
     direct = 0.0
     indirect = 0.0
     for hit in paths:
-        value = hit.weight * math.prod(net.risk_of(nid) for nid in hit.nodes[:-1])
+        value = hit.weight * math.prod(risk_of(net, nid) for nid in hit.nodes[:-1])
         if hit.length == 1:
             direct += value / z
         else:

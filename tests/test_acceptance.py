@@ -19,7 +19,7 @@ from riskrank.evaluation import error_rates, loss, metrics, usefulness
 from riskrank.network import NetworkSnapshot, Node, RiskNetwork, build_capacity
 
 from conftest import random_capacity, random_measure, random_snapshot
-from oracle import riskrank_root
+from oracle import risk_of, riskrank_root
 
 PUBLISHED_INDIVIDUAL_UR = {
     0.1: -6, 0.2: -3, 0.3: 6, 0.4: 12, 0.5: 15,
@@ -157,7 +157,7 @@ def test_criterion_6_riskrank_algebra():
         dec = riskrank_for(snap, "ROOT")
 
         build = build_capacity(snap.network, "ROOT")
-        x = np.array([snap.network.risk_of(nid) for nid in build.elements])
+        x = np.array([risk_of(snap.network, nid) for nid in build.elements])
         mobius = float(build.capacity.singleton @ x)
         for i in range(len(x)):
             for j in range(i + 1, len(x)):
@@ -173,7 +173,7 @@ def test_criterion_6_riskrank_algebra():
         worst_kpath = max(worst_kpath, abs(shapley_form.total - dec.total))
 
         victim = f"C{int(rng.integers(len(build.elements)))}"
-        bumped = min(snap.network.risk_of(victim) + float(rng.uniform(0, 0.5)), 1.0)
+        bumped = min(risk_of(snap.network, victim) + float(rng.uniform(0, 0.5)), 1.0)
         after = riskrank_for(
             NetworkSnapshot(0, snap.network.with_risk_values({victim: bumped})), "ROOT"
         ).total

@@ -13,7 +13,7 @@ from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
 from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
 
 from conftest import random_snapshot, with_self_links
-from oracle import oracle_for, riskrank_kpath, riskrank_node, riskrank_root
+from oracle import oracle_for, risk_of, riskrank_kpath, riskrank_node, riskrank_root
 
 UNIT = RiskRankConfig(central_weight_mode="unit")
 SHAPLEY = RiskRankConfig(central_weight_mode="shapley")
@@ -22,7 +22,7 @@ SHAPLEY = RiskRankConfig(central_weight_mode="shapley")
 def mobius_score(net, target):
     """Independent evaluation: normalized masses dotted with value products."""
     build = build_capacity(net, target)
-    x = np.array([net.risk_of(nid) for nid in build.elements])
+    x = np.array([risk_of(net, nid) for nid in build.elements])
     singles = build.capacity.singleton
     pairs = build.capacity.pairs
     total = float(singles @ x)
@@ -149,7 +149,7 @@ def test_root_monotone_in_any_risk_value(seed):
     before = riskrank_root(snap).total
     non_root = [nid for nid, n in snap.network.nodes.items() if n.level > 0]
     victim = non_root[int(rng.integers(len(non_root)))]
-    bumped = min(snap.network.risk_of(victim) + float(rng.uniform(0, 0.5)), 1.0)
+    bumped = min(risk_of(snap.network, victim) + float(rng.uniform(0, 0.5)), 1.0)
     after = riskrank_root(
         NetworkSnapshot(0, snap.network.with_risk_values({victim: bumped}))
     ).total
@@ -164,7 +164,7 @@ def test_indirect_never_exceeds_min_form(seed):
     rng = np.random.default_rng(seed)
     snap = random_snapshot(rng)
     build = build_capacity(snap.network, "ROOT")
-    x = np.array([snap.network.risk_of(nid) for nid in build.elements])
+    x = np.array([risk_of(snap.network, nid) for nid in build.elements])
     dec = riskrank_root(snap)
     min_form = sum(
         build.capacity.pairs[i, j] * min(x[i], x[j])
@@ -262,7 +262,7 @@ def test_node_modes_monotone_in_risk_values(seed):
     target = "C0"
     non_root = [nid for nid, n in snap.network.nodes.items() if n.level > 0]
     victim = non_root[int(rng.integers(len(non_root)))]
-    bumped = min(snap.network.risk_of(victim) + 0.3, 1.0)
+    bumped = min(risk_of(snap.network, victim) + 0.3, 1.0)
     bumped_snap = NetworkSnapshot(
         0, snap.network.with_risk_values({victim: bumped})
     )

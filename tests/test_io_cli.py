@@ -611,6 +611,18 @@ def test_synth_spec_validation():
         SynthSpec(start="2010-Q1", end="2009-Q1")
     with pytest.raises(ValueError):
         SynthSpec(network_density=1.5)
+    for intensity in (-0.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="bad crisis intensity or network density"):
+            SynthSpec(crisis_intensity=intensity)
+
+
+@pytest.mark.parametrize("intensity", ["nan", "inf", "-inf"])
+def test_cli_synth_rejects_a_non_finite_intensity_before_writing(tmp_path, capsys, intensity):
+    outdir = tmp_path / "out"
+    assert main(["synth", "--outdir", str(outdir), f"--crisis-intensity={intensity}"]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid: bad crisis intensity or network density\n")
+    assert not outdir.exists()
 
 
 # ------------------------------------------------------------------- CLI
@@ -667,6 +679,78 @@ def test_cli_validate_reports_hierarchy_violation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "level-0" in captured.out
     assert captured.err.startswith("error: invalid: hierarchy:")
+
+
+# (nodes, links, lines of the first quarter, lines of the second); a
+# structural line repeats on every date, a level line only where it holds
+HIERARCHY_CASES = {
+    "two-roots": (
+        ["S,0,,,", "T,0,,,", "A,1,S,0.5,", "B,1,S,0.4,"], ["A,S,0.6", "B,S,0.4", "A,T,0.2"],
+        ["hierarchy: found 2 level-0 nodes, expected 1",
+         "structure: link A -> T leaves its sibling group"],
+        None,
+    ),
+    "root-with-parent-and-level": (
+        ["S,0,A,0.2,", "A,1,S,0.5,", "B,1,S,0.4,"], ["A,S,0.6", "B,S,0.4"],
+        ["hierarchy: root S must not carry a risk value",
+         "hierarchy: root S must not have a parent"],
+        None,
+    ),
+    "missing-unknown-and-wrong-level-parents": (
+        ["S,0,,,", "A,1,,0.5,", "B,1,X,0.4,", "C,2,S,0.3,", "D,1,S,0.2,"],
+        ["A,S,0.6", "B,S,0.4", "D,S,0.1"],
+        ["hierarchy: node A at level 1 has no parent",
+         "hierarchy: node B parent X unknown",
+         "hierarchy: node C at level 2 has parent S at level 0",
+         "structure: link A -> S leaves its sibling group",
+         "structure: link B -> S leaves its sibling group"],
+        None,
+    ),
+    "self-link-and-links-leaving-their-group": (
+        ["S,0,,,", "A,1,S,0.5,", "B,1,S,0.4,", "G,2,A,0.3,"],
+        ["A,A,0.1", "A,S,0.6", "B,S,0.4", "G,A,1", "G,B,0.5", "S,A,0.2"],
+        ["structure: self-link on A; self-exposure belongs on the node",
+         "structure: link G -> B leaves its sibling group",
+         "structure: link S -> A leaves its sibling group"],
+        None,
+    ),
+    "levels-missing-on-some-dates": (
+        (["S,0,,,", "A,1,S,0.5,", "B,1,S,0.4,"], ["S,0,,0.3,", "A,1,S,0.5,", "B,1,S,,"]),
+        ["A,S,0.6", "B,S,0.4"],
+        [],
+        ["range: node B lacks a risk value",
+         "hierarchy: root S must not carry a risk value"],
+    ),
+    "structural-and-per-date-lines": (
+        (["S,0,,0.1,", "A,1,,0.5,", "B,1,S,,"], ["S,0,,,", "A,1,,,", "B,1,S,0.4,"]),
+        ["A,S,0.6", "B,A,0.4", "B,B,0.2"],
+        ["hierarchy: node A at level 1 has no parent",
+         "range: node B lacks a risk value",
+         "hierarchy: root S must not carry a risk value",
+         "structure: link A -> S leaves its sibling group",
+         "structure: link B -> A leaves its sibling group",
+         "structure: self-link on B; self-exposure belongs on the node"],
+        ["range: node A lacks a risk value",
+         "hierarchy: node A at level 1 has no parent",
+         "structure: link A -> S leaves its sibling group",
+         "structure: link B -> A leaves its sibling group",
+         "structure: self-link on B; self-exposure belongs on the node"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
+def test_cli_validate_prints_every_hierarchy_line_per_quarter(tmp_path, capsys, case):
+    nodes, links, first, second = HIERARCHY_CASES[case]
+    files = write_two_quarters(tmp_path, nodes, links)
+    lines = [f"2005-Q1: {line}" for line in first]
+    lines += [f"2005-Q2: {line}" for line in (first if second is None else second)]
+    assert main(["validate", "--nodes", str(files["nodes.csv"]),
+                 "--links", str(files["links.csv"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(line + "\n" for line in lines)
+    assert captured.err == (
+        f"error: invalid: hierarchy: {len(lines)} violations (first: {lines[0]})\n")
 
 
 def test_cli_schema_error_has_single_diagnostic_line(tmp_path, capsys):
@@ -858,9 +942,13 @@ def test_cli_report_long_form(tmp_path):
     assert len(lines) == 1 + 76 * 4
 
 
-# (nodes, links, flags, stderr line); each line is the one the path
-# operator prints, the same at every path bound.
+# (nodes, links, flags, stderr line); each line is the same at every path
+# bound, and all but the target lookup's are the ones the path operator prints.
 ERROR_CASES = {
+    "root-target-with-two-roots": (
+        NODES + ["T,0,,,"], DIRECT + ["A,T,0.2"], ["--targets", "root"],
+        "error: invalid: expected exactly one level-0 node, found 2",
+    ),
     "root-without-in-links": (
         NODES, ["B,A,0.5"], ["--targets", "root"],
         "error: no-capacity: node 'S' has no incoming mass",
@@ -938,6 +1026,32 @@ def test_cli_targets_all_without_a_non_root_node_is_an_error(tmp_path, capsys):
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: invalid: --targets 'all' names no node\n"
         assert not out.exists()
+
+
+def test_scoring_builds_no_snapshot_view(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["synth", "--outdir", str(data), "--entities", "4", "--seed", "3",
+                 "--start-quarter", "2008-Q1", "--end-quarter", "2010-Q4"]) == 0
+    network = ["--nodes", str(data / "nodes.csv"), "--links", str(data / "links.csv")]
+    runs = {
+        "unit.csv": ["riskrank", *network, "--targets", "all"],
+        "shapley.csv": ["riskrank", *network, "--targets", "all", "--mode", "shapley"],
+        "report.csv": ["report", *network, "--k", "3", "--targets", "root"],
+    }
+
+    def outputs(directory):
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(directory / name)]) == 0
+        return {name: (directory / name).read_bytes() for name in runs}
+
+    expected = outputs(tmp_path)
+
+    def no_view(self, index):
+        raise AssertionError("a snapshot view was built")
+
+    monkeypatch.setattr(NetworkSeries, "__getitem__", no_view)
+    (tmp_path / "patched").mkdir()
+    assert outputs(tmp_path / "patched") == expected
 
 
 def test_cli_names_the_drifting_quarter(tmp_path, capsys):

@@ -16,6 +16,7 @@ from riskrank.network import (
     k_paths,
     validate_hierarchy,
 )
+from riskrank.quarters import quarter_index, quarter_label
 
 import oracle
 from conftest import random_snapshot, with_self_links
@@ -55,8 +56,12 @@ def complete_three_siblings():
 
 # ----------------------------------------------------------- validation
 
+def one_date(net):
+    return NetworkSeries.from_snapshots([NetworkSnapshot(quarter_index("2005-Q1"), net)])
+
+
 def test_complete_sibling_group_is_valid():
-    assert validate_hierarchy(complete_three_siblings()).ok
+    assert validate_hierarchy(one_date(complete_three_siblings())).ok
 
 
 def test_two_roots_are_reported():
@@ -64,15 +69,16 @@ def test_two_roots_are_reported():
         [Node("S1", 0), Node("S2", 0), Node("A", 1, "S1", 0.5)],
         [("A", "S1", 1.0)],
     )
-    report = validate_hierarchy(net)
+    report = validate_hierarchy(one_date(net))
     assert any("level-0" in v for v in report.violations)
 
 
 def test_out_of_range_risk_is_reported():
+    # the reader refuses such a value, so only the per-snapshot oracle checks it
     net = RiskNetwork.build(
         [Node("S", 0), Node("A", 1, "S", 1.2)], [("A", "S", 1.0)]
     )
-    report = validate_hierarchy(net)
+    report = oracle.validate_hierarchy(net)
     assert any(v.startswith("range") and "1.2" in v for v in report.violations)
 
 
@@ -86,7 +92,7 @@ def test_structural_problems_are_reported():
         ],
         [("A", "S", 1.0), ("B", "S", 1.0), ("G", "A", 1.0), ("G", "B", 0.5)],
     )
-    report = validate_hierarchy(net)
+    report = validate_hierarchy(one_date(net))
     assert any("leaves its sibling group" in v for v in report.violations)
 
 
@@ -94,9 +100,74 @@ def test_missing_parent_and_level_gap_reported():
     net = RiskNetwork.build(
         [Node("S", 0), Node("A", 1, None, 0.5), Node("G", 2, "S", 0.5)], []
     )
-    report = validate_hierarchy(net)
+    report = validate_hierarchy(one_date(net))
     assert any("has no parent" in v for v in report.violations)
     assert any("at level" in v for v in report.violations)
+
+
+def broken_hierarchy_series(rng):
+    """A multi-date series over one random tree, broken at random: extra
+    roots, a root with a parent, missing, unknown and wrong-level parents,
+    self-links, links that leave their group, levels missing on some dates
+    and a root that carries one on some dates.  Values stay in range."""
+    ids = [f"N{i}" for i in range(int(rng.integers(1, 8)))]
+    rng.shuffle(ids)  # the root need not sort first
+    level, parent = {ids[0]: 0}, {ids[0]: None}
+    for i, nid in enumerate(ids[1:], 1):
+        host = ids[int(rng.integers(0, i))]
+        level[nid], parent[nid] = level[host] + 1, host
+    for nid in ids[1:]:
+        r = rng.random()
+        if r < 0.08:
+            level[nid] = 0  # a second root, which keeps its parent
+        elif r < 0.14:
+            parent[nid] = None
+        elif r < 0.2:
+            parent[nid] = "X"
+        elif r < 0.26:
+            level[nid] += 1
+    if rng.random() < 0.1:
+        parent[ids[0]] = ids[-1]
+    density = rng.uniform(0.0, 0.6)
+    keys = [(a, b) for a in ids for b in ids if rng.random() < (density / 4 if a == b else density)]
+    known = {0: rng.uniform(0.0, 0.3), 1: rng.uniform(0.7, 1.0)}
+    start = quarter_index("2001-Q1") + int(rng.integers(0, 40))
+    snaps = []
+    for d in range(int(rng.integers(1, 5))):
+        nodes = [
+            Node(nid, level[nid], parent[nid],
+                 float(rng.uniform()) if rng.random() < known[min(level[nid], 1)] else None,
+                 float(rng.uniform()) if rng.random() < 0.3 else None)
+            for nid in ids
+        ]
+        links = [(a, b, float(rng.uniform())) for a, b in keys]
+        snaps.append(NetworkSnapshot(start + d, RiskNetwork.build(nodes, links)))
+    return snaps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_series_check_matches_the_per_snapshot_oracle(seed):
+    snaps = broken_hierarchy_series(np.random.default_rng(seed))
+    expected = tuple(
+        f"{quarter_label(snap.date)}: {line}"
+        for snap in snaps for line in oracle.validate_hierarchy(snap.network).violations
+    )
+    assert validate_hierarchy(NetworkSeries.from_snapshots(snaps)).violations == expected
+
+
+def test_broken_hierarchy_series_reach_every_rule():
+    """The generator above produces every line the series check makes, and
+    valid series too."""
+    kinds = {"level-0 nodes", "must not carry", "must not have a parent", "lacks a risk",
+             "has no parent", "unknown", "has parent", "self-link", "leaves its sibling"}
+    seen, valid = set(), 0
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        lines = validate_hierarchy(NetworkSeries.from_snapshots(broken_hierarchy_series(rng)))
+        valid += lines.ok
+        seen |= {kind for kind in kinds for line in lines.violations if kind in line}
+    assert seen == kinds and valid > 0
 
 
 # ------------------------------------------------------ build_capacity
