@@ -32,7 +32,7 @@ import numpy as np
 from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
 from .engine import RiskRankConfig
 from .errors import SchemaError
-from .network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork
+from .network import NetworkSeries
 from .quarters import quarter_index, quarter_label
 
 NODES_HEADER = ["date", "node_id", "level", "parent_id", "risk_value", "self_exposure"]
@@ -132,22 +132,21 @@ def _write(path, header, rows) -> None:
 def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     """Parse a snapshot series; all dates must share one structure.
 
-    Each date's node map and link dict are built as the rows are read, so a
-    duplicate node id or link is reported at its own file and line; every
-    row of both files is checked before the structure is compared across
-    dates.  Rows of one date usually come together, so a date is parsed
-    once per run of rows with the same date text.  The per-date networks
-    are dropped once the series' arrays are built; its snapshots are views.
+    One pass over each file fills each date's node and link maps, from which
+    ``NetworkSeries.from_dates`` builds the arrays.  A link row's date is
+    parsed once per run of rows with the same date text, and its raw (source,
+    target) text maps to its stripped key, one map per set of node ids, so a
+    text is stripped and checked for unknown entities once per such set.  A
+    duplicate node id or link fails at its own file and line, and every row
+    of both files is checked before the dates' structures are compared.
     """
     nodes_path, links_path = Path(nodes_path), Path(links_path)
-    per_date_nodes: dict[int, dict[str, Node]] = {}
-    last = None
+    # date -> node id -> (level, parent, risk, exposure)
+    nodes_by_date: dict[int, dict[str, tuple]] = {}
     rows = _fixed_rows(nodes_path, NODES_HEADER)
     for row in rows:
-        if row[0] != last:
-            date = rows.quarter(row[0])
-            nodes = per_date_nodes.setdefault(date, {})
-            last = row[0]
+        date = rows.quarter(row[0])
+        nodes = nodes_by_date.setdefault(date, {})
         node_id = row[1].strip()
         if not node_id:
             raise rows.fail("empty node_id")
@@ -158,36 +157,39 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
         if level < 0:
             raise rows.fail("level must be >= 0")
         parent = row[3].strip() or None
-        risk = None
-        if row[4].strip():
-            risk = rows.number(row[4], "risk_value")
-            if not 0.0 <= risk <= 1.0:
-                raise rows.fail(f"risk_value {risk} outside [0,1]")
-        exposure = None
-        if row[5].strip():
-            exposure = rows.number(row[5], "self_exposure")
-            if exposure < 0.0:
-                raise rows.fail("self_exposure must be >= 0")
+        # an empty cell is NaN, which no range check below refuses
+        risk = rows.number(row[4], "risk_value") if row[4].strip() else math.nan
+        if risk < 0.0 or risk > 1.0:
+            raise rows.fail(f"risk_value {risk} outside [0,1]")
+        exposure = rows.number(row[5], "self_exposure") if row[5].strip() else math.nan
+        if exposure < 0.0:
+            raise rows.fail("self_exposure must be >= 0")
         if node_id in nodes:
             raise rows.fail(f"date {quarter_label(date)}: duplicate node id {node_id!r}")
-        nodes[node_id] = Node(node_id, level, parent, risk, exposure)
-    if not per_date_nodes:
+        nodes[node_id] = level, parent, risk, exposure
+    if not nodes_by_date:
         raise SchemaError(nodes_path, 2, "no node rows")
 
-    per_date_links: dict[int, dict[tuple[str, str], float]] = {}
+    # a raw text maps to its key only on dates with the ids it was checked on
+    keys_by_ids: dict[frozenset, dict[tuple[str, str], tuple[str, str]]] = {}
+    # date -> (its nodes, its links, raw (source, target) text -> stripped key)
+    state = {date: (nodes, {}, keys_by_ids.setdefault(frozenset(nodes), {}))
+             for date, nodes in nodes_by_date.items()}
     last = None
     rows = _fixed_rows(links_path, LINKS_HEADER)
     for date_text, source, target, weight_text in rows:
         if date_text != last:
             date = rows.quarter(date_text)
-            known = per_date_nodes.get(date)
-            if known is None:
+            if date not in state:
                 raise rows.fail(f"link date {date_text} has no node rows")
-            links = per_date_links.setdefault(date, {})
+            known, links, keys = state[date]
             last = date_text
-        source, target = source.strip(), target.strip()
-        if source not in known or target not in known:
-            raise rows.fail(f"unknown entity in link {source}->{target}")
+        key = keys.get((source, target))
+        if key is None:
+            key = source.strip(), target.strip()
+            if key[0] not in known or key[1] not in known:
+                raise rows.fail(f"unknown entity in link {key[0]}->{key[1]}")
+            keys[source, target] = key
         try:
             weight = float(weight_text)
         except ValueError:
@@ -196,15 +198,10 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
             # a bad or non-finite weight fails in rows.number, a negative one here
             rows.number(weight_text, "weight")
             raise rows.fail("weight must be >= 0")
-        key = source, target
         if key in links:
-            raise rows.fail(f"date {quarter_label(date)}: duplicate link {source!r} -> {target!r}")
+            raise rows.fail(f"date {quarter_label(date)}: duplicate link {key[0]!r} -> {key[1]!r}")
         links[key] = weight
-
-    return NetworkSeries.from_snapshots(
-        NetworkSnapshot(date, RiskNetwork(per_date_nodes[date], per_date_links.get(date, {})))
-        for date in sorted(per_date_nodes)
-    )
+    return NetworkSeries.from_dates((date, *state[date][:2]) for date in sorted(state))
 
 
 def write_nodes_csv(path, series: NetworkSeries) -> None:
@@ -219,11 +216,14 @@ def write_nodes_csv(path, series: NetworkSeries) -> None:
 
 
 def write_links_csv(path, series: NetworkSeries) -> None:
-    """Each date's link rows, read from the series' columns."""
+    """Each date's link rows, read from the series' columns; each distinct
+    weight is formatted once, keyed by its bits, so -0.0 keeps its sign."""
+    texts: dict[int, str] = {}
     _write(path, LINKS_HEADER, (
-        [label, source, target, fmt(weight)]
+        [label, source, target, texts.get(b) or texts.setdefault(b, fmt(w))]
         for label, weights in zip(map(quarter_label, series.dates), series.W)
-        for (source, target), weight in zip(series.link_keys, weights.tolist())
+        for (source, target), w, b in zip(
+            series.link_keys, weights.tolist(), weights.view(np.int64).tolist())
     ))
 
 

@@ -19,8 +19,9 @@ in-links and the engine's link columns all read one cached adjacency, the
 ``link_table`` of a network's or a series' sorted node ids and link keys.
 
 A quarterly series observes one structure on every date, so a
-``NetworkSeries`` keeps the structure once and the values as dates x columns
-arrays, and ``validate_hierarchy`` checks each structural rule once.
+``NetworkSeries`` keeps it once, shared by every snapshot view, and the values
+as dates x columns arrays, which the network reader fills from its rows; and
+``validate_hierarchy`` checks each structural rule once.
 """
 
 from __future__ import annotations
@@ -131,11 +132,6 @@ class NetworkSnapshot:
     network: RiskNetwork
 
 
-def _none_if_nan(x: float) -> float | None:
-    """A level or exposure read back from an array, where NaN marks none."""
-    return None if x != x else x
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkSeries:
     """A snapshot series over one fixed structure, held as arrays.
@@ -146,7 +142,7 @@ class NetworkSeries:
     self exposures (dates x nodes, NaN where a node has none).
 
     Indexing and iterating build each ``NetworkSnapshot`` anew from the
-    arrays, nodes and links in sorted order.
+    arrays, nodes and links in sorted order, sharing the series' structure.
     """
 
     dates: tuple[int, ...]
@@ -160,39 +156,41 @@ class NetworkSeries:
 
     @classmethod
     def from_snapshots(cls, snapshots) -> "NetworkSeries":
-        """The series of a non-empty snapshot list, dates in list order.
+        """The series of a non-empty snapshot list, dates in list order."""
+        return cls.from_dates((s.date, {nid: (n.level, n.parent_id, n.risk_value, n.self_exposure)
+                                        for nid, n in s.network.nodes.items()}, s.network.links)
+                              for s in snapshots)
 
-        Raises StructuralDriftError, naming the quarter of the first snapshot
+    @classmethod
+    def from_dates(cls, entries) -> "NetworkSeries":
+        """The series of ``(date, nodes, links)`` entries in list order, where
+        ``nodes`` maps ids to (level, parent, risk, exposure), None or NaN for
+        no value, and ``links`` maps (source, target) keys to weights.
+
+        Raises StructuralDriftError, naming the quarter of the first entry
         whose node ids, levels, parents or link keys differ from the first's.
         """
-        snaps = tuple(snapshots)
-        if not snaps:
+        entries = list(entries)
+        if not entries:
             raise ValueError("a series needs at least one snapshot")
-        first = snaps[0].network
-        shape = {nid: (n.level, n.parent_id) for nid, n in first.nodes.items()}
-        for snap in snaps[1:]:
-            net = snap.network
-            if (net.links.keys() != first.links.keys()
-                    or {nid: (n.level, n.parent_id) for nid, n in net.nodes.items()} != shape):
+        (_, first, first_links), *rest = entries
+        shape = {nid: node[:2] for nid, node in first.items()}
+        for date, nodes, links in rest:
+            if (links.keys() != first_links.keys()
+                    or {nid: node[:2] for nid, node in nodes.items()} != shape):
                 raise StructuralDriftError(
-                    f"snapshot {quarter_label(snap.date)} does not share the series structure"
-                )
-        node_ids, link_keys = tuple(sorted(first.nodes)), tuple(sorted(first.links))
-        nodes = [list(map(s.network.nodes.__getitem__, node_ids)) for s in snaps]
-
-        def table(rows, width):  # dates x width; None becomes NaN
-            return np.array(rows, dtype=float).reshape(len(snaps), width)
-
+                    f"snapshot {quarter_label(date)} does not share the series structure")
+        node_ids, link_keys = tuple(sorted(first)), tuple(sorted(first_links))
+        rows = [list(map(nodes.__getitem__, node_ids)) for _, nodes, _ in entries]
         return cls(
-            dates=tuple(s.date for s in snaps),
+            dates=tuple(date for date, _, _ in entries),
             node_ids=node_ids,
-            levels=tuple(first.nodes[nid].level for nid in node_ids),
-            parents=tuple(first.nodes[nid].parent_id for nid in node_ids),
+            levels=tuple(first[nid][0] for nid in node_ids),
+            parents=tuple(first[nid][1] for nid in node_ids),
             link_keys=link_keys,
-            W=table([list(map(s.network.links.__getitem__, link_keys)) for s in snaps],
-                    len(link_keys)),
-            X=table([[n.risk_value for n in row] for row in nodes], len(node_ids)),
-            exposure=table([[n.self_exposure for n in row] for row in nodes], len(node_ids)),
+            W=np.array([[*map(links.__getitem__, link_keys)] for _, _, links in entries], float),
+            X=np.array([[node[2] for node in row] for row in rows], dtype=float),
+            exposure=np.array([[node[3] for node in row] for row in rows], dtype=float),
         )
 
     @cached_property
@@ -217,15 +215,18 @@ class NetworkSeries:
 
     def __getitem__(self, index: int) -> NetworkSnapshot:
         d = range(len(self.dates))[index]
-        nodes = {
-            nid: Node(nid, level, parent, _none_if_nan(risk), _none_if_nan(exposure))
+        nodes = {  # NaN, the one value unequal to itself, marks none
+            nid: Node(nid, level, parent, risk if risk == risk else None,
+                      exposure if exposure == exposure else None)
             for nid, level, parent, risk, exposure in zip(
                 self.node_ids, self.levels, self.parents,
                 self.X[d].tolist(), self.exposure[d].tolist(),
             )
         }
-        links = dict(zip(self.link_keys, self.W[d].tolist()))
-        return NetworkSnapshot(self.dates[d], RiskNetwork(nodes, links))
+        net = RiskNetwork(nodes, dict(zip(self.link_keys, self.W[d].tolist())))
+        vars(net).update(node_ids=self.node_ids, link_keys=self.link_keys,
+                         link_table=self.link_table)
+        return NetworkSnapshot(self.dates[d], net)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.dates)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
 from .io import write_events, write_indicators, write_links_csv, write_nodes_csv
-from .network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork
+from .network import NetworkSeries
 from .quarters import quarter_index
 
 ROOT_ID = "SYS"
@@ -97,17 +97,15 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
     )
 
     to_root = rng.uniform(0.5, 1.5, size=len(entities))
-    links = []
+    links = {}
     for entity, weight in zip(entities, to_root.tolist()):
-        links.append((entity, ROOT_ID, weight))
+        links[entity, ROOT_ID] = weight
         for other in entities:
             if other != entity and rng.random() < spec.network_density:
-                links.append((entity, other, rng.uniform(0.05, 1.0)))
-    net = RiskNetwork.build(
-        [Node(ROOT_ID, 0), *(Node(entity, 1, ROOT_ID) for entity in entities)], links)
-    series = NetworkSeries.from_snapshots(
-        NetworkSnapshot(quarter, net) for quarter in quarters
-    ).with_probabilities(
+                links[entity, other] = rng.uniform(0.05, 1.0)
+    nodes = {ROOT_ID: (0, None, None, None), **dict.fromkeys(entities, (1, ROOT_ID, None, None))}
+    # one structure on every quarter, then the entities' levels
+    series = NetworkSeries.from_dates((q, nodes, links) for q in quarters).with_probabilities(
         (entity, quarter, level)
         for entity, row in zip(entities, risk.tolist())
         for quarter, level in zip(quarters, row)

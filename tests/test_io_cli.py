@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +551,111 @@ def test_bad_rows_fail_like_the_oracle(tmp_path_factory, kind, case, seed):
     expected = read_with(oracle.read_nodes_links, nodes, links)
     assert expected[0] is SchemaError
     assert read_with(read_nodes_links, nodes, links) == expected
+
+
+def quarter_rows(quarter, rows):
+    return [f"{quarter},{row}" for row in rows]
+
+
+TRAP_NODES = ["S,0,,,", "A,1,S,0.5,", "B,1,S,0.4,", "C,1,S,0.3,"]
+TRAP_LINKS = ["A,S,0.6", "B,S,0.4", "C,S,0.2", "C,A,0.1"]
+# case -> (node rows, link rows, (error type, message part) or None for a series);
+# each is a way a link row could be read through a map it must not use
+FAST_PATH_TRAPS = {
+    # C's links were first read on 2005-Q1; 2005-Q2 has no node C
+    "later-date-lacks-a-linked-node": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES[:3]),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS),
+        (SchemaError, "unknown entity in link C->S"),
+    ),
+    "ids-padded-on-one-date-only": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows(
+            "2005-Q2", [" S ,0,,,", " A,1, S ,0.5,", "B ,1,S ,0.4,", "  C,1,S,0.3,"]),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows(
+            "2005-Q2", [" A , S,0.6", "B, S ,0.4", "C ,S,0.2", " C,A ,0.1"]),
+        None,
+    ),
+    "first-file-date-is-not-the-earliest": (
+        quarter_rows("2005-Q2", TRAP_NODES) + quarter_rows("2005-Q1", TRAP_NODES),
+        quarter_rows("2005-Q2", TRAP_LINKS) + quarter_rows("2005-Q1", TRAP_LINKS[::-1]),
+        None,
+    ),
+    # 2005-Q3 comes first in the file and drifts too, but 2005-Q2 is earlier
+    "drift-is-named-in-date-order": (
+        quarter_rows("2005-Q3", TRAP_NODES) + quarter_rows("2005-Q1", TRAP_NODES)
+        + quarter_rows("2005-Q2", TRAP_NODES),
+        quarter_rows("2005-Q3", TRAP_LINKS[:3]) + quarter_rows("2005-Q1", TRAP_LINKS)
+        + quarter_rows("2005-Q2", TRAP_LINKS + ["B,A,0.5"]),
+        (StructuralDriftError, "snapshot 2005-Q2 does not share"),
+    ),
+    "date-split-into-two-runs": (
+        quarter_rows("2005-Q1", TRAP_NODES[:2]) + quarter_rows("2005-Q2", TRAP_NODES)
+        + quarter_rows("2005-Q1", TRAP_NODES[2:]),
+        quarter_rows("2005-Q1", TRAP_LINKS[:2]) + quarter_rows("2005-Q2", TRAP_LINKS)
+        + quarter_rows("2005-Q1", TRAP_LINKS[2:]),
+        None,
+    ),
+    # 2005-Q2 drifts, but a bad weight on a later line wins
+    "schema-error-after-the-drifting-date": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES)
+        + quarter_rows("2005-Q3", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS[:3])
+        + quarter_rows("2005-Q3", TRAP_LINKS[:3] + ["C,A,heavy"]),
+        (SchemaError, "bad weight 'heavy'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_TRAPS))
+def test_fast_path_traps_read_like_the_oracle(tmp_path, case):
+    node_rows, link_rows, error = FAST_PATH_TRAPS[case]
+    nodes, links = write_network_files(tmp_path, node_rows, link_rows)
+    got = read_with(read_nodes_links, nodes, links)
+    assert got == read_with(oracle.read_nodes_links, nodes, links)
+    if error is None:
+        assert isinstance(got, list)
+    else:
+        assert got[0] is error[0] and error[1] in got[1]
+
+
+def test_a_duplicate_across_two_runs_of_one_date_fails_at_its_line(tmp_path):
+    nodes, links = write_network_files(
+        tmp_path, quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS)
+        + quarter_rows("2005-Q1", [" B , S ,0.9"]))
+    with pytest.raises(SchemaError) as err:
+        read_nodes_links(nodes, links)
+    assert str(err.value) == f"{links}:10: date 2005-Q1: duplicate link 'B' -> 'S'"
+
+
+def test_reading_builds_no_snapshot_or_network(tmp_path, monkeypatch):
+    assert main(["synth", "--outdir", str(tmp_path), "--seed", "7", "--entities", "8",
+                 "--start-quarter", "2004-Q1", "--end-quarter", "2009-Q4"]) == 0
+    files = tmp_path / "nodes.csv", tmp_path / "links.csv"
+    expected = read_nodes_links(*files)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-date object was built")
+
+    for owner, name in ((NetworkSeries, "from_snapshots"), (NetworkSeries, "__getitem__"),
+                        (RiskNetwork, "__init__")):
+        monkeypatch.setattr(owner, name, refuse)
+    series = read_nodes_links(*files)
+    for name in ("dates", "node_ids", "levels", "parents", "link_keys"):
+        assert getattr(series, name) == getattr(expected, name)
+    for name in ("W", "X", "exposure"):
+        assert np.array_equal(getattr(series, name), getattr(expected, name), equal_nan=True)
+
+
+def test_links_writer_keeps_signed_zeros_apart(tmp_path):
+    """Weights are formatted once per distinct bit pattern, so 0.0 and -0.0
+    in one column keep their own text, as the snapshot-walking writer has it."""
+    series = replace(small_snapshots(), W=np.array([[0.0, -0.0, 0.4], [-0.0, 0.0, 0.4]]))
+    assert_writers_match_the_oracle(tmp_path, series)
+    assert (tmp_path / "columns.csv").read_text().splitlines()[1:] == [
+        "2005-Q1,A,S,0", "2005-Q1,B,A,-0", "2005-Q1,B,S,0.4",
+        "2005-Q2,A,S,-0", "2005-Q2,B,A,0", "2005-Q2,B,S,0.4",
+    ]
 
 
 # ------------------------------------------------------------ series files

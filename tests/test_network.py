@@ -556,3 +556,44 @@ def test_capacity_and_in_links_from_the_link_table_equal_the_oracle_bit_for_bit(
     scan = oracle.ScanNetwork(net.nodes, net.links)
     for node_id in [*sorted(net.nodes), "nobody"]:
         assert net.in_links(node_id) == scan.in_links(node_id)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_views_share_the_series_structure_and_build_the_same_capacities(seed):
+    """Every view of a series reads the series' ids, link keys and link
+    table; its capacities equal those of a fresh copy of its nodes and links,
+    which builds its own, bit for bit."""
+    rng = np.random.default_rng(seed)
+    net = random_snapshot(rng, two_level=bool(rng.integers(2)),
+                          density=float(rng.uniform())).network
+    if rng.random() < 0.5:
+        net = with_self_links(rng, net)
+    # new weights per date, some zero, so that some targets have no in-mass
+    series = NetworkSeries.from_snapshots(
+        NetworkSnapshot(date, RiskNetwork(net.nodes, {
+            key: 0.0 if rng.random() < 0.3 else float(rng.uniform()) for key in net.links}))
+        for date in range(int(rng.integers(1, 4)))
+    )
+    for view in series:
+        shared = view.network
+        copy = RiskNetwork(dict(shared.nodes), dict(shared.links))
+        assert shared.link_table is series.link_table
+        assert shared.node_ids == series.node_ids == copy.node_ids
+        assert shared.link_keys == series.link_keys == copy.link_keys
+        assert list(shared.nodes) == list(copy.node_ids)
+        assert list(shared.links) == list(copy.link_keys)
+        assert np.array_equal(shared.link_table, copy.link_table)
+        for target in series.node_ids:
+            try:
+                want = build_capacity(copy, target)
+            except NoCapacityError as exc:
+                with pytest.raises(NoCapacityError) as err:
+                    build_capacity(shared, target)
+                assert str(err.value) == str(exc)
+                continue
+            got = build_capacity(shared, target)
+            assert got.elements == want.elements
+            assert got.raw_mass == want.raw_mass
+            assert np.array_equal(got.capacity.singleton, want.capacity.singleton)
+            assert np.array_equal(got.capacity.pairs, want.capacity.pairs)
