@@ -25,7 +25,8 @@ MIN_TRAIN_QUARTERS = 8
 
 @dataclass(frozen=True, eq=False)
 class IndicatorPanel:
-    """Entity x quarter x indicator values, NaN marking missing cells."""
+    """Entity x quarter x indicator values, NaN marking missing cells; an
+    infinite value is refused, since no indicator file can hold one."""
 
     entities: tuple[str, ...]
     quarters: tuple[int, ...]
@@ -37,6 +38,8 @@ class IndicatorPanel:
         expected = (len(self.entities), len(self.quarters), len(self.indicator_names))
         if arr.shape != expected:
             raise ValueError(f"values shape {arr.shape} != {expected}")
+        if np.isinf(arr).any():
+            raise ValueError("indicator values must be finite or NaN")
         q = np.asarray(self.quarters)
         if q.size and np.any(np.diff(q) <= 0):
             raise ValueError("quarters must be strictly increasing")

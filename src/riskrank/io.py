@@ -13,10 +13,15 @@ One rule holds for every file read: a file without a header row fails at
 line 1, the header is checked before any data row, blank lines are skipped,
 and a data row whose cell count differs from the header's fails at its line.
 The root node row leaves risk_value empty; empty cells generally mean
-"absent".  Floats are written with 10 significant digits so that identical
-runs produce identical bytes.  Schema problems are reported with the file
-and line they occur on: a header problem at line 1, an empty file at line 2,
-and a data-row problem by the row source, at the line of the row it read.
+"absent".  Schema problems are reported with the file and line they occur
+on: a header problem at line 1, an empty file at line 2, and a data-row
+problem by the row source, at the line of the row it read.
+
+Writers build the bytes ``csv.writer`` would write as text, one date's or
+one entity's block of lines at a time, so none holds a whole file.  Fixed
+cells (ids, entities, targets, models) are quoted once per structure, and
+floats are formatted with ``"%.10g"`` so that identical runs produce
+identical bytes; NaN is an empty cell where a file allows one, None is ``-``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from io import StringIO
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +61,34 @@ SERIES_COLUMNS = {
 
 
 def fmt(value: float | None) -> str:
-    if value is None:
-        return "-"
-    return f"{value:.10g}"
+    """A number with 10 significant digits; None, an undefined value, is ``-``."""
+    return "-" if value is None else "%.10g" % value
 
 
 def _cell(value: float) -> str:
     """A float cell; a missing value (NaN) is an empty cell."""
-    return "" if value != value else fmt(value)
+    return "" if value != value else "%.10g" % value
+
+
+def _csv_text(cells) -> str:
+    """The text ``csv.writer`` writes for ``cells``, without the line end.
+
+    Each cell is quoted on its own, so texts joined by commas are the text
+    of the joined cells.  A lone empty cell is the exception: ``csv.writer``
+    writes it as ``""`` but an empty cell in a longer row as nothing, so a
+    lone fixed cell is quoted with an empty one after it, which gives its
+    text in a row followed by its comma.
+    """
+    sink = StringIO()
+    csv.writer(sink).writerow(cells)
+    return sink.getvalue()[:-2]  # the writer's "\r\n"
+
+
+def _write_lines(path, header, blocks) -> None:
+    """Write the header line, then each block of whole lines as it comes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_text(header) + "\r\n")
+        fh.writelines(blocks)
 
 
 class _Rows:
@@ -120,13 +148,6 @@ def _fixed_rows(path: Path, expected: list[str]) -> _Rows:
     if rows.header != expected:
         raise SchemaError(path, 1, f"header {rows.header} != expected {expected}")
     return rows
-
-
-def _write(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
@@ -206,25 +227,39 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
 
 def write_nodes_csv(path, series: NetworkSeries) -> None:
     """Each date's node rows, read from the series' columns."""
-    _write(path, NODES_HEADER, (
-        [label, node_id, level, parent or "", _cell(risk), _cell(exposure)]
+    nodes = [_csv_text(cells) for cells in zip(
+        series.node_ids, series.levels, (parent or "" for parent in series.parents))]
+    _write_lines(path, NODES_HEADER, (
+        "".join([f"{label},{node},{_cell(risk)},{_cell(exposure)}\r\n"
+                 for node, risk, exposure in zip(nodes, risks.tolist(), exposures.tolist())])
         for label, risks, exposures in zip(
             map(quarter_label, series.dates), series.X, series.exposure)
-        for node_id, level, parent, risk, exposure in zip(
-            series.node_ids, series.levels, series.parents, risks.tolist(), exposures.tolist())
     ))
 
 
 def write_links_csv(path, series: NetworkSeries) -> None:
-    """Each date's link rows, read from the series' columns; each distinct
-    weight is formatted once, keyed by its bits, so -0.0 keeps its sign."""
-    texts: dict[int, str] = {}
-    _write(path, LINKS_HEADER, (
-        [label, source, target, texts.get(b) or texts.setdefault(b, fmt(w))]
-        for label, weights in zip(map(quarter_label, series.dates), series.W)
-        for (source, target), w, b in zip(
-            series.link_keys, weights.tolist(), weights.view(np.int64).tolist())
-    ))
+    """Each date's link rows, read from the series' columns.
+
+    A link's ``source,target`` is quoted once per series and kept with its
+    weight's text, which is formatted again only on a date whose weight
+    differs in bits from the date before: a weight kept over time is
+    formatted once, and -0.0 keeps its sign.
+    """
+    pairs = [_csv_text(key) for key in series.link_keys]
+
+    def blocks():
+        tails, last = [""] * len(pairs), None  # "source,target,weight\r\n" per link
+        for label, weights in zip(map(quarter_label, series.dates), series.W):
+            bits = weights.view(np.int64)
+            changed = np.arange(len(pairs)) if last is None else np.flatnonzero(bits != last)
+            for i, weight in zip(changed.tolist(), weights[changed].tolist()):
+                tails[i] = f"{pairs[i]},{'%.10g' % weight}\r\n"
+            last = bits
+            if tails:  # the date leads the first line and follows each line end
+                head = label + ","
+                yield head + head.join(tails)
+
+    _write_lines(path, LINKS_HEADER, blocks())
 
 
 def read_indicators(path) -> IndicatorPanel:
@@ -260,13 +295,26 @@ def read_indicators(path) -> IndicatorPanel:
 
 def write_indicators(path, panel: IndicatorPanel) -> None:
     """One row per (entity, quarter) with some value, entities then quarters
-    in panel order; a missing value (NaN) is an empty cell."""
-    _write(path, ["entity", "date", *panel.indicator_names], (
-        [entity, quarter_label(quarter), *map(_cell, row)]
-        for entity, rows in zip(panel.entities, panel.values.tolist())
-        for quarter, row in zip(panel.quarters, rows)
-        if any(v == v for v in row)
-    ))
+    in panel order; a missing value (NaN) is an empty cell, and a row with
+    none is formatted through one template."""
+    template = ",".join(["%.10g"] * panel.n_indicators) + "\r\n"
+    labels = [quarter_label(quarter) + "," for quarter in panel.quarters]
+    missing = np.isnan(panel.values)
+
+    def blocks():
+        for entity, rows, gaps, empties in zip(panel.entities, panel.values.tolist(),
+                                               missing.any(axis=2).tolist(),
+                                               missing.all(axis=2).tolist()):
+            lines = [
+                label + (",".join(map(_cell, row)) + "\r\n" if gap else template % tuple(row))
+                for label, row, gap, empty in zip(labels, rows, gaps, empties)
+                if not empty
+            ]
+            if lines:  # the entity leads the first line and follows each line end
+                head = _csv_text((entity, ""))
+                yield head + head.join(lines)
+
+    _write_lines(path, ["entity", "date", *panel.indicator_names], blocks())
 
 
 def read_events(path) -> CrisisEvents:
@@ -287,14 +335,16 @@ def read_events(path) -> CrisisEvents:
 
 
 def write_events(path, events: CrisisEvents) -> None:
-    _write(path, EVENTS_HEADER, (
-        [
-            event.entity,
-            quarter_label(event.start),
-            quarter_label(event.end) if event.end is not None else "",
-        ]
-        for event in events.events
-    ))
+    def blocks():
+        for entity, run in groupby(events.events, key=attrgetter("entity")):
+            head = _csv_text((entity, ""))
+            yield "".join([
+                f"{head}{quarter_label(event.start)},"
+                f"{quarter_label(event.end) if event.end is not None else ''}\r\n"
+                for event in run
+            ])
+
+    _write_lines(path, EVENTS_HEADER, blocks())
 
 
 @dataclass(frozen=True)
@@ -307,11 +357,11 @@ class ProbSeries:
 
 def write_probabilities(path, result) -> None:
     """Backtest output; masked cells are simply absent."""
-    _write(path, PROBS_HEADER, (
-        [entity, quarter_label(quarter), fmt(p)]
-        for entity, row in zip(result.entities, result.probabilities.tolist())
-        for quarter, p in zip(result.quarters, row)
-        if p == p
+    labels = [quarter_label(quarter) + "," for quarter in result.quarters]
+    _write_lines(path, PROBS_HEADER, (
+        "".join([f"{head}{label}{'%.10g' % p}\r\n" for label, p in zip(labels, row) if p == p])
+        for head, row in zip((_csv_text((entity, "")) for entity in result.entities),
+                             result.probabilities.tolist())
     ))
 
 
@@ -341,44 +391,52 @@ def read_series(path) -> ProbSeries:
     return ProbSeries(path.stem, tuple((e, q, p) for (e, q), p in sorted(cells.items())))
 
 
-def write_decompositions(path, rows) -> None:
-    def body():
-        for row in rows:
-            d = row.decomposition
-            yield [
-                quarter_label(row.date), row.target, fmt(d.individual),
-                fmt(d.direct), fmt(d.indirect), fmt(d.total_raw), fmt(d.total),
-            ]
+def _series_cells(rows):
+    """(date label, target and its comma, decomposition) per series row, each
+    target quoted once per call.  Their writers write line by line rather
+    than one block per date: a run of scoring calls that joined blocks of a
+    few KB grew its peak RSS by about 0.4 MB on a 26-entity network."""
+    heads: dict[str, str] = {}
+    for row in rows:
+        head = heads.get(row.target) or heads.setdefault(row.target, _csv_text((row.target, "")))
+        yield quarter_label(row.date), head, row.decomposition
 
-    _write(path, DECOMP_HEADER, body())
+
+def write_decompositions(path, rows) -> None:
+    _write_lines(path, DECOMP_HEADER, (
+        f"{label},{head}" + "%.10g,%.10g,%.10g,%.10g,%.10g\r\n"
+        % (d.individual, d.direct, d.indirect, d.total_raw, d.total)
+        for label, head, d in _series_cells(rows)
+    ))
 
 
 def write_series_long(path, rows) -> None:
     """Tidy component series for external plotting."""
-    _write(path, ["date", "target", "component", "value"], (
-        [quarter_label(row.date), row.target, component,
-         fmt(getattr(row.decomposition, component))]
-        for row in rows
-        for component in ("individual", "direct", "indirect", "total")
+    _write_lines(path, ["date", "target", "component", "value"], (
+        f"{label},{head}individual,{'%.10g' % d.individual}\r\n"
+        f"{label},{head}direct,{'%.10g' % d.direct}\r\n"
+        f"{label},{head}indirect,{'%.10g' % d.indirect}\r\n"
+        f"{label},{head}total,{'%.10g' % d.total}\r\n"
+        for label, head, d in _series_cells(rows)
     ))
 
 
 def write_eval_reports(path, reports) -> None:
-    def body():
+    def blocks():
         for report in reports:
-            for row in report.rows:
-                m = row.metrics
-                yield [
-                    report.model, fmt(row.mu_pref), fmt(row.tau),
-                    row.cm.tp, row.cm.tn, row.cm.fp, row.cm.fn,
-                    fmt(row.t1), fmt(row.t2), fmt(row.loss),
-                    fmt(row.u_a), fmt(row.u_r), fmt(report.auc),
-                    fmt(m.precision_signal), fmt(m.recall_signal),
-                    fmt(m.precision_tranquil), fmt(m.recall_tranquil),
-                    fmt(m.accuracy),
-                ]
+            head, auc = _csv_text((report.model, "")), fmt(report.auc)
+            yield "".join([
+                f"{head}{fmt(row.mu_pref)},{fmt(row.tau)},"
+                f"{row.cm.tp},{row.cm.tn},{row.cm.fp},{row.cm.fn},"
+                f"{fmt(row.t1)},{fmt(row.t2)},{fmt(row.loss)},"
+                f"{fmt(row.u_a)},{fmt(row.u_r)},{auc},"
+                f"{fmt(row.metrics.precision_signal)},{fmt(row.metrics.recall_signal)},"
+                f"{fmt(row.metrics.precision_tranquil)},{fmt(row.metrics.recall_tranquil)},"
+                f"{fmt(row.metrics.accuracy)}\r\n"
+                for row in report.rows
+            ])
 
-    _write(path, EVAL_HEADER, body())
+    _write_lines(path, EVAL_HEADER, blocks())
 
 
 DEFAULT_MU_GRID = tuple(i / 10 for i in range(11))

@@ -9,7 +9,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-_QUARTER_RE = re.compile(r"^(\d{4})-Q([1-4])$")
+# ASCII digits only: ``\d`` would also match other scripts' digits, which
+# ``int`` reads, so "２０００-Q1" would pass as 2000-Q1
+_QUARTER_RE = re.compile(r"^([0-9]{4})-Q([1-4])$")
 
 
 @lru_cache(maxsize=1024)

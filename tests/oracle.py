@@ -72,6 +72,12 @@ reading the series' columns replaced: they walk the snapshots they are
 given, sorting each one's nodes and links.  ``shapley`` and
 ``interaction_index`` are the two index loops that the package's one
 interaction routine of orders 1 and 2 replaced.
+
+The ``rows_write_*`` functions are the package's eight writers as they were
+before they built their lines as text: each sends one list of cells per row
+through ``csv.writer`` in ``_write``, and formats each float with ``fmt``
+(an f-string with 10 significant digits, ``-`` for None) or ``_cell`` (empty
+for NaN).  The network writers above use the same ``_write`` and ``fmt``.
 """
 
 from __future__ import annotations
@@ -93,8 +99,15 @@ from riskrank.engine import (
 )
 from riskrank.errors import NoCapacityError, RiskRankError, SchemaError, StructuralDriftError
 from riskrank.evaluation import ContingencyMatrix, binarize, contingency, error_rates
-from riskrank.io import LINKS_HEADER, NODES_HEADER, _write, fmt
-from riskrank.network import PATH_PAD, NetworkSnapshot, Node, RiskNetwork
+from riskrank.io import (
+    DECOMP_HEADER,
+    EVAL_HEADER,
+    EVENTS_HEADER,
+    LINKS_HEADER,
+    NODES_HEADER,
+    PROBS_HEADER,
+)
+from riskrank.network import PATH_PAD, NetworkSeries, NetworkSnapshot, Node, RiskNetwork
 from riskrank.network import k_paths as path_rows
 from riskrank.quarters import quarter_index, quarter_label
 
@@ -806,3 +819,116 @@ def interaction_index(measure: FuzzyMeasure) -> np.ndarray:
             val = float(np.sum(coef[sizes[without]] * delta))
             out[i, j] = out[j, i] = val
     return out
+
+
+def fmt(value: float | None) -> str:
+    if value is None:
+        return "-"
+    return f"{value:.10g}"
+
+
+def _cell(value: float) -> str:
+    """A float cell; a missing value (NaN) is an empty cell."""
+    return "" if value != value else fmt(value)
+
+
+def _write(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def rows_write_nodes_csv(path, series: NetworkSeries) -> None:
+    """Each date's node rows, read from the series' columns."""
+    _write(path, NODES_HEADER, (
+        [label, node_id, level, parent or "", _cell(risk), _cell(exposure)]
+        for label, risks, exposures in zip(
+            map(quarter_label, series.dates), series.X, series.exposure)
+        for node_id, level, parent, risk, exposure in zip(
+            series.node_ids, series.levels, series.parents, risks.tolist(), exposures.tolist())
+    ))
+
+
+def rows_write_links_csv(path, series: NetworkSeries) -> None:
+    """Each date's link rows, read from the series' columns; each distinct
+    weight is formatted once, keyed by its bits, so -0.0 keeps its sign."""
+    texts: dict[int, str] = {}
+    _write(path, LINKS_HEADER, (
+        [label, source, target, texts.get(b) or texts.setdefault(b, fmt(w))]
+        for label, weights in zip(map(quarter_label, series.dates), series.W)
+        for (source, target), w, b in zip(
+            series.link_keys, weights.tolist(), weights.view(np.int64).tolist())
+    ))
+
+
+def rows_write_indicators(path, panel: IndicatorPanel) -> None:
+    """One row per (entity, quarter) with some value, entities then quarters
+    in panel order; a missing value (NaN) is an empty cell."""
+    _write(path, ["entity", "date", *panel.indicator_names], (
+        [entity, quarter_label(quarter), *map(_cell, row)]
+        for entity, rows in zip(panel.entities, panel.values.tolist())
+        for quarter, row in zip(panel.quarters, rows)
+        if any(v == v for v in row)
+    ))
+
+
+def rows_write_events(path, events: CrisisEvents) -> None:
+    _write(path, EVENTS_HEADER, (
+        [
+            event.entity,
+            quarter_label(event.start),
+            quarter_label(event.end) if event.end is not None else "",
+        ]
+        for event in events.events
+    ))
+
+
+def rows_write_probabilities(path, result) -> None:
+    """Backtest output; masked cells are simply absent."""
+    _write(path, PROBS_HEADER, (
+        [entity, quarter_label(quarter), fmt(p)]
+        for entity, row in zip(result.entities, result.probabilities.tolist())
+        for quarter, p in zip(result.quarters, row)
+        if p == p
+    ))
+
+
+def rows_write_decompositions(path, rows) -> None:
+    def body():
+        for row in rows:
+            d = row.decomposition
+            yield [
+                quarter_label(row.date), row.target, fmt(d.individual),
+                fmt(d.direct), fmt(d.indirect), fmt(d.total_raw), fmt(d.total),
+            ]
+
+    _write(path, DECOMP_HEADER, body())
+
+
+def rows_write_series_long(path, rows) -> None:
+    """Tidy component series for external plotting."""
+    _write(path, ["date", "target", "component", "value"], (
+        [quarter_label(row.date), row.target, component,
+         fmt(getattr(row.decomposition, component))]
+        for row in rows
+        for component in ("individual", "direct", "indirect", "total")
+    ))
+
+
+def rows_write_eval_reports(path, reports) -> None:
+    def body():
+        for report in reports:
+            for row in report.rows:
+                m = row.metrics
+                yield [
+                    report.model, fmt(row.mu_pref), fmt(row.tau),
+                    row.cm.tp, row.cm.tn, row.cm.fp, row.cm.fn,
+                    fmt(row.t1), fmt(row.t2), fmt(row.loss),
+                    fmt(row.u_a), fmt(row.u_r), fmt(report.auc),
+                    fmt(m.precision_signal), fmt(m.recall_signal),
+                    fmt(m.precision_tranquil), fmt(m.recall_tranquil),
+                    fmt(m.accuracy),
+                ]
+
+    _write(path, EVAL_HEADER, body())

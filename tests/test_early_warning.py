@@ -35,6 +35,16 @@ def panel_for(entities, first="2000-Q1", n_quarters=60, n_indicators=2,
 
 # ------------------------------------------------------------- labeling
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_panel_refuses_an_infinite_value_and_keeps_nan_as_missing(value):
+    values = np.zeros((1, 2, 1))
+    values[0, 1, 0] = value
+    with pytest.raises(ValueError, match="finite or NaN"):
+        IndicatorPanel(("E1",), (0, 1), values, ("ind_1",))
+    values[0, 1, 0] = np.nan
+    assert np.isnan(IndicatorPanel(("E1",), (0, 1), values, ("ind_1",)).values[0, 1, 0])
+
+
 def test_precrisis_window_matches_date_arithmetic():
     panel = panel_for(["DE"], first="2004-Q1", n_quarters=24)
     events = CrisisEvents((CrisisEvent("DE", quarter_index("2008-Q1")),))

@@ -66,6 +66,13 @@ def test_quarter_roundtrip_and_validation():
 
 # ------------------------------------------------------------ round trips
 
+@pytest.mark.parametrize("label", ["\uff12\uff10\uff10\uff10-Q1", "\u0662\u0660\u0660\u0660-Q1",
+                                   "2000-Q\uff11"])
+def test_quarter_digits_are_ascii(label):
+    with pytest.raises(ValueError, match="bad quarter"):
+        quarter_index(label)
+
+
 def test_network_csv_roundtrip(tmp_path):
     snapshots = small_snapshots()
     nodes, links = tmp_path / "nodes.csv", tmp_path / "links.csv"
@@ -903,6 +910,29 @@ def test_cli_rejects_non_finite_weight(tmp_path, capsys, weight):
         assert capsys.readouterr().err == (
             f"error: schema: {links}:3: non-finite weight {weight!r}\n"
         )
+
+
+def test_cli_refuses_a_quarter_written_in_other_digits(tmp_path, capsys):
+    """Full-width digits are digits to ``int`` but not in a YYYY-Qn label:
+    in a file, in --start and in --start-quarter."""
+    nodes, links = tmp_path / "nodes.csv", tmp_path / "links.csv"
+    nodes.write_text(",".join(NODES_HEADER) + "\n\uff12\uff10\uff10\uff15-Q1,S,0,,,\n",
+                     encoding="utf-8")
+    links.write_text(",".join(LINKS_HEADER) + "\n", encoding="utf-8")
+    assert main(["validate", "--nodes", str(nodes), "--links", str(links)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: schema: {nodes}:2: bad quarter")
+
+    data = tmp_path / "data"
+    assert main(["synth", "--outdir", str(data), "--seed", "7", "--entities", "3"]) == 0
+    capsys.readouterr()
+    for argv in (["backtest", "--indicators", str(data / "indicators.csv"),
+                  "--events", str(data / "events.csv"), "--start", "\uff12\uff10\uff10\uff15-Q1",
+                  "--out", str(tmp_path / "p.csv")],
+                 ["synth", "--outdir", str(tmp_path / "s"), "--seed", "7",
+                  "--start-quarter", "\uff12\uff10\uff10\uff15-Q1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: invalid: bad quarter")
+    assert not (tmp_path / "p.csv").exists()
 
 
 # (command line, missing flag); input paths are checked before any is read
