@@ -44,6 +44,17 @@ class ValidationReport:
         return "; ".join(self.violations)
 
 
+def unique_keys(pairs) -> dict:
+    """A JSON object's members, refusing a key given twice: the
+    ``object_pairs_hook`` of every JSON file this package reads."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"JSON key {json.dumps(key)} is given twice")
+        doc[key] = value
+    return doc
+
+
 def _subset_label(mask: int) -> str:
     """Human-readable 1-based subset label for a bitmask."""
     members = [str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
@@ -130,7 +141,7 @@ class FuzzyMeasure:
     def from_json(cls, text: str) -> "FuzzyMeasure":
         """Parse ``{"n": n, "mu": {"1,2": value, ...}}``, where "" keys the
         empty set; a malformed document raises ValueError naming its fault."""
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(doc, dict) or not {"n", "mu"} <= doc.keys():
             raise ValueError('measure must be a JSON object with keys "n" and "mu"')
         n, mu = doc["n"], doc["mu"]
@@ -175,8 +186,9 @@ def validate_measure(measure: FuzzyMeasure) -> ValidationReport:
         violations.append(
             f"boundary: mu({_subset_label(measure.full_set)}) = {mu[-1]:.6g}, expected 1"
         )
+    # NaN fails both bounds, so it is out of range too
     out_of_range = np.flatnonzero(
-        (mu < -MONOTONE_SLACK) | (mu > 1.0 + MONOTONE_SLACK)
+        ~((mu >= -MONOTONE_SLACK) & (mu <= 1.0 + MONOTONE_SLACK))
     )
     for mask in out_of_range:
         violations.append(

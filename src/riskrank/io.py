@@ -9,13 +9,15 @@ All files are UTF-8 CSV with a mandatory header row and ``YYYY-Qn`` dates:
     probabilities.csv  entity,date,p
     decompositions     date,target,individual,direct,indirect,total_raw,total
 
-One rule holds for every file read: a file without a header row fails at
-line 1, the header is checked before any data row, blank lines are skipped,
-and a data row whose cell count differs from the header's fails at its line.
-The root node row leaves risk_value empty; empty cells generally mean
-"absent".  Schema problems are reported with the file and line they occur
-on: a header problem at line 1, an empty file at line 2, and a data-row
-problem by the row source, at the line of the row it read.
+The row source, ``_Rows``, owns the rules every file read shares: a file
+without a header row fails at line 1, a fixed header is checked before any
+data row, blank lines are skipped, a data row whose cell count differs from
+the header's fails at its line, no id or entity is blank, and no (entity,
+quarter) repeats in an indicator, event or series file.  The root node row
+leaves risk_value empty; other empty cells generally mean "absent".  Schema
+problems are reported at their file and line: a header problem at line 1,
+an empty file at line 2, a data-row problem at the line of the row read.  A
+JSON file (config or measure) that gives a key twice is refused.
 
 Writers build the bytes ``csv.writer`` would write as text, one date's or
 one entity's block of lines at a time, so none holds a whole file.  Fixed
@@ -37,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .capacity import unique_keys
 from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
 from .engine import RiskRankConfig
 from .errors import SchemaError
@@ -94,16 +97,20 @@ def _write_lines(path, header, blocks) -> None:
 class _Rows:
     """A CSV file's ``header`` row, then its data rows when iterated.
 
-    Blank rows are skipped, and a data row whose cell count differs from the
-    header's fails at its line.  ``fail``, ``quarter`` and ``number`` report
-    a problem with the row last yielded at this file and that row's line, so
-    a reader never tracks where its rows sit.
+    A header other than ``expected``, when given, fails at line 1.  Blank
+    rows are skipped, and a data row whose cell count differs from the
+    header's fails at its line.  ``fail`` and the cell readers (``text``,
+    ``key``, ``quarter``, ``number``) report a problem with the row last
+    yielded at this file and that row's line, so a reader never tracks where
+    its rows sit.
     """
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, path, expected: list[str] | None = None):
+        self.path = Path(path)
         self._rows = self._read()
         self.header = next(self._rows)
+        if expected is not None and self.header != expected:
+            raise SchemaError(self.path, 1, f"header {self.header} != expected {expected}")
 
     def _read(self):
         with open(self.path, newline="", encoding="utf-8") as fh:
@@ -126,6 +133,21 @@ class _Rows:
     def fail(self, message: str) -> SchemaError:
         return SchemaError(self.path, self._reader.line_num, message)
 
+    def text(self, cell: str, what: str) -> str:
+        """The cell without its padding, which must leave some text."""
+        text = cell.strip()
+        if not text:
+            raise self.fail(f"empty {what}")
+        return text
+
+    def key(self, entity: str, date: str, seen) -> tuple[str, int]:
+        """The row's (entity, quarter); an empty entity, a bad quarter or a
+        pair that ``seen`` holds already fails, in that order."""
+        key = self.text(entity, "entity"), self.quarter(date)
+        if key in seen:
+            raise self.fail(f"duplicate cell {key[0]} {date}")
+        return key
+
     def quarter(self, text: str) -> int:
         try:
             return quarter_index(text)
@@ -142,14 +164,6 @@ class _Rows:
         return value
 
 
-def _fixed_rows(path: Path, expected: list[str]) -> _Rows:
-    """Rows of a file whose header must equal ``expected``."""
-    rows = _Rows(path)
-    if rows.header != expected:
-        raise SchemaError(path, 1, f"header {rows.header} != expected {expected}")
-    return rows
-
-
 def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     """Parse a snapshot series; all dates must share one structure.
 
@@ -161,16 +175,13 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     duplicate node id or link fails at its own file and line, and every row
     of both files is checked before the dates' structures are compared.
     """
-    nodes_path, links_path = Path(nodes_path), Path(links_path)
     # date -> node id -> (level, parent, risk, exposure)
     nodes_by_date: dict[int, dict[str, tuple]] = {}
-    rows = _fixed_rows(nodes_path, NODES_HEADER)
+    rows = _Rows(nodes_path, NODES_HEADER)
     for row in rows:
         date = rows.quarter(row[0])
         nodes = nodes_by_date.setdefault(date, {})
-        node_id = row[1].strip()
-        if not node_id:
-            raise rows.fail("empty node_id")
+        node_id = rows.text(row[1], "node_id")
         try:
             level = int(row[2])
         except ValueError:
@@ -189,7 +200,7 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
             raise rows.fail(f"date {quarter_label(date)}: duplicate node id {node_id!r}")
         nodes[node_id] = level, parent, risk, exposure
     if not nodes_by_date:
-        raise SchemaError(nodes_path, 2, "no node rows")
+        raise SchemaError(rows.path, 2, "no node rows")
 
     # a raw text maps to its key only on dates with the ids it was checked on
     keys_by_ids: dict[frozenset, dict[tuple[str, str], tuple[str, str]]] = {}
@@ -197,7 +208,7 @@ def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
     state = {date: (nodes, {}, keys_by_ids.setdefault(frozenset(nodes), {}))
              for date, nodes in nodes_by_date.items()}
     last = None
-    rows = _fixed_rows(links_path, LINKS_HEADER)
+    rows = _Rows(links_path, LINKS_HEADER)
     for date_text, source, target, weight_text in rows:
         if date_text != last:
             date = rows.quarter(date_text)
@@ -263,26 +274,20 @@ def write_links_csv(path, series: NetworkSeries) -> None:
 
 
 def read_indicators(path) -> IndicatorPanel:
-    path = Path(path)
     rows = _Rows(path)
     if len(rows.header) < 3 or rows.header[:2] != ["entity", "date"]:
-        raise SchemaError(path, 1, "header must be entity,date,ind_1,...")
+        raise SchemaError(rows.path, 1, "header must be entity,date,ind_1,...")
     names = tuple(rows.header[2:])
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SchemaError(rows.path, 1, f"duplicate indicator {name!r}")
     cells: dict[tuple[str, int], list[float]] = {}
     for row in rows:
-        entity = row[0].strip()
-        if not entity:
-            raise rows.fail("empty entity")
-        date = rows.quarter(row[1])
-        if (entity, date) in cells:
-            raise rows.fail(f"duplicate cell {entity} {row[1]}")
-        values = [
-            rows.number(cell, "indicator") if cell.strip() else np.nan
-            for cell in row[2:]
-        ]
-        cells[(entity, date)] = values
+        key = rows.key(row[0], row[1], cells)
+        cells[key] = [rows.number(cell, "indicator") if cell.strip() else np.nan
+                      for cell in row[2:]]
     if not cells:
-        raise SchemaError(path, 2, "no indicator rows")
+        raise SchemaError(rows.path, 2, "no indicator rows")
     entities = tuple(sorted({e for e, _ in cells}))
     quarters = tuple(sorted({q for _, q in cells}))
     values = np.full((len(entities), len(quarters), len(names)), np.nan)
@@ -318,20 +323,17 @@ def write_indicators(path, panel: IndicatorPanel) -> None:
 
 
 def read_events(path) -> CrisisEvents:
-    path = Path(path)
-    events = []
-    rows = _fixed_rows(path, EVENTS_HEADER)
+    """Crisis episodes in file order, one per (entity, crisis_start)."""
+    events: dict[tuple[str, int], CrisisEvent] = {}
+    rows = _Rows(path, EVENTS_HEADER)
     for row in rows:
-        entity = row[0].strip()
-        if not entity:
-            raise rows.fail("empty entity")
-        start = rows.quarter(row[1])
+        key = rows.key(row[0], row[1], events)
         end = rows.quarter(row[2]) if row[2].strip() else None
         try:
-            events.append(CrisisEvent(entity, start, end))
+            events[key] = CrisisEvent(*key, end)
         except ValueError as exc:
             raise rows.fail(str(exc)) from None
-    return CrisisEvents(tuple(events))
+    return CrisisEvents(tuple(events.values()))
 
 
 def write_events(path, events: CrisisEvents) -> None:
@@ -367,28 +369,21 @@ def write_probabilities(path, result) -> None:
 
 def read_series(path) -> ProbSeries:
     """Read a probability series; decomposition files count with p = total."""
-    path = Path(path)
     rows = _Rows(path)
     columns = SERIES_COLUMNS.get(tuple(rows.header))
     if columns is None:
-        raise SchemaError(path, 1, f"unrecognized series header {rows.header}")
+        raise SchemaError(rows.path, 1, f"unrecognized series header {rows.header}")
     entity_at, date_at, p_at = (rows.header.index(name) for name in columns)
     cells: dict[tuple[str, int], float] = {}
     for row in rows:
-        entity = row[entity_at].strip()
-        if not entity:
-            raise rows.fail("empty entity")
-        date_text = row[date_at]
-        date = rows.quarter(date_text)
-        if (entity, date) in cells:
-            raise rows.fail(f"duplicate cell {entity} {date_text}")
+        key = rows.key(row[entity_at], row[date_at], cells)
         p = rows.number(row[p_at], "probability")
         if not 0.0 <= p <= 1.0:
             raise rows.fail(f"probability {p} outside [0,1]")
-        cells[(entity, date)] = p
+        cells[key] = p
     if not cells:
-        raise SchemaError(path, 2, "no series rows")
-    return ProbSeries(path.stem, tuple((e, q, p) for (e, q), p in sorted(cells.items())))
+        raise SchemaError(rows.path, 2, "no series rows")
+    return ProbSeries(rows.path.stem, tuple((e, q, p) for (e, q), p in sorted(cells.items())))
 
 
 def _series_cells(rows):
@@ -464,6 +459,8 @@ class RunConfig(RiskRankConfig):
         super().__post_init__()
         if not 1 <= self.h1 <= self.h2:
             raise ValueError("horizon must satisfy 1 <= h1 <= h2")
+        if self.lag < 0:
+            raise ValueError("publication lag must be >= 0")
         if not self.mu_grid:
             raise ValueError("preference grid must hold at least one value")
         if any(not 0.0 <= mu <= 1.0 for mu in self.mu_grid):
@@ -483,7 +480,7 @@ _CONFIG_TYPES = {
 
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     known = set(RunConfig.__dataclass_fields__)

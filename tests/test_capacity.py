@@ -123,6 +123,11 @@ def test_boundary_violation_is_reported():
     assert any(v.startswith("boundary") for v in report.violations)
 
 
+def test_a_nan_value_is_out_of_range():
+    report = validate_measure(FuzzyMeasure([0.0, math.nan, 0.5, 1.0]))
+    assert report.violations == ("range: mu({1}) = nan outside [0,1]",)
+
+
 def test_missing_subset_entry_is_structural_error():
     with pytest.raises(ValueError, match="missing subset"):
         FuzzyMeasure.from_subsets(2, {(): 0.0, (1,): 0.5, (1, 2): 1.0})

@@ -277,6 +277,12 @@ def test_backtest_requires_enough_training_quarters():
         recursive_backtest(panel, events, 5, 12, lag=1, start=panel.quarters[3])
 
 
+def test_backtest_refuses_a_negative_lag():
+    panel, events = synthetic_backtest_inputs()
+    with pytest.raises(ValueError, match="publication lag must be >= 0"):
+        recursive_backtest(panel, events, 5, 12, lag=-1)
+
+
 def test_backtest_masks_single_class_windows():
     # no crisis anywhere: every window is single-class, all predictions masked
     panel, _ = synthetic_backtest_inputs()

@@ -249,6 +249,37 @@ def test_line_numbers_count_blank_lines(tmp_path, kind):
     assert str(err.value) == f"{tmp_path / name}:5: {message}"
 
 
+# case -> (format, data rows after its valid row, the failing line, its message);
+# an entity and its quarter are checked before the row's other cells
+BAD_CELLS = {
+    "indicators-empty-entity": ("indicators", [" ,2005-Q2,x,"], 3, "empty entity"),
+    "events-empty-entity": ("events", [",2009-Q1,x"], 3, "empty entity"),
+    "indicators-duplicate-cell": ("indicators", ["B,2005-Q2,,", "A,2005-Q1,x,"], 4,
+                                  "duplicate cell A 2005-Q1"),
+    # two episodes of one entity starting in one quarter
+    "events-duplicate-cell": ("events", ["E01,2005-Q1,2005-Q2", "E01,2005-Q1,2007-Q4"], 4,
+                              "duplicate cell E01 2005-Q1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CELLS))
+def test_cell_rules_fail_at_their_line(tmp_path, case):
+    kind, bad_rows, line, message = BAD_CELLS[case]
+    name, header, valid, reader = FORMATS[kind]
+    (tmp_path / name).write_text("\n".join([header, valid, *bad_rows]) + "\n")
+    with pytest.raises(SchemaError) as err:
+        reader(tmp_path)
+    assert str(err.value) == f"{tmp_path / name}:{line}: {message}"
+
+
+def test_a_repeated_indicator_name_fails_at_the_header(tmp_path):
+    path = tmp_path / "indicators.csv"
+    path.write_text("entity,date,ind_1,ind_1\nA,2005-Q1,0.5,0.25\n")
+    with pytest.raises(SchemaError) as err:
+        read_indicators(path)
+    assert str(err.value) == f"{path}:1: duplicate indicator 'ind_1'"
+
+
 def test_duplicate_indicator_cell(tmp_path):
     path = tmp_path / "indicators.csv"
     path.write_text("entity,date,ind_1\nA,2005-Q1,1.0\nA,2005-Q1,2.0\n")
@@ -1000,6 +1031,8 @@ MALFORMED_MEASURES = {
                    'measure mu key " 1" is not comma-separated integers'),
     "same-subset": ('{"n": 2, "mu": {"": 0, "1": 0.5, "2": 0.5, "1,2": 1, "2,1": 1}}',
                     "subset {1,2} is given twice"),
+    "same-key": ('{"n": 2, "mu": {"": 0, "1": 0.5, "2": 0.5, "1,2": 0.2, "1,2": 1}}',
+                 'JSON key "1,2" is given twice'),
 }
 
 
@@ -1254,6 +1287,28 @@ def test_run_config_validation(tmp_path):
     path.write_text(json.dumps({key: list(value) if isinstance(value, tuple) else value
                                 for key, value in vars(defaults).items()}))
     assert load_config(path) == defaults
+
+
+# case -> (config file text or None, extra backtest arguments, detail of the stderr line)
+CONFIG_BEFORE_INPUTS = {
+    "same-key": ('{"h1": 5, "h1": 9}', [], 'JSON key "h1" is given twice'),
+    "lag-in-file": ('{"lag": -1}', [], "publication lag must be >= 0"),
+    "lag-flag": (None, ["--lag", "-1"], "publication lag must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("text,extra,detail", CONFIG_BEFORE_INPUTS.values(),
+                         ids=CONFIG_BEFORE_INPUTS)
+def test_cli_refuses_a_bad_config_before_reading_an_input(tmp_path, capsys, text, extra,
+                                                          detail):
+    missing, out = str(tmp_path / "missing.csv"), tmp_path / "out.csv"
+    argv = ["backtest", "--indicators", missing, "--events", missing, "--out", str(out), *extra]
+    if text is not None:
+        (tmp_path / "config.json").write_text(text)
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: invalid: {detail}\n")
+    assert not out.exists()
 
 
 # (config document, command, detail of the stderr line)

@@ -96,7 +96,8 @@ def reports(draw):
     def row():
         return EvalRow(
             draw(numbers), draw(with_nan), ContingencyMatrix(*draw(
-                st.lists(st.integers(0, 10**6), min_size=4, max_size=4))),
+                # a matrix holds at least one observation
+                st.lists(st.integers(0, 10**6), min_size=4, max_size=4).filter(any))),
             draw(with_none), draw(with_none), draw(numbers), draw(with_nan), draw(with_nan),
             ClassMetrics(*(draw(with_none) for _ in range(4)), draw(numbers)),
         )
