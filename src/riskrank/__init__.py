@@ -21,7 +21,6 @@ from .early_warning import (
     CrisisEvent,
     CrisisEvents,
     IndicatorPanel,
-    LabelSeries,
     LogitModel,
     fit_logit,
     label_precrisis,

@@ -5,7 +5,9 @@ horizon window [q + h1, q + h2]; quarters inside a crisis episode are masked
 out of both training and evaluation.  Probabilities come from a pooled
 logistic regression refit each evaluation quarter on an increasing window
 that ends a publication lag before it, so no model ever sees data dated
-after evaluation-quarter minus lag.
+after evaluation-quarter minus lag.  A window that is empty or holds a
+single class gets no model, and its quarter's predictions stay masked:
+``fit_logit`` refuses such a window, and the backtest skips the quarter.
 """
 
 from __future__ import annotations
@@ -75,16 +77,6 @@ class CrisisEvents:
         return tuple(e for e in self.events if e.entity == entity)
 
 
-@dataclass(frozen=True, eq=False)
-class LabelSeries:
-    """Binary pre-crisis labels plus the in-crisis exclusion mask."""
-
-    entities: tuple[str, ...]
-    quarters: tuple[int, ...]
-    labels: np.ndarray
-    excluded: np.ndarray
-
-
 def label_cells(events: CrisisEvents, cells, h1: int, h2: int):
     """Labels and exclusion mask for (entity, quarter) cells.
 
@@ -110,14 +102,13 @@ def label_cells(events: CrisisEvents, cells, h1: int, h2: int):
     return labels, excluded
 
 
-def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
-                    h1: int, h2: int) -> LabelSeries:
-    """``label_cells`` over every panel cell, as entity x quarter grids."""
-    cells = [(entity, q) for entity in panel.entities for q in panel.quarters]
+def label_precrisis(events: CrisisEvents, entities, quarters, h1: int, h2: int):
+    """``label_cells`` over every (entity, quarter) pair, as the pair of
+    entity x quarter grids (labels, excluded)."""
+    cells = [(entity, q) for entity in entities for q in quarters]
     labels, excluded = label_cells(events, cells, h1, h2)
-    shape = (len(panel.entities), len(panel.quarters))
-    return LabelSeries(panel.entities, panel.quarters,
-                       labels.reshape(shape), excluded.reshape(shape))
+    shape = (len(entities), len(quarters))
+    return labels.reshape(shape), excluded.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +155,7 @@ def fit_logit(X, y) -> LogitModel:
     Xv, yv = Xv[keep], yv[keep]
     if Xv.shape[0] == 0:
         raise DegenerateFitError("no complete training rows")
-    classes = np.unique(yv)
-    if classes.size < 2:
+    if np.all(yv == yv[0]):
         raise DegenerateFitError("training data contains a single class")
 
     design = np.column_stack([np.ones(Xv.shape[0]), Xv])
@@ -214,7 +204,6 @@ class BacktestResult:
     quarters: tuple[int, ...]
     probabilities: np.ndarray
     training_end: dict[int, int]
-    labels: LabelSeries
 
 
 def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
@@ -225,8 +214,9 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
 
     The start quarter must leave at least MIN_TRAIN_QUARTERS panel quarters
     of training data and come no later than the last panel quarter.
-    Quarters whose training window holds a single class yield masked
-    predictions rather than a model.
+    Quarters whose training window is empty or holds a single class yield
+    masked predictions and no ``training_end`` entry rather than a model;
+    ``fit_logit`` decides which windows those are.
     """
     if lag < 0:
         raise ValueError("publication lag must be >= 0")
@@ -244,8 +234,8 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
     if start > panel.quarters[-1]:
         raise ValueError(f"start {quarter_label(start)} is after the last panel quarter "
                          f"{quarter_label(panel.quarters[-1])}")
-    labels = label_precrisis(events, panel, h1, h2)
-    usable = ~labels.excluded & ~np.isnan(panel.values).any(axis=2)
+    labels, excluded = label_precrisis(events, panel.entities, panel.quarters, h1, h2)
+    usable = ~excluded & ~np.isnan(panel.values).any(axis=2)
     probs = np.full((len(panel.entities), len(panel.quarters)), np.nan)
     training_end: dict[int, int] = {}
     for qi, t in enumerate(panel.quarters):
@@ -253,10 +243,8 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
             continue
         window = usable & (qarr <= t - lag)[None, :]
         rows = np.argwhere(window)
-        if rows.size == 0:
-            continue
         X = panel.values[rows[:, 0], rows[:, 1], :]
-        y = labels.labels[rows[:, 0], rows[:, 1]]
+        y = labels[rows[:, 0], rows[:, 1]]
         try:
             model = fit_logit(X, y)
         except DegenerateFitError:
@@ -264,4 +252,4 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
         training_end[t] = int(qarr[rows[:, 1].max()])
         probs[:, qi] = predict_prob(model, panel.values[:, qi, :])
     probs.flags.writeable = False
-    return BacktestResult(panel.entities, panel.quarters, probs, training_end, labels)
+    return BacktestResult(panel.entities, panel.quarters, probs, training_end)

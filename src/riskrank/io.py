@@ -322,17 +322,29 @@ def write_indicators(path, panel: IndicatorPanel) -> None:
     _write_lines(path, ["entity", "date", *panel.indicator_names], blocks())
 
 
+def _episode(event: CrisisEvent) -> str:
+    return f"{event.entity} {quarter_label(event.start)}..{quarter_label(event.last_quarter)}"
+
+
 def read_events(path) -> CrisisEvents:
-    """Crisis episodes in file order, one per (entity, crisis_start)."""
+    """Crisis episodes in file order, one per (entity, crisis_start); a row
+    whose episode shares a quarter with an earlier one of its entity fails."""
     events: dict[tuple[str, int], CrisisEvent] = {}
+    episodes: dict[str, list[CrisisEvent]] = {}
     rows = _Rows(path, EVENTS_HEADER)
     for row in rows:
         key = rows.key(row[0], row[1], events)
         end = rows.quarter(row[2]) if row[2].strip() else None
         try:
-            events[key] = CrisisEvent(*key, end)
+            event = CrisisEvent(*key, end)
         except ValueError as exc:
             raise rows.fail(str(exc)) from None
+        earlier = episodes.setdefault(event.entity, [])
+        for other in earlier:
+            if other.start <= event.last_quarter and event.start <= other.last_quarter:
+                raise rows.fail(f"crisis {_episode(event)} overlaps {_episode(other)}")
+        earlier.append(event)
+        events[key] = event
     return CrisisEvents(tuple(events.values()))
 
 

@@ -1,12 +1,14 @@
 """Deterministic synthetic fixtures: indicators, crises, and a country network.
 
-Crisis episodes are drawn first; indicators then carry a drift term in the
-5-12 quarters ahead of each crisis start so that a logistic early-warning fit
-has genuine signal to find.  The network is a root with the entities as a
-complete level-1 sibling group: every entity links to the root, sibling links
-are kept with the configured density, and weights stay constant over time.
-So the network is built once, and the series over it sets each quarter's
-entity risk levels.  Everything is a pure function of the seed.
+Crisis episodes are drawn first; indicators then carry a drift term over
+``label_precrisis``'s 5-12 quarter pre-crisis window, so that a logistic
+early-warning fit has genuine signal to find.  Episodes of one entity start
+at least MIN_CRISIS_GAP quarters apart, so no pre-crisis quarter lies inside
+an episode.  The network is a root with the entities as a complete level-1
+sibling group: every entity links to the root, sibling links are kept with
+the configured density, and weights stay constant over time.  So the
+network is built once, and the series over it sets each quarter's entity
+risk levels.  Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
+from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel, label_precrisis
 from .io import write_events, write_indicators, write_links_csv, write_nodes_csv
 from .network import NetworkSeries
 from .quarters import quarter_index
@@ -73,13 +75,12 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
     quarters = tuple(range(q0, q1 + 1))
     entities = tuple(f"E{i + 1:02d}" for i in range(spec.entities))
 
-    events = []
-    precrisis = np.zeros((len(entities), len(quarters)))
-    for ei, entity in enumerate(entities):
-        for start, end in _draw_crises(rng, quarters, spec.crisis_intensity):
-            events.append(CrisisEvent(entity, start, end))
-            qarr = np.asarray(quarters)
-            precrisis[ei, (qarr >= start - 12) & (qarr <= start - 5)] = 1.0
+    events = CrisisEvents(tuple(
+        CrisisEvent(entity, start, end)
+        for entity in entities
+        for start, end in _draw_crises(rng, quarters, spec.crisis_intensity)
+    ))
+    precrisis, _ = label_precrisis(events, entities, quarters, 5, 12)
 
     signal = np.zeros(spec.indicators)
     usable = min(len(SIGNAL_PATTERN), spec.indicators)
@@ -118,7 +119,7 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
         "links": outdir / "links.csv",
     }
     write_indicators(paths["indicators"], panel)
-    write_events(paths["events"], CrisisEvents(tuple(events)))
+    write_events(paths["events"], events)
     write_nodes_csv(paths["nodes"], series)
     write_links_csv(paths["links"], series)
     return paths

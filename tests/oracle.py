@@ -90,7 +90,7 @@ from pathlib import Path
 import numpy as np
 
 from riskrank.capacity import FuzzyMeasure, TwoAdditiveCapacity, ValidationReport
-from riskrank.early_warning import CrisisEvents, IndicatorPanel, LabelSeries
+from riskrank.early_warning import CrisisEvents, IndicatorPanel
 from riskrank.engine import (
     RiskDecomposition,
     RiskRankConfig,
@@ -492,9 +492,9 @@ def optimal_threshold(probs, labels, mu_pref: float, mask=None) -> float:
     return best_tau
 
 
-def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
-                    h1: int, h2: int) -> LabelSeries:
-    """Label one within [start - h2, start - h1]; mask crisis quarters."""
+def label_precrisis(events: CrisisEvents, panel: IndicatorPanel, h1: int, h2: int):
+    """Label one within [start - h2, start - h1]; mask crisis quarters.
+    Returns the (labels, excluded) entity x quarter grids."""
     if not 1 <= h1 <= h2:
         raise ValueError("horizon must satisfy 1 <= h1 <= h2")
     nq = len(panel.quarters)
@@ -508,7 +508,7 @@ def label_precrisis(events: CrisisEvents, panel: IndicatorPanel,
             inside = (qarr >= event.start) & (qarr <= event.last_quarter)
             excluded[ei, inside] = True
     labels[excluded] = 0
-    return LabelSeries(panel.entities, panel.quarters, labels, excluded)
+    return labels, excluded
 
 
 class ScanNetwork(RiskNetwork):

@@ -48,10 +48,10 @@ def test_panel_refuses_an_infinite_value_and_keeps_nan_as_missing(value):
 def test_precrisis_window_matches_date_arithmetic():
     panel = panel_for(["DE"], first="2004-Q1", n_quarters=24)
     events = CrisisEvents((CrisisEvent("DE", quarter_index("2008-Q1")),))
-    series = label_precrisis(events, panel, 5, 12)
+    labels, _ = label_precrisis(events, panel.entities, panel.quarters, 5, 12)
     flagged = [
         quarter_label(q) for qi, q in enumerate(panel.quarters)
-        if series.labels[0, qi] == 1
+        if labels[0, qi] == 1
     ]
     assert flagged[0] == "2005-Q1"
     assert flagged[-1] == "2006-Q4"
@@ -60,9 +60,9 @@ def test_precrisis_window_matches_date_arithmetic():
 
 def test_no_events_means_all_zero():
     panel = panel_for(["DE", "FR"])
-    series = label_precrisis(CrisisEvents(()), panel, 5, 12)
-    assert not series.labels.any()
-    assert not series.excluded.any()
+    labels, excluded = label_precrisis(CrisisEvents(()), panel.entities, panel.quarters, 5, 12)
+    assert not labels.any()
+    assert not excluded.any()
 
 
 def test_crisis_quarters_are_masked():
@@ -70,14 +70,14 @@ def test_crisis_quarters_are_masked():
     events = CrisisEvents((
         CrisisEvent("DE", quarter_index("2008-Q1"), quarter_index("2009-Q2")),
     ))
-    series = label_precrisis(events, panel, 5, 12)
+    labels, excluded = label_precrisis(events, panel.entities, panel.quarters, 5, 12)
     masked = [
         quarter_label(q) for qi, q in enumerate(panel.quarters)
-        if series.excluded[0, qi]
+        if excluded[0, qi]
     ]
     assert masked[0] == "2008-Q1" and masked[-1] == "2009-Q2"
     assert len(masked) == 6
-    assert not series.labels[0, series.excluded[0]].any()
+    assert not labels[0, excluded[0]].any()
 
 
 def test_label_cells_agrees_with_panel_labeling():
@@ -90,22 +90,22 @@ def test_label_cells_agrees_with_panel_labeling():
         CrisisEvent("IT", quarter_index("2011-Q1")),
     ))
     for h1, h2 in ((5, 12), (1, 1), (2, 20)):
-        expected = oracle.label_precrisis(events, panel, h1, h2)
-        series = label_precrisis(events, panel, h1, h2)
-        assert np.array_equal(series.labels, expected.labels)
-        assert np.array_equal(series.excluded, expected.excluded)
+        expected_labels, expected_excluded = oracle.label_precrisis(events, panel, h1, h2)
+        labels, excluded = label_precrisis(events, panel.entities, panel.quarters, h1, h2)
+        assert np.array_equal(labels, expected_labels)
+        assert np.array_equal(excluded, expected_excluded)
         cells = [(entity, q) for entity in panel.entities for q in panel.quarters]
         labels, excluded = label_cells(events, cells, h1, h2)
-        assert np.array_equal(labels, expected.labels.ravel())
-        assert np.array_equal(excluded, expected.excluded.ravel())
+        assert np.array_equal(labels, expected_labels.ravel())
+        assert np.array_equal(excluded, expected_excluded.ravel())
 
 
 def test_horizon_must_be_ordered():
     panel = panel_for(["DE"])
     with pytest.raises(ValueError):
-        label_precrisis(CrisisEvents(()), panel, 0, 12)
+        label_precrisis(CrisisEvents(()), panel.entities, panel.quarters, 0, 12)
     with pytest.raises(ValueError):
-        label_precrisis(CrisisEvents(()), panel, 8, 5)
+        label_precrisis(CrisisEvents(()), panel.entities, panel.quarters, 8, 5)
 
 
 # ------------------------------------------------------------- fitting
@@ -255,15 +255,15 @@ def test_recursive_differs_from_full_sample_fit_under_drift():
         CrisisEvent("E1", quarters[55]),
     ))
     panel = IndicatorPanel(("E1",), quarters, x, ("ind_1",))
-    series = label_precrisis(events, panel, 5, 12)
-    x[0, series.labels[0] == 1, 0] = np.where(
-        np.arange(series.labels[0].sum()) < 8, 2.0, -2.0
+    labels, excluded = label_precrisis(events, panel.entities, panel.quarters, 5, 12)
+    x[0, labels[0] == 1, 0] = np.where(
+        np.arange(labels[0].sum()) < 8, 2.0, -2.0
     )
     panel = IndicatorPanel(("E1",), quarters, x, ("ind_1",))
     result = recursive_backtest(panel, events, 5, 12, lag=1, start=quarters[40])
     full_model = fit_logit(
-        panel.values.reshape(-1, 1)[~series.excluded.reshape(-1)],
-        series.labels.reshape(-1)[~series.excluded.reshape(-1)],
+        panel.values.reshape(-1, 1)[~excluded.reshape(-1)],
+        labels.reshape(-1)[~excluded.reshape(-1)],
     )
     full_fit = predict_prob(full_model, panel.values[0])
     recursive = result.probabilities[0]
@@ -290,3 +290,16 @@ def test_backtest_masks_single_class_windows():
                                 start=panel.quarters[20])
     assert not result.training_end
     assert np.isnan(result.probabilities).all()
+
+
+def test_backtest_gives_no_model_for_an_empty_window():
+    # no usable row before quarter 20: the windows up to quarter 20 are
+    # empty and get no model; from quarter 21 on every window is fitted
+    panel, events = synthetic_backtest_inputs()
+    values = np.array(panel.values)
+    values[:, :20, :] = np.nan
+    panel = IndicatorPanel(panel.entities, panel.quarters, values, panel.indicator_names)
+    result = recursive_backtest(panel, events, 5, 12, lag=1, start=panel.quarters[12])
+    assert result.training_end == {t: t - 1 for t in panel.quarters[21:]}
+    assert np.isnan(result.probabilities[:, :21]).all()
+    assert not np.isnan(result.probabilities[:, 21:]).any()

@@ -259,6 +259,11 @@ BAD_CELLS = {
     # two episodes of one entity starting in one quarter
     "events-duplicate-cell": ("events", ["E01,2005-Q1,2005-Q2", "E01,2005-Q1,2007-Q4"], 4,
                               "duplicate cell E01 2005-Q1"),
+    # an episode of one entity inside another, in either order
+    "events-overlap-inner-later": ("events", ["E01,2005-Q1,2007-Q4", "E01,2006-Q1,2006-Q2"], 4,
+                                   "crisis E01 2006-Q1..2006-Q2 overlaps E01 2005-Q1..2007-Q4"),
+    "events-overlap-outer-later": ("events", ["E01,2006-Q1,2006-Q2", "E01,2005-Q1,2007-Q4"], 4,
+                                   "crisis E01 2005-Q1..2007-Q4 overlaps E01 2006-Q1..2006-Q2"),
 }
 
 
@@ -270,6 +275,16 @@ def test_cell_rules_fail_at_their_line(tmp_path, case):
     with pytest.raises(SchemaError) as err:
         reader(tmp_path)
     assert str(err.value) == f"{tmp_path / name}:{line}: {message}"
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_touching_episodes_of_one_entity_read(tmp_path, order):
+    episodes = [("E01,2004-Q1,2005-Q4", CrisisEvent("E01", quarter_index("2004-Q1"),
+                                                    quarter_index("2005-Q4"))),
+                ("E01,2006-Q1,", CrisisEvent("E01", quarter_index("2006-Q1")))][::order]
+    path = tmp_path / "events.csv"
+    path.write_text("entity,crisis_start,crisis_end\n" + "".join(f"{row}\n" for row, _ in episodes))
+    assert read_events(path) == CrisisEvents(tuple(event for _, event in episodes))
 
 
 def test_a_repeated_indicator_name_fails_at_the_header(tmp_path):
