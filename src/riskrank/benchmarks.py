@@ -64,53 +64,30 @@ AGGREGATED_MODEL = (
 )
 
 
-@dataclass(frozen=True)
-class ReconstructionRow:
-    mu_pref: float
-    derived_pct: float
-    published_pct: float
-    reconcilable: bool
-    within_tolerance: bool
-
-    @property
-    def ok(self) -> bool:
-        """A row checks out when it matches if it should, and only then."""
-        return self.within_tolerance == self.reconcilable
-
-
 def derived_ur_pct(row: BenchmarkRow) -> float:
     _, u_r = usefulness(row.cm, row.mu_pref)
     return round(u_r * 100.0, 1)
 
 
-def reconstruct(table, tolerance_pp: float) -> list[ReconstructionRow]:
-    out = []
-    for row in table:
-        derived = derived_ur_pct(row)
-        within = abs(derived - row.published_ur_pct) <= tolerance_pp + 1e-9
-        out.append(
-            ReconstructionRow(row.mu_pref, derived, row.published_ur_pct,
-                              row.reconcilable, within)
-        )
-    return out
-
-
 def fixture_report() -> tuple[list[str], bool]:
-    """Human-readable check of both tables; ok only if every row behaves."""
+    """Human-readable check of both tables; ok only if every row matches its
+    published value exactly when it is reconcilable."""
     lines: list[str] = []
     all_ok = True
     for name, table, tol in (
         ("individual", INDIVIDUAL_MODEL, INDIVIDUAL_TOLERANCE_PP),
         ("aggregated", AGGREGATED_MODEL, AGGREGATED_TOLERANCE_PP),
     ):
-        for row in reconstruct(table, tol):
+        for row in table:
+            derived = derived_ur_pct(row)
+            within = abs(derived - row.published_ur_pct) <= tol + 1e-9
             if row.reconcilable:
-                status = "ok" if row.within_tolerance else "MISMATCH"
+                status = "ok" if within else "MISMATCH"
             else:
-                status = "flagged-inconsistent" if not row.within_tolerance else "UNEXPECTED-MATCH"
-            all_ok &= row.ok
+                status = "UNEXPECTED-MATCH" if within else "flagged-inconsistent"
+            all_ok &= within == row.reconcilable
             lines.append(
-                f"{name} mu={row.mu_pref:.1f} derived={row.derived_pct:+.1f}% "
-                f"published={row.published_pct:+.0f}% {status}"
+                f"{name} mu={row.mu_pref:.1f} derived={derived:+.1f}% "
+                f"published={row.published_ur_pct:+.0f}% {status}"
             )
     return lines, all_ok

@@ -64,8 +64,6 @@ def _load_run_config(args, *needed: str) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "no_clamp", False):
-        overrides["clamp"] = False
     if "mu_grid" in overrides:
         overrides["mu_grid"] = _parse_mu_grid(overrides["mu_grid"])
     cfg = replace(cfg, **overrides)
@@ -214,7 +212,8 @@ def _add_engine_flags(parser):
                         help="'root', 'all', or comma-separated node ids")
     parser.add_argument("--mode", dest="central_weight_mode", choices=["unit", "shapley"],
                         help="self-weight mode for non-root targets")
-    parser.add_argument("--no-clamp", action="store_true", help="do not cap totals at 1")
+    parser.add_argument("--no-clamp", dest="clamp", action="store_const", const=False,
+                        help="do not cap totals at 1")
     parser.add_argument("--k", dest="max_path_length", type=int,
                         help="maximum influence-path length (default 2)")
 

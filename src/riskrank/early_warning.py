@@ -69,9 +69,30 @@ class CrisisEvent:
         return self.start if self.end is None else self.end
 
 
+def _episode(event: CrisisEvent) -> str:
+    return f"{event.entity} {quarter_label(event.start)}..{quarter_label(event.last_quarter)}"
+
+
+def refuse_overlap(event: CrisisEvent, earlier) -> None:
+    """Raise ``ValueError`` when ``event`` shares a quarter with an episode
+    in ``earlier``; episodes that merely touch are fine."""
+    for other in earlier:
+        if other.start <= event.last_quarter and event.start <= other.last_quarter:
+            raise ValueError(f"crisis {_episode(event)} overlaps {_episode(other)}")
+
+
 @dataclass(frozen=True)
 class CrisisEvents:
+    """Crisis episodes; two episodes of one entity may not share a quarter."""
+
     events: tuple[CrisisEvent, ...]
+
+    def __post_init__(self):
+        episodes: dict[str, list[CrisisEvent]] = {}
+        for event in self.events:
+            earlier = episodes.setdefault(event.entity, [])
+            refuse_overlap(event, earlier)
+            earlier.append(event)
 
     def for_entity(self, entity: str) -> tuple[CrisisEvent, ...]:
         return tuple(e for e in self.events if e.entity == entity)

@@ -45,6 +45,26 @@ def test_panel_refuses_an_infinite_value_and_keeps_nan_as_missing(value):
     assert np.isnan(IndicatorPanel(("E1",), (0, 1), values, ("ind_1",)).values[0, 1, 0])
 
 
+def episode(entity, first, last=None):
+    return CrisisEvent(entity, quarter_index(first), last and quarter_index(last))
+
+
+OUTER, INNER = episode("E01", "2005-Q1", "2007-Q4"), episode("E01", "2006-Q1", "2006-Q2")
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((OUTER, INNER), "crisis E01 2006-Q1..2006-Q2 overlaps E01 2005-Q1..2007-Q4"),
+    ((INNER, OUTER), "crisis E01 2005-Q1..2007-Q4 overlaps E01 2006-Q1..2006-Q2"),
+])
+def test_events_refuse_overlapping_episodes_of_one_entity(pair, message):
+    with pytest.raises(ValueError) as err:
+        CrisisEvents(pair)
+    assert str(err.value) == message
+    # touching episodes, and overlapping ones of two entities, are fine
+    CrisisEvents((episode("E01", "2004-Q1", "2005-Q4"), episode("E01", "2006-Q1")))
+    CrisisEvents((OUTER, episode("E02", "2006-Q1", "2006-Q2")))
+
+
 def test_precrisis_window_matches_date_arithmetic():
     panel = panel_for(["DE"], first="2004-Q1", n_quarters=24)
     events = CrisisEvents((CrisisEvent("DE", quarter_index("2008-Q1")),))

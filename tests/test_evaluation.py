@@ -360,12 +360,13 @@ def test_individual_benchmark_reconstruction():
 
 
 def test_aggregated_benchmark_flags_inconsistent_rows():
-    rows = benchmarks.reconstruct(
-        benchmarks.AGGREGATED_MODEL, benchmarks.AGGREGATED_TOLERANCE_PP
-    )
-    assert all(row.ok for row in rows)
-    flagged = {row.mu_pref for row in rows if not row.reconcilable}
-    assert flagged == {0.4, 0.5, 0.6}
+    lines, ok = benchmarks.fixture_report()
+    assert ok
+    aggregated = [line.split() for line in lines if line.startswith("aggregated ")]
+    assert len(aggregated) == len(benchmarks.AGGREGATED_MODEL)
+    assert all(words[-1] in ("ok", "flagged-inconsistent") for words in aggregated)
+    flagged = {words[1] for words in aggregated if words[-1] == "flagged-inconsistent"}
+    assert flagged == {"mu=0.4", "mu=0.5", "mu=0.6"}
 
 
 def test_fixture_report_is_clean():

@@ -1067,6 +1067,37 @@ def test_cli_fixture_check_passes(capsys):
     assert "MISMATCH" not in out
 
 
+TABLE2_FIXTURE = """\
+individual mu=0.0 derived=+0.0% published=+0% ok
+individual mu=0.1 derived=-6.5% published=-6% ok
+individual mu=0.2 derived=-2.9% published=-3% ok
+individual mu=0.3 derived=+6.5% published=+6% ok
+individual mu=0.4 derived=+11.9% published=+12% ok
+individual mu=0.5 derived=+15.1% published=+15% ok
+individual mu=0.6 derived=+24.9% published=+25% ok
+individual mu=0.7 derived=+44.6% published=+44% ok
+individual mu=0.8 derived=+60.3% published=+60% ok
+individual mu=0.9 derived=+72.8% published=+73% ok
+individual mu=1.0 derived=+0.0% published=+0% ok
+aggregated mu=0.0 derived=+0.0% published=+0% ok
+aggregated mu=0.1 derived=-6.5% published=-6% ok
+aggregated mu=0.2 derived=-2.9% published=-3% ok
+aggregated mu=0.3 derived=+6.5% published=+7% ok
+aggregated mu=0.4 derived=+11.9% published=+18% flagged-inconsistent
+aggregated mu=0.5 derived=+18.0% published=+38% flagged-inconsistent
+aggregated mu=0.6 derived=+37.9% published=+39% flagged-inconsistent
+aggregated mu=0.7 derived=+53.6% published=+54% ok
+aggregated mu=0.8 derived=+65.5% published=+66% ok
+aggregated mu=0.9 derived=+73.7% published=+74% ok
+aggregated mu=1.0 derived=+0.0% published=+0% ok
+"""
+
+
+def test_cli_fixture_check_prints_the_golden_lines(capsys):
+    assert main(["evaluate", "--table2-fixture"]) == 0
+    assert capsys.readouterr() == (TABLE2_FIXTURE, "")
+
+
 def test_cli_pipeline_and_config_override(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--outdir", str(data), "--entities", "5",
@@ -1112,6 +1143,26 @@ def test_cli_k1_keeps_direct_effects_only(tmp_path):
     rows = out.read_text().splitlines()[1:]
     indirect_col = 4
     assert all(float(r.split(",")[indirect_col]) == 0.0 for r in rows)
+
+
+def test_cli_no_clamp_overrides_the_config_and_config_false_holds(tmp_path):
+    data = tmp_path / "data"
+    main(["synth", "--outdir", str(data), "--entities", "5", "--seed", "3"])
+    outputs = {}
+    for clamp, flags in ((True, []), (True, ["--no-clamp"]), (False, [])):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nodes": str(data / "nodes.csv"),
+                                      "links": str(data / "links.csv"), "clamp": clamp}))
+        out = tmp_path / f"rr_{clamp}_{len(flags)}.csv"
+        assert main(["riskrank", "--config", str(config), "--targets", "all",
+                     "--out", str(out), *flags]) == 0
+        outputs[clamp, bool(flags)] = out.read_text()
+    assert outputs[True, True] == outputs[False, False] != outputs[True, False]
+    rows = [line.split(",") for line in outputs[True, True].splitlines()[1:]]
+    above_one = [row for row in rows if float(row[5]) > 1.0]
+    assert above_one and all(row[6] == row[5] for row in above_one)
+    clamped = [line.split(",") for line in outputs[True, False].splitlines()[1:]]
+    assert all(float(row[6]) == min(float(row[5]), 1.0) for row in clamped)
 
 
 def test_cli_report_long_form(tmp_path):

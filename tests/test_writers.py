@@ -67,11 +67,14 @@ def panels(draw):
 
 @st.composite
 def events(draw):
-    out = []
+    # an entity may repeat, anywhere in the list, but each of its episodes
+    # starts after its earlier ones end, since episodes may not overlap
+    out, free = [], {}
     for entity in draw(st.lists(texts, max_size=5)):
-        start = draw(quarters)
+        start = free.get(entity, 0) + draw(st.integers(0, 1800))
         end = draw(st.one_of(st.none(), st.integers(start, start + 20)))
         out.append(CrisisEvent(entity, start, end))
+        free[entity] = out[-1].last_quarter + 1
     return CrisisEvents(tuple(out))
 
 
