@@ -169,28 +169,36 @@ class NetworkSeries:
 
         Raises StructuralDriftError, naming the quarter of the first entry
         whose node ids, levels, parents or link keys differ from the first's.
+        An entry holding the first entry's own two dicts is that entry again:
+        it is neither checked nor read a second time.
         """
         entries = list(entries)
         if not entries:
             raise ValueError("a series needs at least one snapshot")
-        (_, first, first_links), *rest = entries
+        _, first, first_links = entries[0]
         shape = {nid: node[:2] for nid, node in first.items()}
-        for date, nodes, links in rest:
-            if (links.keys() != first_links.keys()
-                    or {nid: node[:2] for nid, node in nodes.items()} != shape):
+        node_ids, link_keys = tuple(sorted(first)), tuple(sorted(first_links))
+        rows, which = [], []  # each distinct entry's row, and each entry's
+        for date, nodes, links in entries:
+            if rows and nodes is first and links is first_links:
+                which.append(0)
+                continue
+            if rows and (links.keys() != first_links.keys()
+                         or {nid: node[:2] for nid, node in nodes.items()} != shape):
                 raise StructuralDriftError(
                     f"snapshot {quarter_label(date)} does not share the series structure")
-        node_ids, link_keys = tuple(sorted(first)), tuple(sorted(first_links))
-        rows = [list(map(nodes.__getitem__, node_ids)) for _, nodes, _ in entries]
+            cells = list(map(nodes.__getitem__, node_ids))
+            which.append(len(rows))
+            rows.append(([*map(links.__getitem__, link_keys)],
+                         [node[2] for node in cells], [node[3] for node in cells]))
+        W, X, exposure = (np.array(part, dtype=float)[which] for part in zip(*rows))
         return cls(
             dates=tuple(date for date, _, _ in entries),
             node_ids=node_ids,
             levels=tuple(first[nid][0] for nid in node_ids),
             parents=tuple(first[nid][1] for nid in node_ids),
             link_keys=link_keys,
-            W=np.array([[*map(links.__getitem__, link_keys)] for _, _, links in entries], float),
-            X=np.array([[node[2] for node in row] for row in rows], dtype=float),
-            exposure=np.array([[node[3] for node in row] for row in rows], dtype=float),
+            W=W, X=X, exposure=exposure,
         )
 
     @cached_property

@@ -41,7 +41,11 @@ recount of the series at every distinct probability for the threshold.
 ``loss`` and ``usefulness`` are the scalar scorers of one contingency matrix
 that the array scoring of the sweep replaced; the threshold oracle uses them.
 ``label_precrisis`` is the panel labeller that ``label_cells`` replaced, one
-vectorised pass per crisis episode over the quarter grid.
+vectorised pass per crisis episode over the quarter grid.  ``fit_logit`` is
+the cold logit fit, from zero and with two masked gathers per sigmoid, and
+``recursive_backtest`` the cold backtest that calls it at every quarter:
+the specification of the package's warm-started, guarded backtest, which
+must write the same probability bytes.
 
 ``read_nodes_links`` is the network reader that building each date's maps
 in its row loops replaced: it collects node and link rows per date and
@@ -90,14 +94,29 @@ from pathlib import Path
 import numpy as np
 
 from riskrank.capacity import FuzzyMeasure, TwoAdditiveCapacity, ValidationReport
-from riskrank.early_warning import CrisisEvents, IndicatorPanel
+from riskrank import early_warning
+from riskrank.early_warning import (
+    IRLS_TOL,
+    MIN_TRAIN_QUARTERS,
+    RIDGE_LAMBDA,
+    BacktestResult,
+    CrisisEvents,
+    IndicatorPanel,
+    LogitModel,
+)
 from riskrank.engine import (
     RiskDecomposition,
     RiskRankConfig,
     _product,
     _running_total,
 )
-from riskrank.errors import NoCapacityError, RiskRankError, SchemaError, StructuralDriftError
+from riskrank.errors import (
+    DegenerateFitError,
+    NoCapacityError,
+    RiskRankError,
+    SchemaError,
+    StructuralDriftError,
+)
 from riskrank.evaluation import ContingencyMatrix, binarize, contingency, error_rates
 from riskrank.io import (
     DECOMP_HEADER,
@@ -509,6 +528,80 @@ def label_precrisis(events: CrisisEvents, panel: IndicatorPanel, h1: int, h2: in
             excluded[ei, inside] = True
     labels[excluded] = 0
     return labels, excluded
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _penalized_loglik(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    z = X @ beta
+    return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * RIDGE_LAMBDA * beta @ beta)
+
+
+def fit_logit(X, y) -> LogitModel:
+    """The cold ridge-logit fit: Newton steps from zero, halved while they
+    lower the penalized log-likelihood, until no coefficient moves by
+    IRLS_TOL or IRLS_MAX_ITER steps are taken."""
+    Xv = np.asarray(X, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    keep = ~np.isnan(Xv).any(axis=1) & ~np.isnan(yv)
+    Xv, yv = Xv[keep], yv[keep]
+    if Xv.shape[0] == 0 or np.all(yv == yv[0]):
+        raise DegenerateFitError("no complete rows, or a single class")
+    design = np.column_stack([np.ones(Xv.shape[0]), Xv])
+    beta = np.zeros(design.shape[1])
+    ll = _penalized_loglik(beta, design, yv)
+    for _ in range(early_warning.IRLS_MAX_ITER):  # read per call, as tests patch it
+        p = _sigmoid(design @ beta)
+        w = p * (1.0 - p)
+        hess = design.T @ (design * w[:, None]) + RIDGE_LAMBDA * np.eye(design.shape[1])
+        grad = design.T @ (yv - p) - RIDGE_LAMBDA * beta
+        step = np.linalg.solve(hess, grad)
+        scale = 1.0
+        for _ in range(30):
+            candidate = beta + scale * step
+            new_ll = _penalized_loglik(candidate, design, yv)
+            if new_ll >= ll - 1e-12:
+                break
+            scale *= 0.5
+        beta = beta + scale * step
+        ll = new_ll
+        if np.max(np.abs(scale * step)) < IRLS_TOL:
+            break
+    return LogitModel(beta[1:], float(beta[0]))
+
+
+def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents, h1: int, h2: int,
+                       lag: int = 1, start: int | None = None) -> BacktestResult:
+    """The cold backtest: ``fit_logit`` from zero at every quarter from
+    ``start`` (by default the package's), on the rows dated at most t - lag."""
+    qarr = np.asarray(panel.quarters)
+    if start is None:
+        start = int(qarr[MIN_TRAIN_QUARTERS + lag - 1] + 1)
+    labels, excluded = label_precrisis(events, panel, h1, h2)
+    usable = ~excluded & ~np.isnan(panel.values).any(axis=2)
+    probs = np.full(labels.shape, np.nan)
+    training_end = {}
+    for qi, t in enumerate(panel.quarters):
+        if t < start:
+            continue
+        rows = np.argwhere(usable & (qarr <= t - lag)[None, :])
+        try:
+            model = fit_logit(panel.values[rows[:, 0], rows[:, 1], :],
+                              labels[rows[:, 0], rows[:, 1]])
+        except DegenerateFitError:
+            continue
+        training_end[t] = int(qarr[rows[:, 1].max()])
+        complete = ~np.isnan(panel.values[:, qi, :]).any(axis=1)
+        z = panel.values[complete, qi, :] @ model.coefficients + model.intercept
+        probs[complete, qi] = _sigmoid(z)
+    return BacktestResult(panel.entities, panel.quarters, probs, training_end)
 
 
 class ScanNetwork(RiskNetwork):

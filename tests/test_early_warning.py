@@ -1,7 +1,12 @@
 """Labeling, logistic fitting and the recursive backtest."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrank import early_warning
 from riskrank.early_warning import (
@@ -16,6 +21,7 @@ from riskrank.early_warning import (
     recursive_backtest,
 )
 from riskrank.errors import DegenerateFitError
+from riskrank.io import write_probabilities
 from riskrank.quarters import quarter_index, quarter_label
 
 import oracle
@@ -323,3 +329,112 @@ def test_backtest_gives_no_model_for_an_empty_window():
     assert result.training_end == {t: t - 1 for t in panel.quarters[21:]}
     assert np.isnan(result.probabilities[:, :21]).all()
     assert not np.isnan(result.probabilities[:, 21:]).any()
+
+
+# ------------------------------------------------ warm start and its guard
+
+def written(result) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probabilities.csv"
+        write_probabilities(path, result)
+        return path.read_bytes()
+
+
+def kept_models(monkeypatch):
+    """Record the model behind each quarter's written probabilities: the
+    backtest predicts with every model it keeps, last."""
+    calls = []
+    predict = early_warning.predict_prob
+
+    def recording(model, X):
+        calls.append(model)
+        return predict(model, X)
+
+    monkeypatch.setattr(early_warning, "predict_prob", recording)
+    return calls
+
+
+def random_backtest_inputs(seed):
+    rng = np.random.default_rng(seed)
+    n_entities, n_quarters = int(rng.integers(1, 5)), int(rng.integers(16, 41))
+    q0 = quarter_index("2000-Q1")
+    events, pre = [], np.zeros((n_entities, n_quarters))
+    for ei in range(n_entities):
+        at = 4
+        while (at := at + int(rng.integers(4, 20))) < n_quarters:
+            length = int(rng.integers(0, 4))
+            events.append(CrisisEvent(f"E{ei}", q0 + at, q0 + at + length))
+            pre[ei, max(at - 12, 0):max(at - 4, 0)] = 1.0
+            at += length
+    n_indicators = int(rng.integers(1, 4))
+    values = pre[:, :, None] * rng.uniform(0, 2, n_indicators) \
+        + rng.standard_normal((n_entities, n_quarters, n_indicators))
+    values[rng.uniform(size=values.shape) < 0.05] = np.nan
+    panel = IndicatorPanel(tuple(f"E{ei}" for ei in range(n_entities)),
+                           tuple(range(q0, q0 + n_quarters)), values,
+                           tuple(f"ind_{k + 1}" for k in range(n_indicators)))
+    return panel, CrisisEvents(tuple(events))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_guarded_backtest_writes_the_cold_oracle_bytes(seed):
+    panel, events = random_backtest_inputs(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        models = kept_models(monkeypatch)
+        result = recursive_backtest(panel, events, 5, 12, lag=1)
+    cold = oracle.recursive_backtest(panel, events, 5, 12, lag=1)
+    assert written(result) == written(cold)
+    assert result.training_end == cold.training_end
+    # one prediction per kept warm fit, two where the quarter was refit cold
+    assert len(models) == len(result.training_end) + len(result.refit)
+    kept = iter(models)
+    labels, excluded = label_precrisis(events, panel.entities, panel.quarters, 5, 12)
+    usable = ~excluded & ~np.isnan(panel.values).any(axis=2)
+    for t in result.training_end:
+        model = next(kept)
+        if t in result.refit:
+            model = next(kept)
+        rows = np.argwhere(usable & (np.asarray(panel.quarters) <= t - 1)[None, :])
+        reference = oracle.fit_logit(panel.values[rows[:, 0], rows[:, 1], :],
+                                     labels[rows[:, 0], rows[:, 1]])
+        beta = np.r_[model.intercept, model.coefficients]
+        cold_beta = np.r_[reference.intercept, reference.coefficients]
+        assert np.max(np.abs(beta - cold_beta)) <= 1e-12 * max(1.0, np.max(np.abs(cold_beta)))
+
+
+def test_a_warm_fit_at_the_iteration_cap_is_refit_cold(monkeypatch):
+    # no fit converges in two steps: every warm fit stops at the cap, so
+    # every quarter after the first refits cold, and the bytes are the cold
+    # backtest's under the same cap
+    panel, events = synthetic_backtest_inputs()
+    monkeypatch.setattr(early_warning, "IRLS_MAX_ITER", 2)
+    start = panel.quarters[20]
+    result = recursive_backtest(panel, events, 5, 12, lag=1, start=start)
+    fitted = sorted(result.training_end)
+    assert result.refit == tuple(fitted[1:])
+    assert written(result) == written(oracle.recursive_backtest(panel, events, 5, 12, 1, start))
+    monkeypatch.undo()
+    assert len(recursive_backtest(panel, events, 5, 12, lag=1, start=start).refit) < len(fitted) - 1
+
+
+def test_a_planted_unstable_cell_makes_its_quarter_refit_cold(monkeypatch):
+    # the last quarter's rows train no model, so planting a value there
+    # leaves its warm fit as it was; the planted row's probability is set
+    # on a tie between two 10-digit texts, which no bound >= 1e-13 can hold
+    panel, events = synthetic_backtest_inputs()
+    start, last = panel.quarters[20], panel.quarters[-1]
+    with monkeypatch.context() as patch:
+        models = kept_models(patch)
+        plain = recursive_backtest(panel, events, 5, 12, lag=1, start=start)
+    assert last in plain.training_end and last not in plain.refit
+    model = models[-1]
+    target = 0.12345678905
+    values = np.array(panel.values)
+    values[0, -1, 1] = ((np.log(target / (1 - target)) - model.intercept
+                        - values[0, -1, 0] * model.coefficients[0]) / model.coefficients[1])
+    planted = IndicatorPanel(panel.entities, panel.quarters, values, panel.indicator_names)
+    result = recursive_backtest(planted, events, 5, 12, lag=1, start=start)
+    assert abs(result.probabilities[0, -1] / target - 1) < 1e-14
+    assert result.refit == plain.refit + (last,)
+    assert written(result) == written(oracle.recursive_backtest(planted, events, 5, 12, 1, start))

@@ -824,6 +824,22 @@ def test_cli_validate_and_riskrank_agree_on_a_root_without_in_links(tmp_path, ca
         assert capsys.readouterr().err == line
 
 
+def test_cli_shapley_on_synth_needs_an_in_link_or_self_exposure_per_target(tmp_path, capsys):
+    # synth at seed 7 with 5 entities writes no link into E02 and no
+    # self_exposure cell, so shapley mode has nothing to normalise for E02;
+    # the other targets score
+    main(["synth", "--outdir", str(tmp_path), "--seed", "7", "--entities", "5"])
+    network = ["--nodes", str(tmp_path / "nodes.csv"), "--links", str(tmp_path / "links.csv"),
+               "--mode", "shapley"]
+    capsys.readouterr()
+    out = tmp_path / "riskrank.csv"
+    assert main(["riskrank", *network, "--targets", "all", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: no-capacity: node 'E02' has no incoming mass or self exposure\n")
+    assert not out.exists()
+    assert main(["riskrank", *network, "--targets", "E01,E03,E04,E05", "--out", str(out)]) == 0
+
+
 def test_cli_validate_reports_hierarchy_violation(tmp_path, capsys):
     (tmp_path / "nodes.csv").write_text(
         "date,node_id,level,parent_id,risk_value,self_exposure\n"

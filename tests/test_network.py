@@ -455,6 +455,33 @@ def test_structural_drift_is_detected():
             pytest.fail(f"{drift} was not caught")
 
 
+def test_series_from_shared_dicts_equals_one_from_copies():
+    # dates that hand over the first date's own dicts skip the structure
+    # check and the reads; the series is the one built from copies
+    net = two_level_network()
+    nodes = {nid: (n.level, n.parent_id, n.risk_value, n.self_exposure)
+             for nid, n in net.nodes.items()}
+    shared = NetworkSeries.from_dates((d, nodes, net.links) for d in range(4))
+    copied = NetworkSeries.from_dates((d, dict(nodes), dict(net.links)) for d in range(4))
+    for field in ("dates", "node_ids", "levels", "parents", "link_keys"):
+        assert getattr(shared, field) == getattr(copied, field)
+    for field in ("W", "X", "exposure"):
+        assert np.array_equal(getattr(shared, field), getattr(copied, field), equal_nan=True)
+    # a drifted date among shared ones still fails with the same line
+    drifted = dict(net.links)
+    del drifted["A", "B"]
+    entries = [(d, nodes, net.links) for d in (4, 5)] + [(6, nodes, drifted), (7, nodes, net.links)]
+    with pytest.raises(StructuralDriftError) as err:
+        NetworkSeries.from_dates(entries)
+    assert str(err.value) == "snapshot 0001-Q3 does not share the series structure"
+    # a revalued date among shared ones keeps its own values
+    revalued = {**net.links, ("A", "S"): 0.1}
+    series = NetworkSeries.from_dates([(0, nodes, net.links), (1, nodes, revalued),
+                                       (2, nodes, net.links)])
+    column = series.link_keys.index(("A", "S"))
+    assert series.W[:, column].tolist() == [0.6, 0.1, 0.6]
+
+
 def test_value_changes_are_not_drift():
     base = two_level_network()
     revalued = two_level_network(
