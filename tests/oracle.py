@@ -93,8 +93,8 @@ from pathlib import Path
 
 import numpy as np
 
-from riskrank.capacity import FuzzyMeasure, TwoAdditiveCapacity, ValidationReport
 from riskrank import early_warning
+from riskrank.capacity import FuzzyMeasure, TwoAdditiveCapacity, ValidationReport
 from riskrank.early_warning import (
     IRLS_TOL,
     MIN_TRAIN_QUARTERS,
