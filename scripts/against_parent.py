@@ -8,9 +8,10 @@
 into a temporary directory with ``git worktree add``, so that both sides are
 fresh checkouts, and removes them afterwards; ``--dirs`` names two source
 trees instead and needs no git.  For each workload of ``BENCHMARK.json`` it
-runs ``perfbench/run.py --trace 0`` at one seed in alternating pairs (parent
-first, then HEAD), each side from its own tree in its own process.  The JSON
-it writes holds both revisions, the machine, each side's first ``context:``
+runs ``perfbench/run.py --trace 0`` at one seed in pairs, each side from its
+own tree in its own process; the parent runs first in even pairs and HEAD
+in odd ones, so that neither side always follows the other.  The JSON it
+writes holds both revisions, the machine, each side's first ``context:``
 line, every run's metrics, and per end-to-end metric the median and
 quartiles of each side and the number of pairs HEAD won (a strictly better
 value).
@@ -89,8 +90,8 @@ def bench(trees: dict[str, Path], revisions: dict[str, str] | None, workloads: l
               "revisions": dict(revisions or {}), "workloads": {}}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
-        for _ in range(pairs):
-            for side in SIDES:
+        for i in range(pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 runs[side].append(run_once(trees[side], workload, seed, seconds))
         for side in SIDES:
             report["revisions"].setdefault(side, runs[side][0]["context"]["revision"])

@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Check the warm-started backtest against the cold one, byte for byte.
 
-For each seed, generates the synthetic inputs of the benchmark's
+For each of seeds 1-20, generates the synthetic inputs of the benchmark's
 early-warning workload (40 entities, 1990-Q1 to 2018-Q4, 14 indicators),
 runs the package's guarded backtest and the cold backtest kept in
 ``tests/oracle.py``, and compares the two ``probabilities.csv`` files.
 Prints one line per seed with the quarters refit cold, then the totals;
 exits 1 if any file differs.
 
-    PYTHONPATH=src python scripts/check_backtest_guard.py --seeds 1-20
+    PYTHONPATH=src python scripts/check_backtest_guard.py
 """
 
-import argparse
 import sys
 import tempfile
 from pathlib import Path
@@ -24,23 +23,14 @@ from riskrank.io import read_events, read_indicators, write_probabilities  # noq
 from riskrank.synth import SynthSpec, generate_synthetic  # noqa: E402
 
 H1, H2, LAG = 5, 12, 1
+SEEDS = range(1, 21)
 
 
-def seed_range(text: str) -> range:
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-20"),
-                        help="a seed or an inclusive range such as 1-20")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     differing, refit, fitted = [], 0, 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for seed in args.seeds:
+        for seed in SEEDS:
             spec = SynthSpec(entities=40, start="1990-Q1", end="2018-Q4", indicators=14,
                              seed=seed)
             paths = generate_synthetic(spec, tmp / "data")
@@ -57,7 +47,7 @@ def main(argv=None) -> int:
             if not same:
                 differing.append(seed)
     print(f"{refit} of {fitted} quarters refit cold over seeds "
-          f"{args.seeds.start}-{args.seeds.stop - 1}; {len(differing)} differing files")
+          f"{SEEDS.start}-{SEEDS.stop - 1}; {len(differing)} differing files")
     return 1 if differing else 0
 
 

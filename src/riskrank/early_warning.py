@@ -27,27 +27,32 @@ the quarter cold (``BacktestResult.refit`` lists those quarters):
   the coefficients move by d.  ``%.10g`` rounds monotonically, so one text
   at both ends is one text over the whole interval.
 
-The bound e adds two terms per coefficient:
+The bound e adds two terms per coefficient, each counted for both fits:
 
-* Truncation.  After a whole final step s_k, Newton's error is about
-  kappa |s_k|^2, with kappa ~ |s_k| / |s_(k-1)|^2 the quadratic rate the fit
-  showed over its last two steps: |s_k|^3 / |s_(k-1)|^2, at most
-  |s_k|^3 / IRLS_TOL^2 since the fit did not stop one step earlier.  Where
-  s_k is itself rounding noise, the next term is the larger.
+* Truncation.  After a whole final step s, Newton's error is about
+  kappa |s|^2, where kappa = |s_k| / |s_(k-1)|^2 is the quadratic rate the
+  warm fit showed over its last two steps.  The warm fit's own error is so
+  kappa |s_k|^2.  The cold fit, on the same window, stopped on a step below
+  IRLS_TOL, so its error is at most kappa IRLS_TOL^2.  Indicators c times
+  larger make both kappa and |x|_1 c times larger, so this term's share of
+  b grows as c^2.  Where s_k is itself rounding noise, the next term is the
+  larger.
 * Rounding.  Either fit stops where its computed gradient vanishes, which
   pins the maximizer only up to the gradient's rounding error, about eps
   times each design column's absolute sum.  The inverse Hessian
-  (``LogitModel.covariance``) turns that into a coefficient error, counted
-  twice, once per fit.  On ill-conditioned windows (a few rows, nearly
-  separated) this term is what sends a quarter back to a cold fit.
+  (``LogitModel.covariance``) turns that into a coefficient error.  On
+  ill-conditioned windows (a few rows, nearly separated) this term is what
+  sends a quarter back to a cold fit.
 
-GUARD_FLOOR = 1e-13 covers the rest: the cold fit's own truncation,
-kappa IRLS_TOL^2 |x|_1, and the rounding of the probabilities themselves.
+GUARD_FLOOR = 1e-13 covers the rounding of the probabilities themselves.
 Over the 856 quarters of synth seeds 1-8 (40 entities, 1990-Q1 to 2018-Q4,
 14 indicators), kappa stayed under 0.48, |x|_1 under 25, and warm and cold
 probabilities differed by at most 6.2e-15 relative.  On 780 quarters of
 random small panels, one fit's rounding term alone was five times the
-coefficients' actual warm-cold distance or more.
+coefficients' actual warm-cold distance or more.  The bound is an estimate
+of the error, not a proof of it: ``tests/test_early_warning.py`` checks the
+bytes on random panels in standard and in raw (x100 to x1000) units, and
+``scripts/check_backtest_guard.py`` on synth seeds 1-20.
 """
 
 from __future__ import annotations
@@ -306,7 +311,8 @@ def _settled(model: LogitModel, p: np.ndarray, rows: np.ndarray, sums: np.ndarra
     where ``sums`` are the absolute column sums of its training design."""
     if not model.converged or model.halved or len(model.steps) < 2:
         return False
-    truncation = model.steps[-1] ** 3 / model.steps[-2] ** 2
+    kappa = model.steps[-1] / model.steps[-2] ** 2
+    truncation = kappa * (model.steps[-1] ** 2 + IRLS_TOL ** 2)
     rounding = 2.0 * np.abs(model.covariance) @ (np.finfo(float).eps * sums)
     error = truncation + rounding
     if error.max() > 1e-12 * max(1.0, abs(model.intercept), *np.abs(model.coefficients)):

@@ -178,20 +178,23 @@ class NetworkSeries:
         _, first, first_links = entries[0]
         shape = {nid: node[:2] for nid, node in first.items()}
         node_ids, link_keys = tuple(sorted(first)), tuple(sorted(first_links))
-        rows, which = [], []  # each distinct entry's row, and each entry's
+        read, which = [], []  # the entries read, and which of them each entry is
         for date, nodes, links in entries:
-            if rows and nodes is first and links is first_links:
+            if read and nodes is first and links is first_links:
                 which.append(0)
                 continue
-            if rows and (links.keys() != first_links.keys()
+            if read and (links.keys() != first_links.keys()
                          or {nid: node[:2] for nid, node in nodes.items()} != shape):
                 raise StructuralDriftError(
                     f"snapshot {quarter_label(date)} does not share the series structure")
-            cells = list(map(nodes.__getitem__, node_ids))
-            which.append(len(rows))
-            rows.append(([*map(links.__getitem__, link_keys)],
-                         [node[2] for node in cells], [node[3] for node in cells]))
-        W, X, exposure = (np.array(part, dtype=float)[which] for part in zip(*rows))
+            which.append(len(read))
+            read.append((nodes, links))
+        rows = [list(map(nodes.__getitem__, node_ids)) for nodes, _ in read]
+        W = np.array([[*map(links.__getitem__, link_keys)] for _, links in read], dtype=float)
+        X = np.array([[node[2] for node in row] for row in rows], dtype=float)
+        exposure = np.array([[node[3] for node in row] for row in rows], dtype=float)
+        if len(read) < len(entries):  # some entry was the first again: repeat its row
+            W, X, exposure = W[which], X[which], exposure[which]
         return cls(
             dates=tuple(date for date, _, _ in entries),
             node_ids=node_ids,

@@ -354,7 +354,10 @@ def kept_models(monkeypatch):
     return calls
 
 
-def random_backtest_inputs(seed):
+def random_backtest_inputs(seed, scale=1.0):
+    """A random panel of 1-4 entities, 16-40 quarters and 1-3 indicators,
+    shifted upward in the pre-crisis quarters; ``scale`` multiplies every
+    indicator, as raw units would."""
     rng = np.random.default_rng(seed)
     n_entities, n_quarters = int(rng.integers(1, 5)), int(rng.integers(16, 41))
     q0 = quarter_index("2000-Q1")
@@ -371,15 +374,17 @@ def random_backtest_inputs(seed):
         + rng.standard_normal((n_entities, n_quarters, n_indicators))
     values[rng.uniform(size=values.shape) < 0.05] = np.nan
     panel = IndicatorPanel(tuple(f"E{ei}" for ei in range(n_entities)),
-                           tuple(range(q0, q0 + n_quarters)), values,
+                           tuple(range(q0, q0 + n_quarters)), scale * values,
                            tuple(f"ind_{k + 1}" for k in range(n_indicators)))
     return panel, CrisisEvents(tuple(events))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_guarded_backtest_writes_the_cold_oracle_bytes(seed):
-    panel, events = random_backtest_inputs(seed)
+@settings(max_examples=90, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from((1.0, 1e2, 1e3)))
+def test_guarded_backtest_writes_the_cold_oracle_bytes(seed, scale):
+    # scale 1e2 and 1e3, as raw units: small coefficients and a large
+    # |x|_1, where the cold fit's own truncation error weighs most in b
+    panel, events = random_backtest_inputs(seed, scale)
     with pytest.MonkeyPatch.context() as monkeypatch:
         models = kept_models(monkeypatch)
         result = recursive_backtest(panel, events, 5, 12, lag=1)

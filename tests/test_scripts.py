@@ -37,3 +37,19 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys):
     assert sorted(result["head_won"]) == sorted(names)
     assert all(won in (0, 1) for won in result["head_won"].values())
     assert capsys.readouterr().out.startswith("paths-k3: correct True; run_s ")
+
+
+def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
+    order = []
+
+    def run_once(tree, workload, seed, seconds):
+        order.append(tree)
+        metrics = {"run_s": {"value": float(len(order))}}
+        return {"context": {"revision": tree}, "result": {"correct": True, "metrics": metrics}}
+
+    monkeypatch.setattr(against_parent, "run_once", run_once)
+    report = against_parent.bench({"parent": "p", "head": "h"}, None, ["w"],
+                                  [{"name": "run_s", "better": "lower"}], 7, 4, 0.0)
+    assert order == ["p", "h", "h", "p", "p", "h", "h", "p"]
+    # HEAD ran second (slower, in this fake) in even pairs, first in odd ones
+    assert report["workloads"]["w"]["head_won"] == {"run_s": 2}
