@@ -10,11 +10,13 @@ fresh checkouts, and removes them afterwards; ``--dirs`` names two source
 trees instead and needs no git.  For each workload of ``BENCHMARK.json`` it
 runs ``perfbench/run.py --trace 0`` at one seed in pairs, each side from its
 own tree in its own process; the parent runs first in even pairs and HEAD
-in odd ones, so that neither side always follows the other.  The JSON it
-writes holds both revisions, the machine, each side's first ``context:``
-line, every run's metrics, and per end-to-end metric the median and
-quartiles of each side and the number of pairs HEAD won (a strictly better
-value).
+in odd ones, so that neither side always follows the other.  After the
+pairs it runs each side once more with ``--trace 1 --seconds 0``.  The JSON
+it writes holds both revisions, the machine, each side's first
+``context:`` line, every run's metrics, and per end-to-end metric the
+median and quartiles of each side and the number of pairs HEAD won (a
+strictly better value); under ``trace``, each side's per-layer metrics from
+its traced run.
 """
 
 from __future__ import annotations
@@ -58,13 +60,13 @@ def worktrees(revisions: dict[str, str]):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``: its context and
-    result objects."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its context and result
+    objects."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -93,6 +95,7 @@ def bench(trees: dict[str, Path], revisions: dict[str, str] | None, workloads: l
         for i in range(pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 runs[side].append(run_once(trees[side], workload, seed, seconds))
+        traced = {side: run_once(trees[side], workload, seed, 0.0, trace=1) for side in SIDES}
         for side in SIDES:
             report["revisions"].setdefault(side, runs[side][0]["context"]["revision"])
         values = {side: {m["name"]: [r["result"]["metrics"][m["name"]]["value"]
@@ -104,11 +107,14 @@ def bench(trees: dict[str, Path], revisions: dict[str, str] | None, workloads: l
             won[m["name"]] = sum(sign * (h - p) > 0 for p, h in
                                  zip(values["parent"][m["name"]], values["head"][m["name"]]))
         report["workloads"][workload] = {
-            "correct": all(r["result"]["correct"] for side in SIDES for r in runs[side]),
+            "correct": all(r["result"]["correct"]
+                           for side in SIDES for r in runs[side] + [traced[side]]),
             "context": {side: runs[side][0]["context"] for side in SIDES},
             **{side: {name: summary(v) for name, v in values[side].items()} for side in SIDES},
             "head_won": won,
             "samples": values,
+            "trace": {side: {name: m["value"] for name, m in
+                             traced[side]["result"]["metrics"].items()} for side in SIDES},
         }
     return report
 

@@ -12,26 +12,27 @@ single class gets no model, and its quarter's predictions stay masked:
 Each quarter's fit starts from the coefficients of the last quarter that got
 a model (a warm start; the first fit starts from zero).  It reaches the cold
 fit's maximizer in about half the Newton steps, but not always in the same
-last bits, and a last bit can change a probability's ``%.10g`` text.  So the
-backtest keeps a warm fit only when all of these hold, and otherwise refits
-the quarter cold (``BacktestResult.refit`` lists those quarters):
+last bits, and a last bit can change a probability's ``%.10g`` text.  So
+every fit bounds its coefficients' distance e from the cold fit's
+(``LogitModel.error``, below), and the backtest keeps a warm fit only when
+both of these hold, and otherwise refits the quarter cold
+(``BacktestResult.refit`` lists those quarters):
 
-* the fit stopped on IRLS_TOL, after two steps or more, the last one whole
-  (not halved by the line search);
-* the bound e on its coefficients' distance from the cold fit's, below, is
-  at most 1e-12 times its largest coefficient (or 1e-12, if that is below
-  one);
+* the fit has a bound e, at most 1e-12 times its largest coefficient (or
+  1e-12, if that is below one);
 * every finite probability p of the quarter has one text over
   [p(1 - b), p(1 + b)], where b = max(GUARD_FLOOR, |x|.e) for the row x led
   by the intercept's one: p moves by a relative (1 - p)|x.d| <= |x|.|d| when
   the coefficients move by d.  ``%.10g`` rounds monotonically, so one text
   at both ends is one text over the whole interval.
 
-The bound e adds two terms per coefficient, each counted for both fits:
+A fit has a bound only when it stopped on IRLS_TOL after two steps or more,
+the last one whole (not halved by the line search); the bound then adds two
+terms per coefficient, each counted for both fits:
 
 * Truncation.  After a whole final step s, Newton's error is about
   kappa |s|^2, where kappa = |s_k| / |s_(k-1)|^2 is the quadratic rate the
-  warm fit showed over its last two steps.  The warm fit's own error is so
+  fit showed over its last two steps.  The fit's own error is so
   kappa |s_k|^2.  The cold fit, on the same window, stopped on a step below
   IRLS_TOL, so its error is at most kappa IRLS_TOL^2.  Indicators c times
   larger make both kappa and |x|_1 c times larger, so this term's share of
@@ -39,10 +40,10 @@ The bound e adds two terms per coefficient, each counted for both fits:
   larger.
 * Rounding.  Either fit stops where its computed gradient vanishes, which
   pins the maximizer only up to the gradient's rounding error, about eps
-  times each design column's absolute sum.  The inverse Hessian
-  (``LogitModel.covariance``) turns that into a coefficient error.  On
-  ill-conditioned windows (a few rows, nearly separated) this term is what
-  sends a quarter back to a cold fit.
+  times each design column's absolute sum.  The inverse Hessian of the last
+  step turns that into a coefficient error.  On ill-conditioned windows (a
+  few rows, nearly separated) this term is what sends a quarter back to a
+  cold fit.
 
 GUARD_FLOOR = 1e-13 covers the rounding of the probabilities themselves.
 Over the 856 quarters of synth seeds 1-8 (40 entities, 1990-Q1 to 2018-Q4,
@@ -180,16 +181,14 @@ def label_precrisis(events: CrisisEvents, entities, quarters, h1: int, h2: int):
 
 @dataclass(frozen=True, eq=False)
 class LogitModel:
-    """Fitted coefficients, and how the fit that made them went: the largest
-    coefficient change of each Newton step (``steps``; the fit converged if
-    the last is below IRLS_TOL), whether the line search cut the last one
-    (``halved``), and the inverse Hessian of its last step."""
+    """Fitted coefficients, and the fit's bound on each one's distance from
+    the fit started at zero (``error``, intercept first; the module docstring
+    derives it).  ``error`` is None unless the fit stopped on IRLS_TOL after
+    two steps or more, the last one whole."""
 
     coefficients: np.ndarray
     intercept: float
-    steps: tuple[float, ...] = ()
-    halved: bool = False
-    covariance: np.ndarray | None = None
+    error: np.ndarray | None = None
 
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float).copy()
@@ -197,10 +196,6 @@ class LogitModel:
             raise ValueError("model coefficients must be finite")
         coefs.flags.writeable = False
         object.__setattr__(self, "coefficients", coefs)
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.steps) and self.steps[-1] < IRLS_TOL
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -210,22 +205,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _penalized_loglik(beta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * RIDGE_LAMBDA * beta @ beta)
-
-
-def _training_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """The design (a leading column of ones) and labels of the complete rows."""
-    Xv = np.asarray(X, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if Xv.ndim != 2 or yv.shape != (Xv.shape[0],):
-        raise ValueError("X must be 2-d with one label per row")
-    if np.isnan(Xv.sum() + yv.sum()):  # some NaN (or inf - inf): drop its rows
-        keep = ~np.isnan(Xv).any(axis=1) & ~np.isnan(yv)
-        Xv, yv = Xv[keep], yv[keep]
-    if Xv.shape[0] == 0:
-        raise DegenerateFitError("no complete training rows")
-    if np.all(yv == yv[0]):
-        raise DegenerateFitError("training data contains a single class")
-    return np.column_stack([np.ones(Xv.shape[0]), Xv]), yv
 
 
 def _newton(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> LogitModel:
@@ -255,8 +234,13 @@ def _newton(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> LogitModel:
         steps.append(float(np.max(np.abs(scale * step))))
         if steps[-1] < IRLS_TOL:
             break
-    covariance = np.linalg.inv(hess) if steps else None
-    return LogitModel(beta[1:], float(beta[0]), tuple(steps), scale < 1.0, covariance)
+    error = None
+    if len(steps) >= 2 and steps[-1] < IRLS_TOL and scale == 1.0:
+        kappa = steps[-1] / steps[-2] ** 2
+        truncation = kappa * (steps[-1] ** 2 + IRLS_TOL ** 2)
+        sums = np.ones(design.shape[0]) @ np.abs(design)
+        error = truncation + 2.0 * np.abs(np.linalg.inv(hess)) @ (np.finfo(float).eps * sums)
+    return LogitModel(beta[1:], float(beta[0]), error)
 
 
 def fit_logit(X, y, start: LogitModel | None = None) -> LogitModel:
@@ -271,14 +255,24 @@ def fit_logit(X, y, start: LogitModel | None = None) -> LogitModel:
     The steps start from zero, or from the coefficients of ``start`` (a warm
     start, which ``recursive_backtest`` takes from the previous quarter's
     model).  The maximizer is the same either way, but the last bits of a
-    warm result may differ from a cold one's.  The model records how the fit
-    ended.
+    warm result may differ from a cold one's; the model's ``error`` bounds
+    how far.
     """
-    design, yv = _training_rows(X, y)
-    beta = np.zeros(design.shape[1])
+    Xv = np.asarray(X, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if Xv.ndim != 2 or yv.shape != (Xv.shape[0],):
+        raise ValueError("X must be 2-d with one label per row")
+    if np.isnan(Xv.sum() + yv.sum()):  # some NaN (or inf - inf): drop its rows
+        keep = ~np.isnan(Xv).any(axis=1) & ~np.isnan(yv)
+        Xv, yv = Xv[keep], yv[keep]
+    if Xv.shape[0] == 0:
+        raise DegenerateFitError("no complete training rows")
+    if np.all(yv == yv[0]):
+        raise DegenerateFitError("training data contains a single class")
+    beta = np.zeros(Xv.shape[1] + 1)
     if start is not None:
         beta[0], beta[1:] = start.intercept, start.coefficients
-    return _newton(design, yv, beta)
+    return _newton(np.column_stack([np.ones(Xv.shape[0]), Xv]), yv, beta)
 
 
 def predict_prob(model: LogitModel, X) -> np.ndarray:
@@ -296,28 +290,18 @@ def predict_prob(model: LogitModel, X) -> np.ndarray:
     return out
 
 
-def _text_stable(p: np.ndarray, b: np.ndarray) -> bool:
-    """Whether every finite value v of ``p`` has one ``%.10g`` text over its
-    whole interval [v(1 - b), v(1 + b)], with ``b`` the value's own bound."""
+def _settled(model: LogitModel, p: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether a warm fit stands for the cold fit: the module docstring's
+    two conditions, for its probabilities ``p`` of indicator ``rows``."""
+    error = model.error
+    if error is None or error.max() > 1e-12 * max(1.0, abs(model.intercept),
+                                                  *np.abs(model.coefficients)):
+        return False
+    b = np.maximum(GUARD_FLOOR, error[0] + np.abs(rows) @ error[1:])
     finite = np.isfinite(p)
     v, b = p[finite], b[finite]
     return all("%.10g" % lo == "%.10g" % hi
                for lo, hi in zip((v * (1.0 - b)).tolist(), (v * (1.0 + b)).tolist()))
-
-
-def _settled(model: LogitModel, p: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> bool:
-    """Whether a warm fit stands for the cold fit: the module docstring's
-    three conditions, for its probabilities ``p`` of indicator ``rows``,
-    where ``sums`` are the absolute column sums of its training design."""
-    if not model.converged or model.halved or len(model.steps) < 2:
-        return False
-    kappa = model.steps[-1] / model.steps[-2] ** 2
-    truncation = kappa * (model.steps[-1] ** 2 + IRLS_TOL ** 2)
-    rounding = 2.0 * np.abs(model.covariance) @ (np.finfo(float).eps * sums)
-    error = truncation + rounding
-    if error.max() > 1e-12 * max(1.0, abs(model.intercept), *np.abs(model.coefficients)):
-        return False
-    return _text_stable(p, np.maximum(GUARD_FLOOR, error[0] + np.abs(rows) @ error[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,11 +347,6 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
                          f"{quarter_label(panel.quarters[-1])}")
     labels, excluded = label_precrisis(events, panel.entities, panel.quarters, h1, h2)
     usable = ~excluded & ~np.isnan(panel.values).any(axis=2)
-    # absolute column sums of the design (ones, then indicators) of the
-    # usable rows up to each quarter
-    sums = np.cumsum(np.column_stack([
-        usable.sum(axis=0), np.where(usable[:, :, None], np.abs(panel.values), 0.0).sum(axis=0),
-    ]), axis=0)
     probs = np.full((len(panel.entities), len(panel.quarters)), np.nan)
     training_end: dict[int, int] = {}
     refit: list[int] = []
@@ -385,8 +364,8 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
             continue
         end = rows[:, 1].max()
         p = predict_prob(model, panel.values[:, qi, :])
-        if last is not None and not _settled(model, p, panel.values[:, qi, :], sums[end]):
-            model = _newton(*_training_rows(X, y), np.zeros(X.shape[1] + 1))
+        if last is not None and not _settled(model, p, panel.values[:, qi, :]):
+            model = fit_logit(X, y)
             p = predict_prob(model, panel.values[:, qi, :])
             refit.append(t)
         last = model

@@ -192,6 +192,17 @@ def test_irls_stops_at_its_iteration_cap(monkeypatch):
     assert 0.0 < capped.coefficients[0] < uncapped.coefficients[0]
 
 
+def test_fit_bounds_its_error_only_where_it_stopped_on_its_tolerance(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((200, 3))
+    y = (X[:, 0] + rng.standard_normal(200) > 0).astype(float)
+    error = fit_logit(X, y).error
+    assert error.shape == (X.shape[1] + 1,)
+    assert np.all(np.isfinite(error)) and np.all(error >= 0)
+    monkeypatch.setattr(early_warning, "IRLS_MAX_ITER", 1)
+    assert fit_logit(X, y).error is None
+
+
 def test_single_class_is_degenerate():
     X = np.ones((10, 1))
     with pytest.raises(DegenerateFitError):
@@ -421,6 +432,25 @@ def test_a_warm_fit_at_the_iteration_cap_is_refit_cold(monkeypatch):
     assert written(result) == written(oracle.recursive_backtest(panel, events, 5, 12, 1, start))
     monkeypatch.undo()
     assert len(recursive_backtest(panel, events, 5, 12, lag=1, start=start).refit) < len(fitted) - 1
+
+
+def test_a_cold_refit_goes_through_fit_logit(monkeypatch):
+    # a cap of 2 refits every warm quarter cold; each refit is one more
+    # fit_logit call, so a wrapper around it (as the benchmark's tracer is)
+    # counts every fit
+    panel, events = synthetic_backtest_inputs()
+    calls = []
+    fit = early_warning.fit_logit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(early_warning, "fit_logit", counting_fit)
+    monkeypatch.setattr(early_warning, "IRLS_MAX_ITER", 2)
+    result = recursive_backtest(panel, events, 5, 12, lag=1, start=panel.quarters[20])
+    assert result.refit
+    assert len(calls) == len(result.training_end) + len(result.refit)
 
 
 def test_a_planted_unstable_cell_makes_its_quarter_refit_cold(monkeypatch):

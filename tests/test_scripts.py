@@ -15,7 +15,8 @@ COPIED = shutil.ignore_patterns("__pycache__", "_work", "_results")
 
 def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys):
     # two copies of this tree, one pair at --seconds 0: every metric is
-    # summarised for both sides and each pair is won by one side or neither
+    # summarised for both sides, each pair is won by one side or neither,
+    # and each side's traced run reports its per-layer metrics
     for side in ("a", "b"):
         for part in ("src", "perfbench"):
             shutil.copytree(ROOT / part, tmp_path / side / part, ignore=COPIED)
@@ -36,14 +37,16 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys):
             assert stats["q1"] == stats["median"] == stats["q3"] == result["samples"][side][name][0]
     assert sorted(result["head_won"]) == sorted(names)
     assert all(won in (0, 1) for won in result["head_won"].values())
+    assert all(result["trace"][side]["network.k_paths_calls"] > 0 for side in ("parent", "head"))
     assert capsys.readouterr().out.startswith("paths-k3: correct True; run_s ")
 
 
 def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
     order = []
 
-    def run_once(tree, workload, seed, seconds):
-        order.append(tree)
+    def run_once(tree, workload, seed, seconds, trace=0):
+        if not trace:
+            order.append(tree)
         metrics = {"run_s": {"value": float(len(order))}}
         return {"context": {"revision": tree}, "result": {"correct": True, "metrics": metrics}}
 
