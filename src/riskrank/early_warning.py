@@ -238,6 +238,7 @@ def _newton(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> LogitModel:
     if len(steps) >= 2 and steps[-1] < IRLS_TOL and scale == 1.0:
         kappa = steps[-1] / steps[-2] ** 2
         truncation = kappa * (steps[-1] ** 2 + IRLS_TOL ** 2)
+        # absolute column sums; as a product, a quarter of .sum(axis=0)'s time
         sums = np.ones(design.shape[0]) @ np.abs(design)
         error = truncation + 2.0 * np.abs(np.linalg.inv(hess)) @ (np.finfo(float).eps * sums)
     return LogitModel(beta[1:], float(beta[0]), error)
@@ -362,14 +363,13 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
             model = fit_logit(X, y, start=last)
         except DegenerateFitError:
             continue
-        end = rows[:, 1].max()
         p = predict_prob(model, panel.values[:, qi, :])
         if last is not None and not _settled(model, p, panel.values[:, qi, :]):
             model = fit_logit(X, y)
             p = predict_prob(model, panel.values[:, qi, :])
             refit.append(t)
         last = model
-        training_end[t] = int(qarr[end])
+        training_end[t] = int(qarr[rows[:, 1].max()])
         probs[:, qi] = p
     probs.flags.writeable = False
     return BacktestResult(panel.entities, panel.quarters, probs, training_end, tuple(refit))
