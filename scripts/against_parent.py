@@ -3,6 +3,8 @@
 
     python scripts/against_parent.py bench --out BENCH_23.json
     python scripts/against_parent.py bench --dirs PARENT_DIR HEAD_DIR --out bench.json
+    python scripts/against_parent.py diff
+    python scripts/against_parent.py diff --dirs PARENT_DIR HEAD_DIR
 
 ``bench`` checks out the parent (``--parent``, default ``HEAD~1``) and HEAD
 into a temporary directory with ``git worktree add``, so that both sides are
@@ -17,11 +19,21 @@ it writes holds both revisions, the machine, each side's first
 median and quartiles of each side and the number of pairs HEAD won (a
 strictly better value); under ``trace``, each side's per-layer metrics from
 its traced run.
+
+``diff`` takes the same two revisions and runs, on each side, the commands
+of the CI "Installed entry point" step (``COMMANDS``) on that side's own
+seed-7 synth output in a temporary directory: one child process per side
+calls its tree's ``riskrank.cli.main(argv)`` for each command.  It prints
+every command whose exit code, stdout, stderr or output-file sha256
+differs between the sides, each side's temporary directory read as
+``{s}``, then the count, and exits 1 if any command differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import platform
@@ -30,11 +42,38 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from contextlib import contextmanager
+import traceback
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "head")
+# the CI "Installed entry point" step, in its order; {s} is the side's directory
+COMMANDS = (
+    "evaluate --table2-fixture",
+    "synth --outdir {s} --seed 7 --entities 5",
+    "validate --nodes {s}/nodes.csv --links {s}/links.csv",
+    "backtest --indicators {s}/indicators.csv --events {s}/events.csv"
+    " --out {s}/probabilities.csv",
+    "evaluate {s}/probabilities.csv --events {s}/events.csv --out {s}/eval.csv",
+    "riskrank --nodes {s}/nodes.csv --links {s}/links.csv"
+    " --probabilities {s}/probabilities.csv --targets all --out {s}/riskrank.csv",
+    "riskrank --nodes {s}/nodes.csv --links {s}/links.csv"
+    " --targets E01,E04 --no-clamp --mode shapley --k 3 --out {s}/riskrank_options.csv",
+    "evaluate {s}/probabilities.csv {s}/riskrank.csv --events {s}/events.csv"
+    " --out {s}/eval_both.csv",
+    "validate --nodes {s}/nodes.csv --links {s}/links.csv"
+    " --indicators {s}/indicators.csv --events {s}/events.csv",
+    "report --nodes {s}/nodes.csv --links {s}/links.csv"
+    " --probabilities {s}/probabilities.csv --targets root --out {s}/report.csv",
+    "shapley --measure {s}/measure.json",
+    "backtest --config {s}/config.json --indicators {s}/indicators.csv"
+    " --events {s}/events.csv --out {s}/probabilities_config.csv",
+)
+# the two JSON inputs the step writes with echo
+INPUTS = {"measure.json": '{"n": 2, "mu": {"": 0, "1": 0.4, "2": 0.4, "1,2": 1}}\n',
+          "config.json": '{"h1": 4, "h2": 12, "lag": 2}\n'}
+SYNTH_FILES = ("indicators.csv", "events.csv", "nodes.csv", "links.csv")
 
 
 def git(*args: str) -> str:
@@ -119,30 +158,108 @@ def bench(trees: dict[str, Path], revisions: dict[str, str] | None, workloads: l
     return report
 
 
+def outputs(argv: list[str]) -> list[Path]:
+    """Files a command writes: its ``--out`` file or the synth ``--outdir`` set."""
+    found = []
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--out":
+            found.append(Path(value))
+        elif flag == "--outdir":
+            found.extend(Path(value) / name for name in SYNTH_FILES)
+    return found
+
+
+def child() -> None:
+    """Run the argv lists read from stdin through ``riskrank.cli.main`` from
+    ``src/`` under the working directory; write per call its exit code,
+    stdout, stderr and the sha256 of each file it writes, as JSON."""
+    src = Path("src").resolve()
+    sys.path.insert(0, str(src))
+    from riskrank.cli import main as riskrank
+
+    if src not in Path(sys.modules["riskrank"].__file__).resolve().parents:
+        raise RuntimeError(f"riskrank imported from {sys.modules['riskrank'].__file__}")
+    calls = []
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = riskrank(argv)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else 1
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        calls.append({"exit code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                      **{path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                         if path.is_file() else None for path in outputs(argv)}})
+    json.dump(calls, sys.stdout)
+
+
+def run_commands(tree: Path, tmp: Path) -> list[dict]:
+    """``COMMANDS`` on ``tmp`` in one child process in ``tree``; ``tmp`` and
+    ``tree`` read as ``{s}`` and ``{tree}`` in what the calls print."""
+    for name, text in INPUTS.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    argvs = [[arg.format(s=tmp) for arg in command.split()] for command in COMMANDS]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import against_parent; against_parent.child()", str(Path(__file__).resolve().parent)],
+        cwd=tree, env=env, input=json.dumps(argvs), capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{tree}: the commands' process exited {done.returncode}: "
+                           f"{done.stderr.strip()}")
+    calls = json.loads(done.stdout)
+    for call in calls:
+        for stream in ("stdout", "stderr"):
+            call[stream] = call[stream].replace(str(tmp), "{s}").replace(str(tree), "{tree}")
+    return calls
+
+
+def diff(trees: dict[str, Path]) -> list[tuple[str, list[str]]]:
+    """Each command of ``COMMANDS`` that differs between the sides, with what
+    differs: its exit code, stdout, stderr or an output file's name."""
+    with tempfile.TemporaryDirectory(prefix="against_parent-") as tmp:
+        calls = {}
+        for side in SIDES:
+            (Path(tmp) / side).mkdir()
+            calls[side] = run_commands(trees[side].resolve(), Path(tmp) / side)
+    return [(command, [key for key in parent if parent[key] != head.get(key)])
+            for command, parent, head in zip(COMMANDS, calls["parent"], calls["head"])
+            if parent != head]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sides = argparse.ArgumentParser(add_help=False)
+    sides.add_argument("--parent", default="HEAD~1", help="parent revision (git mode)")
+    sides.add_argument("--dirs", nargs=2, type=Path, metavar=("PARENT_DIR", "HEAD_DIR"),
+                       help="two source trees to compare instead of git revisions")
     sub = parser.add_subparsers(dest="mode", required=True)
-    cmd = sub.add_parser("bench", help="paired end-to-end timings")
+    cmd = sub.add_parser("bench", parents=[sides], help="paired end-to-end timings")
     cmd.add_argument("--out", type=Path, required=True)
-    cmd.add_argument("--parent", default="HEAD~1", help="parent revision (git mode)")
-    cmd.add_argument("--dirs", nargs=2, type=Path, metavar=("PARENT_DIR", "HEAD_DIR"),
-                     help="two source trees to compare instead of git revisions")
     cmd.add_argument("--workloads", nargs="+", help="default: every workload")
     cmd.add_argument("--pairs", type=int, default=10)
     cmd.add_argument("--seconds", type=float, default=4.0)
     cmd.add_argument("--seed", type=int, default=7)
+    sub.add_parser("diff", parents=[sides], help="the CI step's commands, byte for byte")
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    measure = (args.seed, args.pairs, args.seconds)
-    if args.dirs:
-        report = bench(dict(zip(SIDES, args.dirs)), None, workloads, spec["end_to_end"],
-                       *measure)
-    else:
-        revisions = {"parent": git("rev-parse", args.parent), "head": git("rev-parse", "HEAD")}
-        with worktrees(revisions) as trees:
-            report = bench(trees, revisions, workloads, spec["end_to_end"], *measure)
+    revisions = None if args.dirs else {"parent": git("rev-parse", args.parent),
+                                        "head": git("rev-parse", "HEAD")}
+    checkout = worktrees(revisions) if revisions else nullcontext(dict(zip(SIDES, args.dirs)))
+    with checkout as trees:
+        if args.mode == "diff":
+            differing = diff(trees)
+            for command, what in differing:
+                print(f"differs: riskrank {command}: {', '.join(what)}")
+            print(f"{len(differing)} of {len(COMMANDS)} commands differ")
+            return 1 if differing else 0
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+        report = bench(trees, revisions, workloads, spec["end_to_end"], args.seed, args.pairs,
+                       args.seconds)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for workload, result in report["workloads"].items():
         print(f"{workload}: correct {result['correct']}; " + "; ".join(

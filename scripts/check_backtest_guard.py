@@ -19,10 +19,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import oracle  # noqa: E402
 from riskrank.early_warning import recursive_backtest  # noqa: E402
-from riskrank.io import read_events, read_indicators, write_probabilities  # noqa: E402
+from riskrank.io import RunConfig, read_events, read_indicators, write_probabilities  # noqa: E402
 from riskrank.synth import SynthSpec, generate_synthetic  # noqa: E402
 
-H1, H2, LAG = 5, 12, 1
+H1, H2, LAG = RunConfig.h1, RunConfig.h2, RunConfig.lag
 SEEDS = range(1, 21)
 
 

@@ -111,7 +111,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_shapley(args) -> int:
-    text = Path(args.measure).read_text(encoding="utf-8")
+    text = Path(args.measure).read_text(encoding="utf-8-sig")
     measure = FuzzyMeasure.from_json(text)
     report = validate_measure(measure)
     if not report.ok:

@@ -1,6 +1,8 @@
 """CSV schemas, readers/writers, and run configuration.
 
-All files are UTF-8 CSV with a mandatory header row and ``YYYY-Qn`` dates:
+All files are UTF-8 CSV with a mandatory header row and ``YYYY-Qn`` dates;
+every CSV and JSON reader skips a leading byte-order mark, and no writer
+writes one:
 
     nodes.csv          date,node_id,level,parent_id,risk_value,self_exposure
     links.csv          date,source_id,target_id,weight
@@ -113,7 +115,7 @@ class _Rows:
             raise SchemaError(self.path, 1, f"header {self.header} != expected {expected}")
 
     def _read(self):
-        with open(self.path, newline="", encoding="utf-8") as fh:
+        with open(self.path, newline="", encoding="utf-8-sig") as fh:
             self._reader = reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -485,7 +487,7 @@ _CONFIG_TYPES = {
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")

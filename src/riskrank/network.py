@@ -167,34 +167,26 @@ class NetworkSeries:
         ``nodes`` maps ids to (level, parent, risk, exposure), None or NaN for
         no value, and ``links`` maps (source, target) keys to weights.
 
-        Raises StructuralDriftError, naming the quarter of the first entry
-        whose node ids, levels, parents or link keys differ from the first's.
-        An entry holding the first entry's own two dicts is that entry again:
-        it is neither checked nor read a second time.
+        Every entry is checked for the first's node ids, levels, parents and
+        link keys, and StructuralDriftError names the quarter of the first
+        that differs; then each is read into ``W``, ``X`` and ``exposure``.
         """
         entries = list(entries)
         if not entries:
             raise ValueError("a series needs at least one snapshot")
         _, first, first_links = entries[0]
         shape = {nid: node[:2] for nid, node in first.items()}
-        node_ids, link_keys = tuple(sorted(first)), tuple(sorted(first_links))
-        read, which = [], []  # the entries read, and which of them each entry is
-        for date, nodes, links in entries:
-            if read and nodes is first and links is first_links:
-                which.append(0)
-                continue
-            if read and (links.keys() != first_links.keys()
-                         or {nid: node[:2] for nid, node in nodes.items()} != shape):
+        for date, nodes, links in entries[1:]:
+            if (links.keys() != first_links.keys()
+                    or {nid: node[:2] for nid, node in nodes.items()} != shape):
                 raise StructuralDriftError(
                     f"snapshot {quarter_label(date)} does not share the series structure")
-            which.append(len(read))
-            read.append((nodes, links))
-        rows = [list(map(nodes.__getitem__, node_ids)) for nodes, _ in read]
-        W = np.array([[*map(links.__getitem__, link_keys)] for _, links in read], dtype=float)
+        node_ids, link_keys = tuple(sorted(first)), tuple(sorted(first_links))
+        rows = [list(map(nodes.__getitem__, node_ids)) for _, nodes, _ in entries]
+        W = np.array([[*map(links.__getitem__, link_keys)] for _, _, links in entries],
+                     dtype=float)
         X = np.array([[node[2] for node in row] for row in rows], dtype=float)
         exposure = np.array([[node[3] for node in row] for row in rows], dtype=float)
-        if len(read) < len(entries):  # some entry was the first again: repeat its row
-            W, X, exposure = W[which], X[which], exposure[which]
         return cls(
             dates=tuple(date for date, _, _ in entries),
             node_ids=node_ids,

@@ -1,25 +1,25 @@
 """Deterministic synthetic fixtures: indicators, crises, and a country network.
 
 Crisis episodes are drawn first; indicators then carry a drift term over
-``label_precrisis``'s 5-12 quarter pre-crisis window, so that a logistic
-early-warning fit has genuine signal to find.  Episodes of one entity start
-at least MIN_CRISIS_GAP quarters apart, so no pre-crisis quarter lies inside
-an episode.  The network is a root with the entities as a complete level-1
-sibling group: every entity links to the root, sibling links are kept with
-the configured density, and weights stay constant over time.  So the
-network is built once, and the series over it sets each quarter's entity
-risk levels.  Everything is a pure function of the seed.
+the pre-crisis window at ``RunConfig``'s default horizon, so that a
+logistic early-warning fit has genuine signal to find.  Episodes of one
+entity start at least MIN_CRISIS_GAP quarters apart, so no pre-crisis
+quarter lies inside an episode.  The network is a root with the entities as
+a complete level-1 sibling group: every entity links to the root, sibling
+links are kept with the configured density, and weights stay constant over
+time.  So the network's one row is repeated over the quarters, then each
+quarter's entity levels are set.  Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .early_warning import CrisisEvent, CrisisEvents, IndicatorPanel, label_precrisis
-from .io import write_events, write_indicators, write_links_csv, write_nodes_csv
+from .io import RunConfig, write_events, write_indicators, write_links_csv, write_nodes_csv
 from .network import NetworkSeries
 from .quarters import quarter_index
 
@@ -80,7 +80,7 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
         for entity in entities
         for start, end in _draw_crises(rng, quarters, spec.crisis_intensity)
     ))
-    precrisis, _ = label_precrisis(events, entities, quarters, 5, 12)
+    precrisis, _ = label_precrisis(events, entities, quarters, RunConfig.h1, RunConfig.h2)
 
     signal = np.zeros(spec.indicators)
     usable = min(len(SIGNAL_PATTERN), spec.indicators)
@@ -105,8 +105,11 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
             if other != entity and rng.random() < spec.network_density:
                 links[entity, other] = rng.uniform(0.05, 1.0)
     nodes = {ROOT_ID: (0, None, None, None), **dict.fromkeys(entities, (1, ROOT_ID, None, None))}
-    # one structure on every quarter, then the entities' levels
-    series = NetworkSeries.from_dates((q, nodes, links) for q in quarters).with_probabilities(
+    # one structure on every quarter: its one row repeated, then the entities' levels
+    one = NetworkSeries.from_dates([(q0, nodes, links)])
+    W, X, exposure = (np.repeat(rows, len(quarters), axis=0)
+                      for rows in (one.W, one.X, one.exposure))
+    series = replace(one, dates=quarters, W=W, X=X, exposure=exposure).with_probabilities(
         (entity, quarter, level)
         for entity, row in zip(entities, risk.tolist())
         for quarter, level in zip(quarters, row)

@@ -1317,6 +1317,53 @@ def test_cli_names_the_drifting_quarter(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def input_set(tmp_path_factory):
+    """A seed-7 synth set with its probabilities, a run config and a measure."""
+    data = tmp_path_factory.mktemp("inputs")
+    assert main(["synth", "--outdir", str(data), "--seed", "7", "--entities", "5"]) == 0
+    assert main(["backtest", "--indicators", str(data / "indicators.csv"), "--events",
+                 str(data / "events.csv"), "--out", str(data / "probabilities.csv")]) == 0
+    (data / "config.json").write_text('{"h1": 4, "h2": 12, "lag": 2}')
+    (data / "measure.json").write_text('{"n": 2, "mu": {"": 0, "1": 0.4, "2": 0.4, "1,2": 1}}')
+    return {path.stem: str(path) for path in data.iterdir()}
+
+
+SCORE = ["riskrank", "--nodes", "{nodes}", "--links", "{links}",
+         "--probabilities", "{probabilities}", "--targets", "all", "--out", "{out}"]
+BACKTEST = ["backtest", "--indicators", "{indicators}", "--events", "{events}", "--out", "{out}"]
+EVALUATE = ["evaluate", "{probabilities}", "--events", "{events}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("nodes", SCORE), ("links", SCORE), ("indicators", BACKTEST), ("events", EVALUATE),
+    ("probabilities", EVALUATE), ("config", [*BACKTEST, "--config", "{config}"]),
+    ("measure", ["shapley", "--measure", "{measure}"]),
+])
+def test_an_input_with_a_byte_order_mark_reads_as_without(input_set, tmp_path, capsys,
+                                                          name, argv):
+    # Excel's "CSV UTF-8" starts a file with the UTF-8 byte-order mark; the
+    # marked copy keeps its file name, as evaluate names a model by its stem;
+    # both runs write one output path, which stdout may name
+    out = tmp_path / "out.csv"
+
+    def run(paths):
+        capsys.readouterr()
+        code = main([arg.format(out=out, **paths) for arg in argv])
+        printed = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, printed.out, printed.err, written
+
+    source = Path(input_set[name])
+    marked = tmp_path / "marked" / source.name
+    marked.parent.mkdir()
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    plain = run(input_set)
+    assert plain[0] == 0
+    assert run({**input_set, name: str(marked)}) == plain
+
+
 def test_cli_scores_do_not_depend_on_row_order_or_padding(tmp_path):
     data, copy = tmp_path / "data", tmp_path / "copy"
     assert main(["synth", "--outdir", str(data), "--entities", "5", "--seed", "4",

@@ -456,8 +456,8 @@ def test_structural_drift_is_detected():
 
 
 def test_series_from_shared_dicts_equals_one_from_copies():
-    # dates that hand over the first date's own dicts skip the structure
-    # check and the reads; the series is the one built from copies
+    # dates that hand over the first date's own dicts are checked and read
+    # as any other; the series is the one built from copies
     net = two_level_network()
     nodes = {nid: (n.level, n.parent_id, n.risk_value, n.self_exposure)
              for nid, n in net.nodes.items()}

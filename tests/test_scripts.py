@@ -56,3 +56,23 @@ def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
     assert order == ["p", "h", "h", "p", "p", "h", "h", "p"]
     # HEAD ran second (slower, in this fake) in even pairs, first in odd ones
     assert report["workloads"]["w"]["head_won"] == {"run_s": 2}
+
+
+def test_against_parent_diff_reports_a_one_byte_change_in_a_writer(tmp_path, capsys):
+    # two copies of src/ run the CI step's commands alike; one byte appended
+    # to the line end of write_probabilities in the second copy shows in the
+    # probabilities.csv that backtest writes
+    for side in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / side / "src", ignore=COPIED)
+    dirs = ["diff", "--dirs", str(tmp_path / "a"), str(tmp_path / "b")]
+    assert against_parent.main(dirs) == 0
+    assert capsys.readouterr().out == f"0 of {len(against_parent.COMMANDS)} commands differ\n"
+    io_py = tmp_path / "b" / "src" / "riskrank" / "io.py"
+    text = io_py.read_text()
+    at = text.index('\\r\\n"', text.index("def write_probabilities"))
+    io_py.write_text(text[:at] + " " + text[at:])
+    assert against_parent.main(dirs) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert ("differs: riskrank backtest --indicators {s}/indicators.csv --events "
+            "{s}/events.csv --out {s}/probabilities.csv: probabilities.csv") in out
+    assert out[-1] == f"{len(out) - 1} of {len(against_parent.COMMANDS)} commands differ"
