@@ -21,6 +21,19 @@ problems are reported at their file and line: a header problem at line 1,
 an empty file at line 2, a data-row problem at the line of the row read.  A
 JSON file (config or measure) that gives a key twice is refused.
 
+``nodes.csv`` with ``links.csv``, and ``indicators.csv``, are first tried on
+a plain route, which reads ``_CHUNK`` bytes at a time, splits each chunk
+into column slices and checks them in bulk, so that no more than one
+chunk's cells are held.  A file is plain when it is ASCII without ``"``,
+blanks or control bytes in a cell, keeps one line-end style (``\n`` or
+``\r\n``), has the expected header, a data row and every row the header's
+width.  A network's files must also give each date one run of rows, every
+run in the first's node or link order and the dates in one order in both
+files, with unique ids, known link ends and unique links.  Numbers pass
+through ``float`` as on the row source, and then their ranges are checked
+in bulk.  On any doubt the route gives up and ``_Rows`` reads the files from
+the top, so every error, with its text and line, comes from the row source.
+
 Writers build the bytes ``csv.writer`` would write as text, one date's or
 one entity's block of lines at a time, so none holds a whole file.  Fixed
 cells (ids, entities, targets, models) are quoted once per structure, and
@@ -30,6 +43,7 @@ identical bytes; NaN is an empty cell where a file allows one, None is ``-``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -166,8 +180,138 @@ class _Rows:
         return value
 
 
+_CHUNK = 1 << 15  # bytes per read; no line of a plain file is longer
+_LINE_END_TO_COMMA = {ord("\r"): ",", ord("\n"): ","}
+
+
+def _plain(condition) -> None:
+    if not condition:
+        raise ValueError("not plain")
+
+
+def _plain_route(read, *paths):
+    """``read(*paths)``, or None if a file is not plain, holds a bad cell or
+    cannot be opened: the row source then reads it and words any error."""
+    try:
+        return read(*paths)
+    except (ValueError, OSError):
+        return None
+
+
+def _columns(data: bytes, eol: bytes, width: int) -> list[list[str]]:
+    """The columns of ``data``, whole plain lines of ``width`` cells each:
+    every line has ``width`` cells when each ``width``-th of its ``,`` and
+    ``\n`` bytes is a line end."""
+    b = np.frombuffer(data, np.uint8)
+    lines = data.count(b"\n")
+    seps = b[(b == 44) | (b == 10)]
+    _plain(b'"' not in data and data.count(eol) == lines
+           and np.count_nonzero(b <= 32) == lines * len(eol)  # no blank or NUL in a cell
+           and seps.size == lines * width and (seps[width - 1::width] == 10).all())
+    # ASCII only; a comma per line-end byte: "\r\n" gives every row one more, empty, cell
+    cells = data.decode("ascii").translate(_LINE_END_TO_COMMA).split(",")
+    cells.pop()
+    return [cells[j::width + len(eol) - 1] for j in range(width)]
+
+
+def _plain_columns(path):
+    """The header cells of a plain file, then the columns of each chunk.
+
+    The file is read ``_CHUNK`` bytes at a time and cut after its last line
+    end, so only one chunk's cells live at once.  One line-end style holds
+    throughout, set by the header line; a last line may lack it.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline(_CHUNK).removeprefix(codecs.BOM_UTF8)
+        eol = b"\r\n" if head.endswith(b"\r\n") else b"\n"
+        _plain(head.endswith(b"\n"))
+        header = [cell for cell, in _columns(head, eol, head.count(b",") + 1)]
+        yield header
+        carry, rows = b"", False
+        while block := fh.read(_CHUNK):
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                yield _columns(carry + block[:cut], eol, len(header))
+                carry, rows = block[cut:], True
+            else:
+                carry += block
+                _plain(len(carry) <= _CHUNK)
+        if carry:
+            yield _columns(carry + eol, eol, len(header))
+        _plain(rows or carry)
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    """``float`` of each cell, as the row source converts it, NaN for an
+    empty one; every other cell must be finite."""
+    empty = cells.count("")
+    values = np.fromiter((float(c) if c else math.nan for c in cells) if empty
+                         else map(float, cells), float, len(cells))
+    _plain(np.count_nonzero(np.isfinite(values)) == len(cells) - empty)
+    return values
+
+
+def _date_runs(path, header, keys: int):
+    """A plain file whose rows form one run per date, each run repeating the
+    first run's cells in the ``keys`` columns after the date: the runs' date
+    texts, the first run's key columns, and each later column as a dates x
+    run-length array of ``_floats``."""
+    chunks = _plain_columns(path)
+    _plain(next(chunks) == header)
+    dates, filled = [], 0
+    runs, values = [[] for _ in range(keys)], [[] for _ in header[keys + 1:]]
+    for columns in chunks:
+        start = 0
+        for date, group in groupby(columns[0]):
+            end = start + len(list(group))
+            if not dates or date != dates[-1]:  # a run starts, and the last one is whole
+                _plain(filled == len(runs[0]))
+                dates.append(date)
+                filled = 0
+            for run, column in zip(runs, columns[1:]):
+                if len(dates) == 1:
+                    run += column[start:end]
+                else:
+                    _plain(column[start:end] == run[filled:filled + end - start])
+            filled += end - start
+            start = end
+        for value, column in zip(values, columns[keys + 1:]):
+            value.append(_floats(column))
+    _plain(filled == len(runs[0]))
+    return dates, runs, [np.concatenate(value).reshape(len(dates), -1) for value in values]
+
+
+def _plain_nodes_links(nodes_path, links_path) -> NetworkSeries:
+    """``read_nodes_links`` of two plain files whose dates come in one order,
+    each date's rows in one run and each run in the first run's order."""
+    dates, (ids, levels, parents), (risk, exposure) = _date_runs(nodes_path, NODES_HEADER, 3)
+    link_dates, (sources, targets), (weight,) = _date_runs(links_path, LINKS_HEADER, 2)
+    quarters, levels = [*map(quarter_index, dates)], [*map(int, levels)]
+    links = [*zip(sources, targets)]
+    _plain(link_dates == dates and len(set(quarters)) == len(quarters)
+           and "" not in ids and len(set(ids)) == len(ids) and min(levels) >= 0
+           and set(sources).union(targets) <= set(ids) and len(set(links)) == len(links)
+           and not (risk < 0).any() and not (risk > 1).any() and not (exposure < 0).any()
+           and (weight >= 0).all())
+    by_date = sorted(range(len(quarters)), key=quarters.__getitem__)
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    by_key = sorted(range(len(links)), key=links.__getitem__)
+    return NetworkSeries(
+        dates=tuple(sorted(quarters)), node_ids=tuple(ids[i] for i in by_id),
+        levels=tuple(levels[i] for i in by_id), parents=tuple(parents[i] or None for i in by_id),
+        link_keys=tuple(links[i] for i in by_key), W=weight[by_date][:, by_key],
+        X=risk[np.ix_(by_date, by_id)], exposure=exposure[np.ix_(by_date, by_id)],
+    )
+
+
 def read_nodes_links(nodes_path, links_path) -> NetworkSeries:
-    """Parse a snapshot series; all dates must share one structure.
+    """Parse a snapshot series; all dates must share one structure."""
+    series = _plain_route(_plain_nodes_links, nodes_path, links_path)
+    return _read_nodes_links_rows(nodes_path, links_path) if series is None else series
+
+
+def _read_nodes_links_rows(nodes_path, links_path) -> NetworkSeries:
+    """``read_nodes_links`` through the row source.
 
     One pass over each file fills each date's node and link maps, from which
     ``NetworkSeries.from_dates`` builds the arrays.  A link row's date is
@@ -276,6 +420,34 @@ def write_links_csv(path, series: NetworkSeries) -> None:
 
 
 def read_indicators(path) -> IndicatorPanel:
+    panel = _plain_route(_plain_indicators, path)
+    return _read_indicators_rows(path) if panel is None else panel
+
+
+def _plain_indicators(path) -> IndicatorPanel:
+    """``read_indicators`` of a plain file: each distinct entity and date text
+    gets a code as it comes, and each date text is parsed once."""
+    chunks = _plain_columns(path)
+    header = next(chunks)
+    names = tuple(header[2:])
+    _plain(header[:2] == ["entity", "date"] and names and len(set(names)) == len(names))
+    entities, dates, rows_e, rows_q, values = {}, {}, [], [], []
+    for columns in chunks:
+        rows_e += [entities.setdefault(e, len(entities)) for e in columns[0]]
+        rows_q += [dates.setdefault(d, len(dates)) for d in columns[1]]
+        values.append(np.column_stack([_floats(column) for column in columns[2:]]))
+    quarters = [*map(quarter_index, dates)]
+    order = sorted(entities), sorted(quarters)
+    # each row's place in the panel; numpy orders NUL-free texts as Python does
+    where = (np.searchsorted(order[0], [*entities])[rows_e] * len(dates)
+             + np.searchsorted(order[1], quarters)[rows_q])
+    _plain("" not in entities and len(set(where.tolist())) == where.size)
+    panel = np.full((len(entities) * len(dates), len(names)), np.nan)
+    panel[where] = np.concatenate(values)
+    return IndicatorPanel(*map(tuple, order), panel.reshape(len(entities), len(dates), -1), names)
+
+
+def _read_indicators_rows(path) -> IndicatorPanel:
     rows = _Rows(path)
     if len(rows.header) < 3 or rows.header[:2] != ["entity", "date"]:
         raise SchemaError(rows.path, 1, "header must be entity,date,ind_1,...")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskrank
-from riskrank import engine
+from riskrank import engine, io
 from riskrank.cli import main
 from riskrank.early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
 from riskrank.engine import RiskRankConfig
@@ -38,6 +39,9 @@ from riskrank.synth import SynthSpec, generate_synthetic
 
 import oracle
 from conftest import random_snapshot
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from check_reader_routes import SPECS, contents, outcome  # noqa: E402
 
 
 def small_snapshots():
@@ -700,6 +704,177 @@ def test_reading_builds_no_snapshot_or_network(tmp_path, monkeypatch):
         assert np.array_equal(getattr(series, name), getattr(expected, name), equal_nan=True)
 
 
+def write_plain_inputs(directory, rng):
+    """nodes.csv, links.csv and indicators.csv as the writers write them: a
+    random structure on one to four dates, and a random panel with gaps."""
+    base = NetworkSeries.from_snapshots([random_snapshot(
+        rng, max_children=5, two_level=bool(rng.integers(2)))])
+    dates, nodes = int(rng.integers(1, 5)), len(base.node_ids)
+    first = int(rng.integers(quarter_index("1990-Q1"), quarter_index("2020-Q1")))
+    valued = np.array(base.levels) > 0
+    series = replace(
+        base, dates=tuple(range(first, first + dates)),
+        W=rng.uniform(0.0, 2.0, (dates, len(base.link_keys))),
+        X=np.where(valued, rng.uniform(size=(dates, nodes)), np.nan),
+        exposure=np.where(rng.random((dates, nodes)) < 0.3,
+                          rng.uniform(0.0, 2.0, (dates, nodes)), np.nan),
+    )
+    values = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 9)),
+                              int(rng.integers(1, 4))))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    values[0, 0, 0] = 0.5  # one row at least
+    panel = IndicatorPanel(tuple(f"E{i:02d}" for i in range(len(values))),
+                           tuple(range(first, first + values.shape[1])), values,
+                           tuple(f"ind_{k}" for k in range(values.shape[2])))
+    paths = {name: directory / f"{name}.csv" for name in ("nodes", "links", "indicators")}
+    write_nodes_csv(paths["nodes"], series)
+    write_links_csv(paths["links"], series)
+    write_indicators(paths["indicators"], panel)
+    return paths
+
+
+def edit_text(text: str, rng) -> str:
+    """``text`` with one seeded edit that may take a file off the plain route."""
+    lines = text.split("\r\n")
+    i, k = rng.integers(1, max(2, len(lines) - 1), size=2).tolist()  # data lines
+    cells = lines[i].split(",")
+    at = int(rng.integers(len(lines[i]) + 1))
+    kind = int(rng.integers(12))
+    if kind == 0:
+        lines[i] = lines[i][:at] + '"' + lines[i][at:]
+    elif kind == 1:
+        lines[i] = lines[i][:at] + "\r" + lines[i][at:]
+    elif kind == 2:
+        lines.insert(i, "")
+    elif kind == 3:
+        return "\ufeff" + text
+    elif kind == 4:
+        return text.removesuffix("\r\n")
+    elif kind == 5:
+        lines[i] = ",".join(cells + ["0.5"] if rng.random() < 0.5 else cells[:-1])
+    elif kind == 6:
+        cells[1] = " " + cells[1]
+    elif kind == 7:
+        cells[-1] = cells[-1][:1] + ("\x0b", "\u2028")[int(rng.integers(2))] + cells[-1][1:]
+    elif kind == 8:
+        cells[-1] = ("1_000", "nan", "-inf", "-0.0")[int(rng.integers(4))]
+    elif kind == 9:
+        cells[-1] = ("-0.5", "0.5x")[int(rng.integers(2))]
+    elif kind == 10:
+        lines.insert(i, lines[i])
+    else:
+        lines[i], lines[k] = lines[k], lines[i]
+    if kind in (6, 7, 8, 9):
+        lines[i] = ",".join(cells)
+    return "\r\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_the_plain_route_reads_like_the_row_route(tmp_path_factory, seed):
+    # writer-shaped files take the plain route; after zero to three edits
+    # each reader gives what its row function gives, series or error.  Small
+    # chunks cut dates' runs and lines, and no line is longer than 64 bytes
+    rng = np.random.default_rng(seed)
+    paths = write_plain_inputs(tmp_path_factory.mktemp("plain"), rng)
+    edits = int(rng.integers(4))
+    for _ in range(edits):
+        path = paths[("nodes", "links", "indicators")[int(rng.integers(3))]]
+        path.write_bytes(edit_text(path.read_bytes().decode("utf-8"), rng).encode("utf-8"))
+    network, indicators = (paths["nodes"], paths["links"]), (paths["indicators"],)
+    with mock.patch.object(io, "_CHUNK", int(rng.choice([64, 256, io._CHUNK]))):
+        assert outcome(read_nodes_links, *network) == outcome(io._read_nodes_links_rows,
+                                                              *network)
+        assert outcome(read_indicators, *indicators) == outcome(io._read_indicators_rows,
+                                                                *indicators)
+        if not edits:
+            assert io._plain_route(io._plain_nodes_links, *network) is not None
+            assert io._plain_route(io._plain_indicators, *indicators) is not None
+
+
+def test_the_workload_inputs_are_read_without_the_row_route(tmp_path, monkeypatch):
+    read = {}
+    for name, spec in SPECS.items():
+        paths = generate_synthetic(replace(spec, seed=7), tmp_path / name)
+        read[name] = (paths, contents(io._read_nodes_links_rows(paths["nodes"], paths["links"])),
+                      contents(io._read_indicators_rows(paths["indicators"])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row route ran")
+
+    monkeypatch.setattr(io, "_read_nodes_links_rows", refuse)
+    monkeypatch.setattr(io, "_read_indicators_rows", refuse)
+    for chunk in (io._CHUNK, 4096):  # and in chunks shorter than a date's link rows
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        for paths, series, panel in read.values():
+            assert contents(read_nodes_links(paths["nodes"], paths["links"])) == series
+            assert contents(read_indicators(paths["indicators"])) == panel
+
+
+# case -> (node rows, link rows, line end, whether the plain route reads them);
+# each is plain to a glance but for one cell, line end or run
+PLAIN_ROUTE_TRAPS = {
+    "runs-out-of-date-order": (
+        quarter_rows("2005-Q2", TRAP_NODES) + quarter_rows("2005-Q1", TRAP_NODES),
+        quarter_rows("2005-Q2", TRAP_LINKS) + quarter_rows("2005-Q1", TRAP_LINKS), "\r\n", True,
+    ),
+    "a-date-in-two-runs": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES)
+        + quarter_rows("2005-Q1", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS)
+        + quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
+    ),
+    # short by as many rows as there are runs, so the weights fill a
+    # narrower dates x links array
+    "a-short-run-between-whole-ones": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES)
+        + quarter_rows("2005-Q3", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS[:1])
+        + quarter_rows("2005-Q3", TRAP_LINKS), "\n", False,
+    ),
+    # csv refuses a cell this long, and a plain file holds no line as long
+    "a-cell-over-the-csv-field-limit": (
+        quarter_rows("2005-Q1", TRAP_NODES[:3] + ["C,1," + "S" * 140_000 + ",0.3,"]),
+        quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
+    ),
+    # a cell too many on one line and too few on the next
+    "a-row-broken-across-two-lines": (
+        quarter_rows("2005-Q1", TRAP_NODES),
+        quarter_rows("2005-Q1", ["A,S,0.6,2005-Q1"]) + ["B,S,0.4"]
+        + quarter_rows("2005-Q1", TRAP_LINKS[2:]), "\n", False,
+    ),
+    "an-unknown-link-entity": (
+        quarter_rows("2005-Q1", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS + ["C,GHOST,0.1"]), "\n", False,
+    ),
+    # csv drops the quotes and the reader strips the tab: the parent is S
+    "a-quoted-parent": (
+        quarter_rows("2005-Q1", TRAP_NODES[:3] + ['C,1,"S",0.3,']),
+        quarter_rows("2005-Q1", TRAP_LINKS), "\r\n", False,
+    ),
+    "a-padded-parent": (
+        quarter_rows("2005-Q1", TRAP_NODES[:3] + ["C,1,S\t,0.3,"]),
+        quarter_rows("2005-Q1", TRAP_LINKS), "\r\n", False,
+    ),
+    # one line ends in "\n" alone, with its "\r" inside the weight, where csv
+    # ends a row, so that the next row holds one cell
+    "a-line-end-out-of-place": (
+        quarter_rows("2005-Q1", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS[:2] + ["C,S,0.\r2\n2005-Q1,C,A,0.1"]), "\r\n", False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_ROUTE_TRAPS))
+def test_plain_route_traps_read_like_the_row_route(tmp_path, case):
+    node_rows, link_rows, eol, plain = PLAIN_ROUTE_TRAPS[case]
+    files = tmp_path / "nodes.csv", tmp_path / "links.csv"
+    for path, header, rows in zip(files, (NODES_HEADER, LINKS_HEADER), (node_rows, link_rows)):
+        path.write_bytes(eol.join([",".join(header), *rows, ""]).encode())
+    assert (io._plain_route(io._plain_nodes_links, *files) is not None) is plain
+    assert outcome(read_nodes_links, *files) == outcome(io._read_nodes_links_rows, *files)
+
+
 def test_links_writer_keeps_signed_zeros_apart(tmp_path):
     """Weights are formatted once per distinct bit pattern, so 0.0 and -0.0
     in one column keep their own text, as the snapshot-walking writer has it."""
@@ -1263,6 +1438,21 @@ def test_cli_rejects_a_target_list_naming_a_node_twice_or_none(tmp_path, capsys,
                      "--links", str(files["links.csv"]), "--targets", selector,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: invalid: {detail}\n"
+        assert not out.exists()
+
+
+def test_cli_unknown_target_and_no_series_are_one_line_each(tmp_path, capsys):
+    files = write_two_quarters(tmp_path, NODES, DIRECT)
+    events, out = tmp_path / "events.csv", tmp_path / "out.csv"
+    events.write_text("entity,crisis_start,crisis_end\nA,2005-Q1,\n")
+    for argv, line in (
+        (["riskrank", "--nodes", str(files["nodes.csv"]), "--links", str(files["links.csv"]),
+          "--targets", "E99", "--out", str(out)], "error: invalid: unknown target node 'E99'"),
+        (["evaluate", "--events", str(events), "--out", str(out)],
+         "error: invalid: no probability series given"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", line + "\n")
         assert not out.exists()
 
 
