@@ -739,7 +739,8 @@ def edit_text(text: str, rng) -> str:
     i, k = rng.integers(1, max(2, len(lines) - 1), size=2).tolist()  # data lines
     cells = lines[i].split(",")
     at = int(rng.integers(len(lines[i]) + 1))
-    kind = int(rng.integers(12))
+    a, b = rng.integers(len(cells), size=2).tolist()
+    kind = int(rng.integers(14))
     if kind == 0:
         lines[i] = lines[i][:at] + '"' + lines[i][at:]
     elif kind == 1:
@@ -753,7 +754,7 @@ def edit_text(text: str, rng) -> str:
     elif kind == 5:
         lines[i] = ",".join(cells + ["0.5"] if rng.random() < 0.5 else cells[:-1])
     elif kind == 6:
-        cells[1] = " " + cells[1]
+        cells[a % 2] = " " + cells[a % 2]
     elif kind == 7:
         cells[-1] = cells[-1][:1] + ("\x0b", "\u2028")[int(rng.integers(2))] + cells[-1][1:]
     elif kind == 8:
@@ -762,9 +763,15 @@ def edit_text(text: str, rng) -> str:
         cells[-1] = ("-0.5", "0.5x")[int(rng.integers(2))]
     elif kind == 10:
         lines.insert(i, lines[i])
-    else:
+    elif kind == 11:
         lines[i], lines[k] = lines[k], lines[i]
-    if kind in (6, 7, 8, 9):
+    elif kind == 12:
+        cells[a] = ""
+    else:  # a header cell renamed to another's name
+        header = lines[0].split(",")
+        header[a % len(header)] = header[b % len(header)]
+        lines[0] = ",".join(header)
+    if kind in (6, 7, 8, 9, 12):
         lines[i] = ",".join(cells)
     return "\r\n".join(lines)
 
@@ -816,7 +823,21 @@ def test_the_workload_inputs_are_read_without_the_row_route(tmp_path, monkeypatc
 PLAIN_ROUTE_TRAPS = {
     "runs-out-of-date-order": (
         quarter_rows("2005-Q2", TRAP_NODES) + quarter_rows("2005-Q1", TRAP_NODES),
-        quarter_rows("2005-Q2", TRAP_LINKS) + quarter_rows("2005-Q1", TRAP_LINKS), "\r\n", True,
+        quarter_rows("2005-Q2", ["A,S,0.1", "B,S,0.2", "C,S,0.3", "C,A,0.4"])
+        + quarter_rows("2005-Q1", TRAP_LINKS), "\r\n", True,
+    ),
+    "link-dates-in-another-order": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
+        quarter_rows("2005-Q2", ["A,S,0.1", "B,S,0.2", "C,S,0.3", "C,A,0.4"])
+        + quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
+    ),
+    "an-empty-node-id": (
+        quarter_rows("2005-Q1", TRAP_NODES[:3] + [",1,S,0.3,"]),
+        quarter_rows("2005-Q1", TRAP_LINKS[:2]), "\n", False,
+    ),
+    "a-risk-above-one": (
+        quarter_rows("2005-Q1", TRAP_NODES[:3] + ["C,1,S,1.5,"]),
+        quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
     ),
     "a-date-in-two-runs": (
         quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES)
@@ -835,6 +856,26 @@ PLAIN_ROUTE_TRAPS = {
     # csv refuses a cell this long, and a plain file holds no line as long
     "a-cell-over-the-csv-field-limit": (
         quarter_rows("2005-Q1", TRAP_NODES[:3] + ["C,1," + "S" * 140_000 + ",0.3,"]),
+        quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
+    ),
+    "a-short-last-run": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS[:2]), "\n", False,
+    ),
+    "a-node-id-twice": (
+        quarter_rows("2005-Q1", TRAP_NODES + ["C,1,S,0.3,"]),
+        quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
+    ),
+    "a-negative-self-exposure": (
+        quarter_rows("2005-Q1", TRAP_NODES[:3] + ["C,1,S,0.3,-0.5"]),
+        quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
+    ),
+    "a-link-twice": (
+        quarter_rows("2005-Q1", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS + ["C,A,0.2"]), "\n", False,
+    ),
+    "a-negative-level": (
+        quarter_rows("2005-Q1", TRAP_NODES[:3] + ["C,-1,S,0.3,"]),
         quarter_rows("2005-Q1", TRAP_LINKS), "\n", False,
     ),
     # a cell too many on one line and too few on the next
@@ -873,6 +914,26 @@ def test_plain_route_traps_read_like_the_row_route(tmp_path, case):
         path.write_bytes(eol.join([",".join(header), *rows, ""]).encode())
     assert (io._plain_route(io._plain_nodes_links, *files) is not None) is plain
     assert outcome(read_nodes_links, *files) == outcome(io._read_nodes_links_rows, *files)
+
+
+# case -> (header, rows, whether the plain route reads them)
+INDICATOR_TRAPS = {
+    "rows-in-any-order-with-gaps": (
+        "entity,date,ind_1,ind_2", ["B,2005-Q2,1,", "A,2005-Q3,,2", "B,2005-Q1,3,4"], True,
+    ),
+    "an-empty-entity": ("entity,date,ind_1,ind_2", ["A,2005-Q1,1,2", ",2005-Q2,3,4"], False),
+    "a-repeated-indicator-name": ("entity,date,ind_1,ind_1", ["A,2005-Q1,1,2"], False),
+    "date-before-entity": ("date,entity,ind_1,ind_2", ["2005-Q1,A,1,2"], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDICATOR_TRAPS))
+def test_plain_route_indicator_traps_read_like_the_row_route(tmp_path, case):
+    header, rows, plain = INDICATOR_TRAPS[case]
+    path = tmp_path / "indicators.csv"
+    path.write_bytes("\r\n".join([header, *rows, ""]).encode())
+    assert (io._plain_route(io._plain_indicators, path) is not None) is plain
+    assert outcome(read_indicators, path) == outcome(io._read_indicators_rows, path)
 
 
 def test_links_writer_keeps_signed_zeros_apart(tmp_path):
