@@ -9,8 +9,9 @@
 ``bench`` checks out the parent (``--parent``, default ``HEAD~1``) and HEAD
 into a temporary directory with ``git worktree add``, so that both sides are
 fresh checkouts, and removes them afterwards; ``--dirs`` names two source
-trees instead and needs no git.  For each workload of ``BENCHMARK.json`` it
-runs ``perfbench/run.py --trace 0`` at one seed in pairs, each side from its
+trees instead, needs no git and records each side's ``src_sha256`` under
+``trees``.  For each workload of ``BENCHMARK.json`` it runs
+``perfbench/run.py --trace 0`` at one seed in pairs, each side from its
 own tree in its own process; the parent runs first in even pairs and HEAD
 in odd ones, so that neither side always follows the other.  After the
 pairs it runs each side once more with ``--trace 1 --seconds 0``.  The JSON
@@ -97,6 +98,18 @@ def worktrees(revisions: dict[str, str]):
         for tree in added:
             git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def src_sha256(tree: Path) -> str:
+    """sha256 over the files under ``tree/src`` sorted by relative path:
+    each one's path, then its bytes; bytecode caches are left out."""
+    src = tree / "src"
+    files = {path.relative_to(src).as_posix(): path for path in src.rglob("*")
+             if path.is_file() and "__pycache__" not in path.parts}
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.encode() + b"\0" + files[name].read_bytes())
+    return digest.hexdigest()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -260,6 +273,8 @@ def main(argv=None) -> int:
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
         report = bench(trees, revisions, workloads, spec["end_to_end"], args.seed, args.pairs,
                        args.seconds)
+        if args.dirs:
+            report["trees"] = {side: src_sha256(tree) for side, tree in trees.items()}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for workload, result in report["workloads"].items():
         print(f"{workload}: correct {result['correct']}; " + "; ".join(

@@ -37,13 +37,18 @@ operators check values at k = 2.
 
 A ``NetworkSeries`` holds one structure for all dates, so each target's paths
 are enumerated once, on the series itself, as ``k_paths`` rows; no snapshot
-view is built.  A reversed row gives node columns into the series' dates x
-nodes risk levels X from the path start, and the series' ``link_table``,
-shared with ``k_paths``, link columns into its dates x links weights W from
-the target outward; ``PATH_PAD`` picks the ones column both end in.  Every
-date is then scored at once, with products and sums in the order of a loop
-over the paths, so the numbers do not depend on how many dates are scored
-together.
+view is built.  The scoring tables are items x dates: a reversed row gives
+node rows of the transposed risk levels X.T from the path start, and the
+series' ``link_table``, shared with ``k_paths``, link rows of the transposed
+weights W.T from the target outward; ``PATH_PAD`` picks the ones row both
+end in.  A gather of whole rows puts each path's dates next to each other,
+and a product starts from its first factor.  Every date is then scored at
+once, with products and sums in the order of a loop over the paths, so the
+numbers do not depend on how many dates are scored together: z is numpy's
+pairwise sum of each date's masses, taken from a dates x paths copy, and
+the other totals over paths add in order along the slow axis of a paths x
+dates block, except a one-date block, whose path axis numpy would sum
+pairwise and which therefore goes through ``cumsum``.
 """
 
 from __future__ import annotations
@@ -102,26 +107,27 @@ def _no_risk(node_id: str) -> ValueError:
     return ValueError(f"node {node_id!r} carries no risk value")
 
 
-def _product(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Dates x paths products of ``table`` over each row of ``columns``,
-    multiplied left to right starting from 1.0."""
-    out = np.ones((table.shape[0], columns.shape[0]))
-    for j in range(columns.shape[1]):
-        out *= table[:, columns[:, j]]
+def _product(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Paths x dates products of ``table``'s rows over each row of ``rows``,
+    multiplied left to right starting from the first factor."""
+    out = table[rows[:, 0]]
+    for j in range(1, rows.shape[1]):
+        out *= table[rows[:, j]]
     return out
 
 
 def _running_total(block: np.ndarray) -> np.ndarray:
-    """Row sums of a dates x items block, added left to right."""
-    if block.shape[1] == 0:
-        return np.zeros(block.shape[0])
-    return np.cumsum(block, axis=1)[:, -1]
+    """Column sums of a C-contiguous items x dates block, added top to bottom;
+    numpy would add a single column pairwise, so that one goes through cumsum."""
+    if block.shape[1] == 1 and len(block):
+        return np.cumsum(block, axis=0)[-1]
+    return block.sum(axis=0)
 
 
 class _Scorer:
     """A series' arrays as one ``riskrank_series`` call scores them.
 
-    ``weights`` and ``risks`` are W and X with a trailing column of ones
+    ``weights`` and ``risks`` are W.T and X.T with a trailing row of ones
     that padded path entries point at.
     """
 
@@ -129,9 +135,9 @@ class _Scorer:
         self.series = series
         self.node_col = {nid: i for i, nid in enumerate(series.node_ids)}
         self.link_pos = series.link_table  # k_paths reads it for every target
-        ones = np.ones((len(series), 1))
-        self.weights = np.hstack([series.W, ones])
-        self.risks = np.hstack([series.X, ones])
+        ones = np.ones((1, len(series)))
+        self.weights = np.vstack([series.W.T, ones])
+        self.risks = np.vstack([series.X.T, ones])
 
     def _self_mass(self, target: str) -> np.ndarray:
         """Self exposure per date, else the in-link weight total capped at one;
@@ -139,7 +145,7 @@ class _Scorer:
         col = self.node_col[target]
         inbound = np.delete(self.link_pos[:-1, col], col)
         inbound = inbound[inbound < len(self.series.link_keys)]
-        fallback = np.minimum(_running_total(self.weights[:, inbound]), 1.0)
+        fallback = np.minimum(_running_total(self.weights[inbound]), 1.0)
         given = self.series.exposure[:, col]
         return np.where(np.isnan(given), fallback, given)
 
@@ -160,7 +166,7 @@ class _Scorer:
         mass = _product(self.weights, links)
         value = mass * _product(self.risks, nodes)
         self_mass = self._self_mass(target) if shapley else 0.0
-        z = mass.sum(axis=1) + self_mass
+        z = np.ascontiguousarray(mass.T).sum(axis=1) + self_mass
         scored = z > 0.0
 
         # Checks in the order the path operator makes them at every k.
@@ -182,11 +188,11 @@ class _Scorer:
             d = int(np.argmax(failing))
             raise _Failure(d, next(error(d) for mask, error in checks if mask[d]))
 
-        share = value / np.where(scored, z, 1.0)[:, None]
+        share = value / np.where(scored, z, 1.0)
         n_direct = np.count_nonzero((rows[:, 2:] == PATH_PAD).all(axis=1))
-        direct = np.where(scored, _running_total(share[:, :n_direct]), 0.0)
-        indirect = np.where(scored, _running_total(share[:, n_direct:]), 0.0)
-        own_level = self.risks[:, col]
+        direct = np.where(scored, _running_total(share[:n_direct]), 0.0)
+        indirect = np.where(scored, _running_total(share[n_direct:]), 0.0)
+        own_level = self.risks[col]
         if is_root:
             individual = np.zeros(len(self.series))
         elif shapley:
@@ -205,20 +211,19 @@ def riskrank_series(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> 
     """
     targets = list(targets)
     scorer = _Scorer(series)
-    columns, failures = [], []
+    scored, failures = [], []
     for j, target in enumerate(targets):
         try:
-            columns.append([part.tolist() for part in scorer.score(target, cfg)])
+            scored.append(list(zip(*(part.tolist() for part in scorer.score(target, cfg)))))
         except _Failure as failure:
             date_index, error = failure.args
             failures.append((date_index, j, error))
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
     return [
-        SeriesRow(date, target,
-                  RiskDecomposition(target, *(part[d] for part in parts)))
+        SeriesRow(date, target, RiskDecomposition(target, *per_date[d]))
         for d, date in enumerate(series.dates)
-        for target, parts in zip(targets, columns)
+        for target, per_date in zip(targets, scored)
     ]
 
 

@@ -332,14 +332,19 @@ def k_paths(net: RiskNetwork | NetworkSeries, target: str, k: int) -> np.ndarray
     into = (net.link_table[:-1, :-1] < len(net.link_keys)).T
     grown = np.array([[net.node_ids.index(target)]], dtype=np.intp)
     classes = []
-    for length in range(1, k + 1):
+    for _ in range(k):
         row, source = np.nonzero(into[grown[:, -1]])
         grown = np.column_stack([grown[row], source])
         grown = grown[(grown[:, :-1] != source[:, None]).all(axis=1)]
         # lexsort keys on the last column first: the path start
         grown = grown[np.lexsort(grown.T)]
-        classes.append(np.pad(grown, ((0, 0), (0, k - length)), constant_values=PATH_PAD))
-    return np.concatenate(classes)
+        classes.append(grown)
+    out = np.full((sum(map(len, classes)), k + 1), PATH_PAD, dtype=np.intp)
+    start = 0
+    for rows in classes:
+        out[start:start + len(rows), :rows.shape[1]] = rows
+        start += len(rows)
+    return out
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,7 @@ from riskrank.early_warning import (
     IndicatorPanel,
     LogitModel,
 )
-from riskrank.engine import (
-    RiskDecomposition,
-    RiskRankConfig,
-    _product,
-    _running_total,
-)
+from riskrank.engine import RiskDecomposition, RiskRankConfig
 from riskrank.errors import (
     DegenerateFitError,
     NoCapacityError,
@@ -731,6 +726,22 @@ def read_nodes_links(nodes_path, links_path) -> list[NetworkSnapshot]:
         snapshots.append(NetworkSnapshot(date, net))
     assert_same_structure(snapshots)
     return snapshots
+
+
+def _product(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Dates x paths products of ``table`` over each row of ``columns``,
+    multiplied left to right starting from 1.0."""
+    out = np.ones((table.shape[0], columns.shape[0]))
+    for j in range(columns.shape[1]):
+        out *= table[:, columns[:, j]]
+    return out
+
+
+def _running_total(block: np.ndarray) -> np.ndarray:
+    """Row sums of a dates x items block, added left to right."""
+    if block.shape[1] == 0:
+        return np.zeros(block.shape[0])
+    return np.cumsum(block, axis=1)[:, -1]
 
 
 class _Series:

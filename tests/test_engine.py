@@ -459,6 +459,33 @@ def test_series_equals_path_oracle_exactly(seed, k, mode, clamp):
     assert [row.decomposition for row in rows] == expected
 
 
+@pytest.mark.parametrize("mode", ["unit", "shapley"])
+def test_scores_do_not_depend_on_the_date_count(mode):
+    """Each date scored alone gives the rows it gets inside a 3-date series.
+    Twelve entities linked both ways at k = 3 give every target over 128
+    paths, past the block size of numpy's pairwise sums, and eleven in-links
+    each, small enough that their shapley fallback total stays below its cap
+    of one.  LONE has no in-links: no paths, and a self exposure instead."""
+    rng = np.random.default_rng(12)
+    entities = [f"E{i:02d}" for i in range(12)]
+    snaps = []
+    for q in range(3):
+        nodes = [Node("ROOT", 0), Node("LONE", 1, "ROOT", float(rng.uniform()), 0.5)]
+        nodes += [Node(e, 1, "ROOT", float(rng.uniform())) for e in entities]
+        links = [(e, "ROOT", float(rng.uniform(0.1, 1.0))) for e in entities + ["LONE"]]
+        links += [(a, b, float(rng.uniform(0.0, 0.09)))
+                  for a in entities for b in entities if a != b]
+        snaps.append(NetworkSnapshot(q, RiskNetwork.build(nodes, links)))
+    targets = ["ROOT", "E00", "E07", "LONE"]
+    cfg = RiskRankConfig(mode, False, 3)
+    together = riskrank_series(NetworkSeries.from_snapshots(snaps), targets, cfg)
+    for snap in snaps:
+        alone = riskrank_series(NetworkSeries.from_snapshots([snap]), targets, cfg)
+        assert [row.decomposition for row in alone] == [
+            row.decomposition for row in together if row.date == snap.date
+        ]
+
+
 def test_series_rejects_structural_drift():
     snap = two_child_snapshot()
     other = RiskNetwork.build(

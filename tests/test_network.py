@@ -406,9 +406,15 @@ def test_path_rows_layout():
     chain = [[3, 0, PATH_PAD, PATH_PAD], [3, 0, 1, PATH_PAD], [3, 0, 1, 2]]
     assert k_paths(net, "S", 3).tolist() == chain
     # a k above the longest simple path only widens the padding
-    assert k_paths(net, "S", 5).tolist() == [row + [PATH_PAD] * 2 for row in chain]
-    for k in (1, 2, 3):
+    wide = k_paths(net, "S", 5)
+    assert wide.tolist() == [row + [PATH_PAD] * 2 for row in chain]
+    assert wide.shape == (3, 6) and (wide[:, 4:] == PATH_PAD).all()
+    # C has no in-links: no rows, but still k + 1 columns; every result is
+    # an index array, empty or not
+    for k in (1, 2, 3, 5):
         assert k_paths(net, "C", k).shape == (0, k + 1)
+        for target in ("S", "A", "B", "C"):
+            assert k_paths(net, target, k).dtype == np.intp
 
 
 def test_k_must_be_positive():

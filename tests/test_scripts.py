@@ -39,6 +39,13 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys):
     assert all(won in (0, 1) for won in result["head_won"].values())
     assert all(result["trace"][side]["network.k_paths_calls"] > 0 for side in ("parent", "head"))
     assert capsys.readouterr().out.startswith("paths-k3: correct True; run_s ")
+    # the copies' src/ hash alike, and one byte appended to a file in one
+    # copy tells them apart
+    assert report["trees"]["parent"] == report["trees"]["head"]
+    assert report["trees"]["parent"] == against_parent.src_sha256(tmp_path / "a")
+    with open(tmp_path / "b" / "src" / "riskrank" / "engine.py", "ab") as edited:
+        edited.write(b" ")
+    assert against_parent.src_sha256(tmp_path / "b") != report["trees"]["parent"]
 
 
 def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
