@@ -406,9 +406,7 @@ def test_path_rows_layout():
     chain = [[3, 0, PATH_PAD, PATH_PAD], [3, 0, 1, PATH_PAD], [3, 0, 1, 2]]
     assert k_paths(net, "S", 3).tolist() == chain
     # a k above the longest simple path only widens the padding
-    wide = k_paths(net, "S", 5)
-    assert wide.tolist() == [row + [PATH_PAD] * 2 for row in chain]
-    assert wide.shape == (3, 6) and (wide[:, 4:] == PATH_PAD).all()
+    assert k_paths(net, "S", 5).tolist() == [row + [PATH_PAD] * 2 for row in chain]
     # C has no in-links: no rows, but still k + 1 columns; every result is
     # an index array, empty or not
     for k in (1, 2, 3, 5):
