@@ -48,6 +48,10 @@ from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_st
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the files a command writes, by the benchmark's own rule
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import outputs_of  # noqa: E402
+
 SIDES = ("parent", "head")
 # the CI "Installed entry point" step, in its order; {s} is the side's directory
 COMMANDS = (
@@ -74,7 +78,6 @@ COMMANDS = (
 # the two JSON inputs the step writes with echo
 INPUTS = {"measure.json": '{"n": 2, "mu": {"": 0, "1": 0.4, "2": 0.4, "1,2": 1}}\n',
           "config.json": '{"h1": 4, "h2": 12, "lag": 2}\n'}
-SYNTH_FILES = ("indicators.csv", "events.csv", "nodes.csv", "links.csv")
 
 
 def git(*args: str) -> str:
@@ -171,17 +174,6 @@ def bench(trees: dict[str, Path], revisions: dict[str, str] | None, workloads: l
     return report
 
 
-def outputs(argv: list[str]) -> list[Path]:
-    """Files a command writes: its ``--out`` file or the synth ``--outdir`` set."""
-    found = []
-    for flag, value in zip(argv, argv[1:]):
-        if flag == "--out":
-            found.append(Path(value))
-        elif flag == "--outdir":
-            found.extend(Path(value) / name for name in SYNTH_FILES)
-    return found
-
-
 def child() -> None:
     """Run the argv lists read from stdin through ``riskrank.cli.main`` from
     ``src/`` under the working directory; write per call its exit code,
@@ -205,7 +197,7 @@ def child() -> None:
                 code = 1
         calls.append({"exit code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                       **{path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                         if path.is_file() else None for path in outputs(argv)}})
+                         if path.is_file() else None for path in outputs_of(argv)}})
     json.dump(calls, sys.stdout)
 
 

@@ -13,12 +13,13 @@ writes one:
 
 The row source, ``_Rows``, owns the rules every file read shares: a file
 without a header row fails at line 1, a fixed header is checked before any
-data row, blank lines are skipped, a data row whose cell count differs from
-the header's fails at its line, no id or entity is blank, and no (entity,
-quarter) repeats in an indicator, event or series file.  The root node row
-leaves risk_value empty; other empty cells generally mean "absent".  Schema
-problems are reported at their file and line: a header problem at line 1,
-an empty file at line 2, a data-row problem at the line of the row read.  A
+data row, blank lines are skipped, a line csv cannot read (a cell over its
+field size limit) or a data row whose cell count differs from the header's
+fails at its line, no id or entity is blank, and no (entity, quarter)
+repeats in an indicator, event or series file.  The root node row leaves
+risk_value empty; other empty cells generally mean "absent".  Schema
+problems are reported at their file and line: a header problem at line 1, an
+empty file at line 2, a data-row problem at the line of the row read.  A
 JSON file (config or measure) that gives a key twice is refused.
 
 ``nodes.csv`` with ``links.csv``, and ``indicators.csv``, are first tried on
@@ -31,8 +32,9 @@ width.  A network's files must also give each date one run of rows, every
 run in the first's node or link order and the dates in one order in both
 files, with unique ids, known link ends and unique links.  Numbers pass
 through ``float`` as on the row source, and then their ranges are checked
-in bulk.  On any doubt the route gives up and ``_Rows`` reads the files from
-the top, so every error, with its text and line, comes from the row source.
+in bulk.  On any doubt the route gives up and ``_Rows``, which keeps no
+speed-up of its own, reads the files from the top, so every error, with its
+text and line, comes from the row source.
 
 Writers build the bytes ``csv.writer`` would write as text, one date's or
 one entity's block of lines at a time, so none holds a whole file.  Fixed
@@ -131,17 +133,20 @@ class _Rows:
     def _read(self):
         with open(self.path, newline="", encoding="utf-8-sig") as fh:
             self._reader = reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(self.path, 1, "missing header row")
-            yield header
-            width = len(header)
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise self.fail(f"expected {width} columns")
-                yield row
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise SchemaError(self.path, 1, "missing header row")
+                yield header
+                width = len(header)
+                for row in reader:
+                    if len(row) != width:
+                        if not row:
+                            continue
+                        raise self.fail(f"expected {width} columns")
+                    yield row
+            except csv.Error as exc:  # such as a cell over csv's field size limit
+                raise self.fail(str(exc)) from None
 
     def __iter__(self):
         return self._rows
@@ -314,11 +319,10 @@ def _read_nodes_links_rows(nodes_path, links_path) -> NetworkSeries:
     """``read_nodes_links`` through the row source.
 
     One pass over each file fills each date's node and link maps, from which
-    ``NetworkSeries.from_dates`` builds the arrays.  A link row's date is
-    parsed once per run of rows with the same date text, and its raw (source,
-    target) text maps to its stripped key, one map per set of node ids, so a
-    text is stripped and checked for unknown entities once per such set.  A
-    duplicate node id or link fails at its own file and line, and every row
+    ``NetworkSeries.from_dates`` builds the arrays.  A link row's date must
+    have node rows, its stripped ends must be nodes of that date, its weight
+    must be at least 0 and its key new to that date, checked in that order.
+    A duplicate node id or link fails at its own file and line, and every row
     of both files is checked before the dates' structures are compared.
     """
     # date -> node id -> (level, parent, risk, exposure)
@@ -348,38 +352,23 @@ def _read_nodes_links_rows(nodes_path, links_path) -> NetworkSeries:
     if not nodes_by_date:
         raise SchemaError(rows.path, 2, "no node rows")
 
-    # a raw text maps to its key only on dates with the ids it was checked on
-    keys_by_ids: dict[frozenset, dict[tuple[str, str], tuple[str, str]]] = {}
-    # date -> (its nodes, its links, raw (source, target) text -> stripped key)
-    state = {date: (nodes, {}, keys_by_ids.setdefault(frozenset(nodes), {}))
-             for date, nodes in nodes_by_date.items()}
-    last = None
+    by_date = {date: (nodes_by_date[date], {}) for date in sorted(nodes_by_date)}
     rows = _Rows(links_path, LINKS_HEADER)
     for date_text, source, target, weight_text in rows:
-        if date_text != last:
-            date = rows.quarter(date_text)
-            if date not in state:
-                raise rows.fail(f"link date {date_text} has no node rows")
-            known, links, keys = state[date]
-            last = date_text
-        key = keys.get((source, target))
-        if key is None:
-            key = source.strip(), target.strip()
-            if key[0] not in known or key[1] not in known:
-                raise rows.fail(f"unknown entity in link {key[0]}->{key[1]}")
-            keys[source, target] = key
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            weight = math.nan
-        if not 0.0 <= weight < math.inf:
-            # a bad or non-finite weight fails in rows.number, a negative one here
-            rows.number(weight_text, "weight")
+        date = rows.quarter(date_text)
+        if date not in by_date:
+            raise rows.fail(f"link date {date_text} has no node rows")
+        known, links = by_date[date]  # node id -> its cells, (source, target) -> weight
+        key = source.strip(), target.strip()
+        if key[0] not in known or key[1] not in known:
+            raise rows.fail(f"unknown entity in link {key[0]}->{key[1]}")
+        weight = rows.number(weight_text, "weight")
+        if weight < 0.0:
             raise rows.fail("weight must be >= 0")
         if key in links:
             raise rows.fail(f"date {quarter_label(date)}: duplicate link {key[0]!r} -> {key[1]!r}")
         links[key] = weight
-    return NetworkSeries.from_dates((date, *state[date][:2]) for date in sorted(state))
+    return NetworkSeries.from_dates((date, *maps) for date, maps in by_date.items())
 
 
 def write_nodes_csv(path, series: NetworkSeries) -> None:

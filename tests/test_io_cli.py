@@ -685,6 +685,48 @@ def test_a_duplicate_across_two_runs_of_one_date_fails_at_its_line(tmp_path):
     assert str(err.value) == f"{links}:10: date 2005-Q1: duplicate link 'B' -> 'S'"
 
 
+# case -> (node rows, link rows, file, line and detail of the stderr line, or
+# None where the files validate); each link row is read cell by cell, so a
+# raw text, date text or weight read once before is read again
+LINK_ROW_LINES = {
+    "date-without-node-rows": ([], ["2005-Q3,A,S,0.5"], "links.csv", 10,
+                               "link date 2005-Q3 has no node rows"),
+    "unknown-entity": ([], ["2005-Q2,A,Z,0.5"], "links.csv", 10, "unknown entity in link A->Z"),
+    "bad-weight": ([], ["2005-Q2,B,A,1x"], "links.csv", 10, "bad weight '1x'"),
+    "empty-weight": ([], ["2005-Q2,B,A,"], "links.csv", 10, "bad weight ''"),
+    "nan-weight": ([], ["2005-Q2,B,A,nan"], "links.csv", 10, "non-finite weight 'nan'"),
+    "inf-weight": ([], ["2005-Q2,B,A,inf"], "links.csv", 10, "non-finite weight 'inf'"),
+    "negative-weight": ([], ["2005-Q2,B,A,-0.5"], "links.csv", 10, "weight must be >= 0"),
+    "duplicate-link": ([], ["2005-Q2,A,S,0.9"], "links.csv", 10,
+                       "date 2005-Q2: duplicate link 'A' -> 'S'"),
+    "duplicate-padded-link": ([], ["2005-Q2, A,S,0.9"], "links.csv", 10,
+                              "date 2005-Q2: duplicate link 'A' -> 'S'"),
+    "negative-level": (["2005-Q2,D,-1,S,0.5,"], [], "nodes.csv", 10, "level must be >= 0"),
+    # "C,S" is known on 2005-Q1 and unknown on 2005-Q2, which has no node C
+    "one-text-on-two-node-sets": (None, [], "links.csv", 8, "unknown entity in link C->S"),
+    "date-text-repeated-padded": ([], [" 2005-Q1 ,C,A,0.9"], "links.csv", 10,
+                                  "date 2005-Q1: duplicate link 'C' -> 'A'"),
+    "negative-zero-weight": ([], ["2005-Q2,B,A,-0.0", "2005-Q1,B,A,0"], None, None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINK_ROW_LINES))
+def test_link_rows_fail_with_their_line_at_the_cli(tmp_path, capsys, case):
+    extra_nodes, extra_links, name, line, detail = LINK_ROW_LINES[case]
+    second = TRAP_NODES[:3] if extra_nodes is None else TRAP_NODES
+    nodes, links = write_network_files(
+        tmp_path, quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", second)
+        + (extra_nodes or []),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS) + extra_links)
+    code = main(["validate", "--nodes", str(nodes), "--links", str(links)])
+    if detail is None:
+        assert (code, capsys.readouterr()) == (
+            0, ("ok: 2 snapshots, hierarchy and capacities valid\n", ""))
+    else:
+        assert (code, capsys.readouterr()) == (
+            1, ("", f"error: schema: {tmp_path / name}:{line}: {detail}\n"))
+
+
 def test_reading_builds_no_snapshot_or_network(tmp_path, monkeypatch):
     assert main(["synth", "--outdir", str(tmp_path), "--seed", "7", "--entities", "8",
                  "--start-quarter", "2004-Q1", "--end-quarter", "2009-Q4"]) == 0
@@ -1780,6 +1822,42 @@ def test_cli_refuses_bad_engine_settings_on_every_command(tmp_path, monkeypatch,
         assert main(argv) == 1, command
         assert capsys.readouterr() == ("", f"error: invalid: {detail}\n")
         assert not out.exists() and not synth_dir.exists()
+
+
+BIG = "1" * 200_000  # longer than csv's field size limit, 131,072 characters
+# case -> (file to break, its text with the oversized cell, line of the error)
+OVERSIZED_CELLS = {
+    "nodes": ("nodes.csv", f"{','.join(NODES_HEADER)}\n2005-Q1,S,0,,,{BIG}\n", 2),
+    "links": ("links.csv", f"{','.join(LINKS_HEADER)}\n2005-Q1,A,S,{BIG}\n", 2),
+    "indicators": ("indicators.csv", f"entity,date,ind_1\nA,2005-Q1,{BIG}\n", 2),
+    "events": ("events.csv", f"entity,crisis_start,crisis_end\nA,2005-Q1,{BIG}\n", 2),
+    "series": ("probabilities.csv", f"entity,date,p\nA,2005-Q1,{BIG}\n", 2),
+    "header": ("indicators.csv", f"entity,date,{BIG}\nA,2005-Q1,0.5\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_CELLS))
+def test_a_cell_over_csvs_field_limit_is_a_schema_line(tmp_path, capsys, case):
+    files = write_two_quarters(tmp_path, NODES, DIRECT)
+    (tmp_path / "indicators.csv").write_text("entity,date,ind_1\nA,2005-Q1,0.5\n")
+    (tmp_path / "events.csv").write_text("entity,crisis_start,crisis_end\nA,2005-Q2,\n")
+    (tmp_path / "probabilities.csv").write_text("entity,date,p\nA,2005-Q1,0.5\n")
+    name, text, line = OVERSIZED_CELLS[case]
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out.csv"
+    argv = {
+        "nodes.csv": ["riskrank", "--nodes", str(files["nodes.csv"]),
+                      "--links", str(files["links.csv"]), "--targets", "all"],
+        "indicators.csv": ["backtest", "--indicators", str(tmp_path / "indicators.csv"),
+                           "--events", str(tmp_path / "events.csv")],
+        "probabilities.csv": ["evaluate", str(tmp_path / "probabilities.csv"),
+                              "--events", str(tmp_path / "events.csv")],
+    }
+    argv["links.csv"], argv["events.csv"] = argv["nodes.csv"], argv["indicators.csv"]
+    assert main([*argv[name], "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: schema: {tmp_path / name}:{line}: field larger than field limit (131072)\n")
+    assert not out.exists()
 
 
 def run_module(*argv, cwd):

@@ -1,6 +1,7 @@
 """The scripts in ``scripts/`` that compare the package with a reference."""
 
 import json
+import shlex
 import shutil
 import sys
 from pathlib import Path
@@ -83,3 +84,21 @@ def test_against_parent_diff_reports_a_one_byte_change_in_a_writer(tmp_path, cap
     assert ("differs: riskrank backtest --indicators {s}/indicators.csv --events "
             "{s}/events.csv --out {s}/probabilities.csv: probabilities.csv") in out
     assert out[-1] == f"{len(out) - 1} of {len(against_parent.COMMANDS)} commands differ"
+
+
+def test_against_parent_diff_runs_the_ci_steps_commands():
+    # the "Installed entry point" step of the workflow, read as text: its
+    # continued lines joined, each riskrank line split as the shell would,
+    # "$s" read as {s}; echo lines write the JSON inputs, with echo's newline
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = text.split("- name: Installed entry point\n", 1)[1].split("\n      - name:", 1)[0]
+    commands, inputs = [], []
+    for line in step.split("run: |\n", 1)[1].replace("\\\n", " ").splitlines():
+        words = [word.replace("$s", "{s}") for word in shlex.split(line)]
+        if words[0] == "riskrank":
+            commands.append(words[1:])
+        elif words[0] == "echo":
+            assert words[2] == ">" and len(words) == 4, line
+            inputs.append((words[3].removeprefix("{s}/"), words[1] + "\n"))
+    assert commands == [command.split() for command in against_parent.COMMANDS]
+    assert inputs == list(against_parent.INPUTS.items())
