@@ -685,9 +685,10 @@ def test_a_duplicate_across_two_runs_of_one_date_fails_at_its_line(tmp_path):
     assert str(err.value) == f"{links}:10: date 2005-Q1: duplicate link 'B' -> 'S'"
 
 
-# case -> (node rows, link rows, file, line and detail of the stderr line, or
-# None where the files validate); each link row is read cell by cell, so a
-# raw text, date text or weight read once before is read again
+# case -> (node rows added, or None for a 2005-Q2 without node C; link rows
+# added; file, line and detail of the stderr line, or None where the files
+# validate); the last three repeat a link text on another node set, repeat a
+# date text padded, and read -0.0 as a weight
 LINK_ROW_LINES = {
     "date-without-node-rows": ([], ["2005-Q3,A,S,0.5"], "links.csv", 10,
                                "link date 2005-Q3 has no node rows"),

@@ -95,9 +95,9 @@ def test_against_parent_diff_runs_the_ci_steps_commands():
     commands, inputs = [], []
     for line in step.split("run: |\n", 1)[1].replace("\\\n", " ").splitlines():
         words = [word.replace("$s", "{s}") for word in shlex.split(line)]
-        if words[0] == "riskrank":
+        if words[:1] == ["riskrank"]:
             commands.append(words[1:])
-        elif words[0] == "echo":
+        elif words[:1] == ["echo"]:
             assert words[2] == ">" and len(words) == 4, line
             inputs.append((words[3].removeprefix("{s}/"), words[1] + "\n"))
     assert commands == [command.split() for command in against_parent.COMMANDS]
