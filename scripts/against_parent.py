@@ -10,16 +10,20 @@
 into a temporary directory with ``git worktree add``, so that both sides are
 fresh checkouts, and removes them afterwards; ``--dirs`` names two source
 trees instead, needs no git and records each side's ``src_sha256`` under
-``trees``.  For each workload of ``BENCHMARK.json`` it runs
+``trees``.  Before any run, each side's ``src/`` and ``perfbench/`` are
+compiled once with ``compileall`` into a bytecode cache of the side's own
+under a temporary directory, which every child of that side reads as its
+``PYTHONPYCACHEPREFIX``, so that no run compiles the tree afresh and
+nothing is written into it.  For each workload of ``BENCHMARK.json`` it runs
 ``perfbench/run.py --trace 0`` at one seed in pairs, each side from its
 own tree in its own process; the parent runs first in even pairs and HEAD
 in odd ones, so that neither side always follows the other.  After the
 pairs it runs each side once more with ``--trace 1 --seconds 0``.  The JSON
-it writes holds both revisions, the machine, each side's first
-``context:`` line, every run's metrics, and per end-to-end metric the
-median and quartiles of each side and the number of pairs HEAD won (a
-strictly better value); under ``trace``, each side's per-layer metrics from
-its traced run.
+it writes holds both revisions, the machine, ``"compiled": true``, each
+side's first ``context:`` line, every run's metrics, and per end-to-end
+metric the median and quartiles of each side and the number of pairs HEAD
+won (a strictly better value); under ``trace``, each side's per-layer
+metrics from its traced run.
 
 ``diff`` takes the same two revisions and runs, on each side, the commands
 of the CI "Installed entry point" step (``COMMANDS``) on that side's own
@@ -46,6 +50,7 @@ import tempfile
 import traceback
 from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 # the files a command writes, by the benchmark's own rule
@@ -115,17 +120,44 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its context and result
-    objects."""
+class Side(NamedTuple):
+    """A source tree, and the environment its benchmark runs get."""
+
+    tree: Path
+    env: dict[str, str]
+
+
+def compiled(tree: Path, cache: Path) -> Side:
+    """``tree`` with its ``src/`` and ``perfbench/`` compiled into ``cache``,
+    which the side's runs read as their ``PYTHONPYCACHEPREFIX``.
+
+    A cache prefix hides every other ``__pycache__`` too, so one import of
+    what a run imports also writes the bytecode of the standard library and
+    numpy into ``cache``; without it, a run under ``PYTHONDONTWRITEBYTECODE``
+    would compile them afresh.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    writing = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    for argv in (["-m", "compileall", "-q", "src", "perfbench"],
+                 ["-c", "import sys; sys.path[:0] = ['perfbench']; "
+                        "import run, tracer; run.load_cli()"]):
+        subprocess.run([sys.executable, *argv], cwd=tree, env=writing, check=True,
+                       capture_output=True)
+    return Side(tree, env)
+
+
+def run_once(side: Side, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run in the side's tree: its context and
+    result objects."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, env=env, capture_output=True, text=True)
+        cwd=side.tree, env=side.env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{tree}: perfbench exited {done.returncode}: {done.stderr.strip()}")
+        raise RuntimeError(f"{side.tree}: perfbench exited {done.returncode}: "
+                           f"{done.stderr.strip()}")
     context = next(json.loads(line[len("context: "):]) for line in lines
                    if line.startswith("context: "))
     return {"context": context, "result": json.loads(lines[-1])}
@@ -138,7 +170,7 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def bench(trees: dict[str, Path], revisions: dict[str, str] | None, workloads: list[str],
+def bench(trees: dict[str, Side], revisions: dict[str, str] | None, workloads: list[str],
           metrics: list[dict], seed: int, pairs: int, seconds: float) -> dict:
     """Paired runs of every workload; without ``revisions``, each side's is
     the one its runs report."""
@@ -263,8 +295,12 @@ def main(argv=None) -> int:
             return 1 if differing else 0
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-        report = bench(trees, revisions, workloads, spec["end_to_end"], args.seed, args.pairs,
-                       args.seconds)
+        with tempfile.TemporaryDirectory(prefix="against_parent-") as cache:
+            sides = {side: compiled(tree.resolve(), Path(cache) / side)
+                     for side, tree in trees.items()}
+            report = bench(sides, revisions, workloads, spec["end_to_end"], args.seed,
+                           args.pairs, args.seconds)
+        report["compiled"] = True
         if args.dirs:
             report["trees"] = {side: src_sha256(tree) for side, tree in trees.items()}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -4,10 +4,14 @@
 For each of seeds 1-20, generates the synthetic inputs of the benchmark's
 three workload specs (``SPECS``), and reads ``nodes.csv`` with ``links.csv``,
 and ``indicators.csv``, through the plain route and through the row route
-of ``riskrank.io``.  A file that the plain route reads must give the very
-series or panel of the row route, arrays compared byte for byte.  Prints one
-line per seed with the files the plain route read, then the totals; exits 1
-if any read differs.
+of ``riskrank.io``.  Synth holds its weights over time, so every date block
+of its ``links.csv`` repeats the one before; for the two network specs the
+series is also written with the weights of a seeded half of the dates
+scaled (``links_scaled.csv``) and read with ``nodes.csv``, so that blocks
+change too.  A file that the plain route reads must give the very series or
+panel of the row route, arrays compared byte for byte.  Prints one line per
+seed with the files the plain route read, then the totals; exits 1 if any
+read differs.
 
     PYTHONPATH=src python scripts/check_reader_routes.py
 """
@@ -29,11 +33,25 @@ SPECS = {
     "early-warning": SynthSpec(entities=40, start="1990-Q1", end="2018-Q4", indicators=14),
 }
 SEEDS = range(1, 21)
+NETWORKS = ("network-k2", "paths-k3")
 # (plain route, row route, the files each reads)
 READERS = (
     (io._plain_nodes_links, io._read_nodes_links_rows, ("nodes", "links")),
+    (io._plain_nodes_links, io._read_nodes_links_rows, ("nodes", "links_scaled")),
     (io._plain_indicators, io._read_indicators_rows, ("indicators",)),
 )
+
+
+def write_scaled_links(paths, seed: int) -> None:
+    """``links.csv`` again as ``links_scaled.csv``, the weights of a seeded
+    half of the dates each scaled by a factor in [0.5, 2)."""
+    series = io._read_nodes_links_rows(paths["nodes"], paths["links"])
+    rng = np.random.default_rng(seed)
+    dates = rng.permutation(len(series.dates))[:len(series.dates) // 2]
+    W = series.W.copy()
+    W[dates] *= rng.uniform(0.5, 2.0, (len(dates), 1))
+    paths["links_scaled"] = paths["links"].with_name("links_scaled.csv")
+    io.write_links_csv(paths["links_scaled"], replace(series, W=W))
 
 
 def contents(result) -> dict:
@@ -62,7 +80,11 @@ def main() -> int:
             seed_files = seed_plain = 0
             for name, spec in SPECS.items():
                 paths = generate_synthetic(replace(spec, seed=seed), Path(tmp) / name)
+                if name in NETWORKS:
+                    write_scaled_links(paths, seed)
                 for fast, rows, kinds in READERS:
+                    if not set(kinds) <= set(paths):
+                        continue
                     files = [paths[kind] for kind in kinds]
                     seed_files += len(files)
                     read = io._plain_route(fast, *files)

@@ -23,18 +23,21 @@ empty file at line 2, a data-row problem at the line of the row read.  A
 JSON file (config or measure) that gives a key twice is refused.
 
 ``nodes.csv`` with ``links.csv``, and ``indicators.csv``, are first tried on
-a plain route, which reads ``_CHUNK`` bytes at a time, splits each chunk
-into column slices and checks them in bulk, so that no more than one
-chunk's cells are held.  A file is plain when it is ASCII without ``"``,
-blanks or control bytes in a cell, keeps one line-end style (``\n`` or
-``\r\n``), has the expected header, a data row and every row the header's
-width.  A network's files must also give each date one run of rows, every
-run in the first's node or link order and the dates in one order in both
-files, with unique ids, known link ends and unique links.  Numbers pass
-through ``float`` as on the row source, and then their ranges are checked
-in bulk.  On any doubt the route gives up and ``_Rows``, which keeps no
-speed-up of its own, reads the files from the top, so every error, with its
-text and line, comes from the row source.
+a plain route, which reads ``_CHUNK`` bytes at a time, cuts them into
+batches of whole lines, splits each batch into column slices and checks
+them in bulk.  A file is plain when it is ASCII without ``"``, blanks or
+control bytes in a cell, keeps one line-end style (``\n`` or ``\r\n``), has
+no line longer than a chunk, the expected header, a data row and every row
+the header's width.  A network file must also come in date blocks: each
+date's rows in one block as long as the first date's and in its node or
+link order, the dates in one order in both files, with unique ids, known
+link ends and unique links.  A block whose bytes, less its dates, are the
+block before's takes that block's values, and the other blocks are parsed
+in batches, so that one chunk or block and one batch's cells are held at a
+time.  Numbers pass through ``float`` as on the row source, and then their
+ranges are checked in bulk.  On any doubt the route gives up and ``_Rows``,
+which keeps no speed-up of its own, reads the files from the top, so every
+error, with its text and line, comes from the row source.
 
 Writers build the bytes ``csv.writer`` would write as text, one date's or
 one entity's block of lines at a time, so none holds a whole file.  Fixed
@@ -49,9 +52,10 @@ import codecs
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from io import StringIO
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
 
@@ -219,31 +223,41 @@ def _columns(data: bytes, eol: bytes, width: int) -> list[list[str]]:
     return [cells[j::width + len(eol) - 1] for j in range(width)]
 
 
-def _plain_columns(path):
-    """The header cells of a plain file, then the columns of each chunk.
+def _batches(chunks, eol: bytes):
+    """The bytes of ``chunks`` cut after line ends into batches of at most
+    ``_CHUNK`` bytes, so that no line is longer than a chunk; a last line
+    that lacks its line end gets one."""
+    carry = b""
+    for chunk in chunks:
+        carry += chunk
+        while len(carry) >= _CHUNK:
+            cut = carry.rfind(b"\n", 0, _CHUNK) + 1
+            _plain(cut)
+            yield carry[:cut]
+            carry = carry[cut:]
+    if carry:
+        yield carry if carry.endswith(b"\n") else carry + eol
 
-    The file is read ``_CHUNK`` bytes at a time and cut after its last line
-    end, so only one chunk's cells live at once.  One line-end style holds
-    throughout, set by the header line; a last line may lack it.
-    """
+
+def _plain_file(fh):
+    """The header cells of a plain file open at its start, the line end that
+    every line keeps (the header line's), and the ``_batches`` of the data
+    lines, of which there is one at least."""
+    head = fh.readline(_CHUNK).removeprefix(codecs.BOM_UTF8)
+    eol = b"\r\n" if head.endswith(b"\r\n") else b"\n"
+    _plain(head.endswith(b"\n") and fh.peek(1))
+    header = [cell for cell, in _columns(head, eol, head.count(b",") + 1)]
+    return header, eol, _batches(iter(lambda: fh.read(_CHUNK), b""), eol)
+
+
+def _plain_columns(path):
+    """The header cells of a plain file, then the columns of each batch of
+    its lines, so that only one batch's cells live at once."""
     with open(path, "rb") as fh:
-        head = fh.readline(_CHUNK).removeprefix(codecs.BOM_UTF8)
-        eol = b"\r\n" if head.endswith(b"\r\n") else b"\n"
-        _plain(head.endswith(b"\n"))
-        header = [cell for cell, in _columns(head, eol, head.count(b",") + 1)]
+        header, eol, batches = _plain_file(fh)
         yield header
-        carry, rows = b"", False
-        while block := fh.read(_CHUNK):
-            cut = block.rfind(b"\n") + 1
-            if cut:
-                yield _columns(carry + block[:cut], eol, len(header))
-                carry, rows = block[cut:], True
-            else:
-                carry += block
-                _plain(len(carry) <= _CHUNK)
-        if carry:
-            yield _columns(carry + eol, eol, len(header))
-        _plain(rows or carry)
+        for batch in batches:
+            yield _columns(batch, eol, len(header))
 
 
 def _floats(cells: list[str]) -> np.ndarray:
@@ -256,34 +270,67 @@ def _floats(cells: list[str]) -> np.ndarray:
     return values
 
 
+def _date_blocks(batches, dates: list, which: list):
+    """The lines, without their date cells, of each block of data lines in
+    ``batches`` that are not the lines of the block before; ``dates`` gets
+    each block's date text and ``which`` the number of the block it reads.
+
+    A block has as many lines as the first date's rows, and each of its lines
+    starts with its date, which is ASCII without ``"`` or a byte at or below
+    32, as any plain cell.  A block that repeats the block before's lines
+    under its own date is found by one comparison of bytes.
+    """
+    data, pos, run, rows = b"", 0, 0, None
+    for batch in chain(batches, [b""]):  # an empty batch: the end of the file
+        data, pos, more = data[pos:] + batch, 0, bool(batch)
+        while pos < len(data):
+            lead = data[pos:data.find(b",", pos) + 1]
+            _plain(len(lead) > 1 and lead.isascii() and b'"' not in lead and min(lead) > 32)
+            if rows is not None:
+                same = lead + rows.replace(b"\n", b"\n" + lead)[:-len(lead)]
+                if data.startswith(same, pos):
+                    dates.append(lead[:-1].decode())
+                    which.append(which[-1])
+                    pos += len(same)
+                    continue
+                if more and len(data) - pos < len(same):
+                    break
+            cut = re.compile(rb"(?:%s[^\n]*\n)*" % re.escape(lead)).match(data, pos).end()
+            if more and cut == len(data):  # the block may go on in the next batch
+                break
+            rows = data[pos + len(lead):cut].replace(b"\n" + lead, b"\n")
+            run = run or rows.count(b"\n")
+            _plain(cut - pos - len(rows) == run * len(lead))
+            dates.append(lead[:-1].decode())
+            which.append(which[-1] + 1 if which else 0)
+            yield rows
+            pos = cut
+
+
 def _date_runs(path, header, keys: int):
-    """A plain file whose rows form one run per date, each run repeating the
-    first run's cells in the ``keys`` columns after the date: the runs' date
-    texts, the first run's key columns, and each later column as a dates x
-    run-length array of ``_floats``."""
-    chunks = _plain_columns(path)
-    _plain(next(chunks) == header)
-    dates, filled = [], 0
-    runs, values = [[] for _ in range(keys)], [[] for _ in header[keys + 1:]]
-    for columns in chunks:
-        start = 0
-        for date, group in groupby(columns[0]):
-            end = start + len(list(group))
-            if not dates or date != dates[-1]:  # a run starts, and the last one is whole
-                _plain(filled == len(runs[0]))
-                dates.append(date)
-                filled = 0
-            for run, column in zip(runs, columns[1:]):
-                if len(dates) == 1:
-                    run += column[start:end]
-                else:
-                    _plain(column[start:end] == run[filled:filled + end - start])
-            filled += end - start
-            start = end
-        for value, column in zip(values, columns[keys + 1:]):
-            value.append(_floats(column))
-    _plain(filled == len(runs[0]))
-    return dates, runs, [np.concatenate(value).reshape(len(dates), -1) for value in values]
+    """A plain file whose rows form one block per date, each block repeating
+    the first's cells in the ``keys`` columns after the date: the blocks'
+    date texts, the first block's key columns, and each later column as a
+    dates x block-length array of ``_floats``, which parses only the blocks
+    that ``_date_blocks`` yields, in ``_batches``."""
+    with open(path, "rb") as fh:
+        names, eol, batches = _plain_file(fh)
+        _plain(names == header)
+        dates, which = [], []
+        blocks = _date_blocks(batches, dates, which)
+        first = next(blocks, b"")
+        run, line = first.count(b"\n"), 0
+        runs, values = [[] for _ in range(keys)], [[] for _ in header[keys + 1:]]
+        for batch in _batches(chain([first], blocks), eol):
+            columns = _columns(batch, eol, len(header) - 1)
+            at, size = line % run, len(columns[0])
+            for cells, column in zip(runs, columns):
+                cells += column[:max(run - line, 0)]  # the first block's, as they come
+                _plain(column == (cells * ((at + size) // run + 1))[at:at + size])
+            for value, column in zip(values, columns[keys:]):
+                value.append(_floats(column))
+            line += size
+    return dates, runs, [np.concatenate(value).reshape(-1, run)[which] for value in values]
 
 
 def _plain_nodes_links(nodes_path, links_path) -> NetworkSeries:

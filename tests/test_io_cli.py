@@ -749,19 +749,26 @@ def test_reading_builds_no_snapshot_or_network(tmp_path, monkeypatch):
 
 def write_plain_inputs(directory, rng):
     """nodes.csv, links.csv and indicators.csv as the writers write them: a
-    random structure on one to four dates, and a random panel with gaps."""
+    random structure on one to six dates, and a random panel with gaps.  On
+    some dates a file repeats the date before's rows, as synth's held
+    weights do, so that its date blocks repeat."""
     base = NetworkSeries.from_snapshots([random_snapshot(
         rng, max_children=5, two_level=bool(rng.integers(2)))])
-    dates, nodes = int(rng.integers(1, 5)), len(base.node_ids)
+    dates, nodes = int(rng.integers(1, 7)), len(base.node_ids)
     first = int(rng.integers(quarter_index("1990-Q1"), quarter_index("2020-Q1")))
     valued = np.array(base.levels) > 0
-    series = replace(
-        base, dates=tuple(range(first, first + dates)),
-        W=rng.uniform(0.0, 2.0, (dates, len(base.link_keys))),
-        X=np.where(valued, rng.uniform(size=(dates, nodes)), np.nan),
-        exposure=np.where(rng.random((dates, nodes)) < 0.3,
-                          rng.uniform(0.0, 2.0, (dates, nodes)), np.nan),
-    )
+    W = rng.uniform(0.0, 2.0, (dates, len(base.link_keys)))
+    X = np.where(valued, rng.uniform(size=(dates, nodes)), np.nan)
+    exposure = np.where(rng.random((dates, nodes)) < 0.3,
+                        rng.uniform(0.0, 2.0, (dates, nodes)), np.nan)
+    held_links, held_nodes = rng.random((2, dates)) < 0.5
+    for d in range(1, dates):
+        if held_links[d]:
+            W[d] = W[d - 1]
+        if held_nodes[d]:
+            X[d], exposure[d] = X[d - 1], exposure[d - 1]
+    series = replace(base, dates=tuple(range(first, first + dates)), W=W, X=X,
+                     exposure=exposure)
     values = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 9)),
                               int(rng.integers(1, 4))))
     values[rng.random(values.shape) < 0.1] = np.nan
@@ -862,7 +869,9 @@ def test_the_workload_inputs_are_read_without_the_row_route(tmp_path, monkeypatc
 
 
 # case -> (node rows, link rows, line end, whether the plain route reads them);
-# each is plain to a glance but for one cell, line end or run
+# each is plain to a glance but for one cell, line end or run.  A last row of
+# None ends its file without a line end
+ZERO_LINKS = ["A,S,0", "B,S,0.4", "C,S,0.2", "C,A,0.1"]
 PLAIN_ROUTE_TRAPS = {
     "runs-out-of-date-order": (
         quarter_rows("2005-Q2", TRAP_NODES) + quarter_rows("2005-Q1", TRAP_NODES),
@@ -946,6 +955,42 @@ PLAIN_ROUTE_TRAPS = {
         quarter_rows("2005-Q1", TRAP_NODES),
         quarter_rows("2005-Q1", TRAP_LINKS[:2] + ["C,S,0.\r2\n2005-Q1,C,A,0.1"]), "\r\n", False,
     ),
+    # date blocks: a block that repeats the block before's lines but for
+    # one of its dates, or under a date the plain route does not read
+    "a-repeated-block-with-one-date-changed": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS[:2])
+        + quarter_rows("2005-Q1", TRAP_LINKS[2:3]) + quarter_rows("2005-Q2", TRAP_LINKS[3:]),
+        "\n", False,
+    ),
+    "a-repeated-block-under-a-quoted-date": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows('"2005-Q2"', TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows('"2005-Q2"', TRAP_LINKS),
+        "\r\n", False,
+    ),
+    # the row source strips the padding and reads 2005-Q2
+    "a-repeated-block-under-a-padded-date": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2 ", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2 ", TRAP_LINKS), "\n", False,
+    ),
+    # the same floats but for the sign of a zero, which is kept
+    "a-block-with-one-weight-written-minus-zero": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES)
+        + quarter_rows("2005-Q3", TRAP_NODES),
+        quarter_rows("2005-Q1", ZERO_LINKS) + quarter_rows("2005-Q2", ["A,S,-0", *ZERO_LINKS[1:]])
+        + quarter_rows("2005-Q3", ZERO_LINKS), "\n", True,
+    ),
+    # about 44 KB of node rows per date, read on over two chunks, and repeated
+    "a-date-block-longer-than-a-chunk": (
+        quarter_rows("2005-Q1", TRAP_NODES + [f"N{i:04d},1,S,0.5," for i in range(2000)])
+        + quarter_rows("2005-Q2", TRAP_NODES + [f"N{i:04d},1,S,0.5," for i in range(2000)]),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS), "\r\n", True,
+    ),
+    "a-last-block-without-a-line-end": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS) + [None],
+        "\r\n", True,
+    ),
 }
 
 
@@ -954,7 +999,9 @@ def test_plain_route_traps_read_like_the_row_route(tmp_path, case):
     node_rows, link_rows, eol, plain = PLAIN_ROUTE_TRAPS[case]
     files = tmp_path / "nodes.csv", tmp_path / "links.csv"
     for path, header, rows in zip(files, (NODES_HEADER, LINKS_HEADER), (node_rows, link_rows)):
-        path.write_bytes(eol.join([",".join(header), *rows, ""]).encode())
+        lines = [",".join(header), *rows]
+        text = eol.join(lines[:-1]) if lines[-1] is None else eol.join([*lines, ""])
+        path.write_bytes(text.encode())
     assert (io._plain_route(io._plain_nodes_links, *files) is not None) is plain
     assert outcome(read_nodes_links, *files) == outcome(io._read_nodes_links_rows, *files)
 
@@ -967,6 +1014,10 @@ INDICATOR_TRAPS = {
     "an-empty-entity": ("entity,date,ind_1,ind_2", ["A,2005-Q1,1,2", ",2005-Q2,3,4"], False),
     "a-repeated-indicator-name": ("entity,date,ind_1,ind_1", ["A,2005-Q1,1,2"], False),
     "date-before-entity": ("date,entity,ind_1,ind_2", ["2005-Q1,A,1,2"], False),
+    # a line longer than a chunk, which csv reads, cut inside its first cell
+    "an-entity-longer-than-a-chunk": (
+        "entity,date,ind_1,ind_2", ["E" * 40_000 + ",2005-Q1,1,2"], False,
+    ),
 }
 
 

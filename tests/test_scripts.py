@@ -3,6 +3,7 @@
 import json
 import shlex
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,13 +15,29 @@ import against_parent  # noqa: E402
 COPIED = shutil.ignore_patterns("__pycache__", "_work", "_results")
 
 
-def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys):
+def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypatch):
     # two copies of this tree, one pair at --seconds 0: every metric is
     # summarised for both sides, each pair is won by one side or neither,
     # and each side's traced run reports its per-layer metrics
     for side in ("a", "b"):
         for part in ("src", "perfbench"):
             shutil.copytree(ROOT / part, tmp_path / side / part, ignore=COPIED)
+    # every benchmark run reads a bytecode cache of its side's own, which
+    # holds the side's compiled src/ when the run starts; bytecode writing is
+    # allowed, so a run without a cache would write __pycache__ into its tree
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    caches, run = {}, subprocess.run
+
+    def spy(argv, **kwargs):
+        if argv[1:2] == ["perfbench/run.py"]:
+            cache, tree = kwargs["env"]["PYTHONPYCACHEPREFIX"], Path(kwargs["cwd"])
+            caches.setdefault(tree, set()).add(cache)
+            source = tree / "src" / "riskrank" / "io.py"
+            assert Path(cache, *source.parent.parts[1:],
+                        f"io.{sys.implementation.cache_tag}.pyc").is_file()
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
     out = tmp_path / "bench.json"
     code = against_parent.main(["bench", "--dirs", str(tmp_path / "a"), str(tmp_path / "b"),
                                 "--workloads", "paths-k3", "--pairs", "1", "--seconds", "0",
@@ -28,6 +45,11 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["revisions"] == {"parent": "unknown", "head": "unknown"}
+    assert report["compiled"] is True
+    assert sorted(caches) == [(tmp_path / side).resolve() for side in ("a", "b")]
+    assert all(len(cache) == 1 for cache in caches.values())
+    assert caches[(tmp_path / "a").resolve()] != caches[(tmp_path / "b").resolve()]
+    assert not list(tmp_path.rglob("__pycache__"))
     result = report["workloads"]["paths-k3"]
     assert result["correct"] is True
     names = ["run_s", "setup_s", "peak_rss_mb"]
