@@ -32,8 +32,8 @@ the header's width.  A network file must also come in date blocks: each
 date's rows in one block as long as the first date's and in its node or
 link order, the dates in one order in both files, with unique ids, known
 link ends and unique links.  A block whose bytes, less its dates, are the
-block before's takes that block's values, and the other blocks are parsed
-in batches, so that one chunk or block and one batch's cells are held at a
+block before's takes that block's values; the others are parsed in
+batches, so that a few blocks' bytes and one batch's cells are held at a
 time.  Numbers pass through ``float`` as on the row source, and then their
 ranges are checked in bulk.  On any doubt the route gives up and ``_Rows``,
 which keeps no speed-up of its own, reads the files from the top, so every
@@ -52,7 +52,6 @@ import codecs
 import csv
 import json
 import math
-import re
 from dataclasses import dataclass
 from io import StringIO
 from itertools import chain, groupby
@@ -227,15 +226,18 @@ def _batches(chunks, eol: bytes):
     """The bytes of ``chunks`` cut after line ends into batches of at most
     ``_CHUNK`` bytes, so that no line is longer than a chunk; a last line
     that lacks its line end gets one."""
-    carry = b""
+    parts, size = [], 0
     for chunk in chunks:
-        carry += chunk
-        while len(carry) >= _CHUNK:
-            cut = carry.rfind(b"\n", 0, _CHUNK) + 1
-            _plain(cut)
-            yield carry[:cut]
-            carry = carry[cut:]
-    if carry:
+        parts.append(chunk)
+        if (size := size + len(chunk)) >= _CHUNK:
+            data, start = b"".join(parts), 0
+            while len(data) - start >= _CHUNK:
+                cut = data.rfind(b"\n", start, start + _CHUNK) + 1
+                _plain(cut > start)
+                yield data[start:cut]
+                start = cut
+            parts, size = [data[start:]], len(data) - start
+    if carry := b"".join(parts):
         yield carry if carry.endswith(b"\n") else carry + eol
 
 
@@ -270,41 +272,47 @@ def _floats(cells: list[str]) -> np.ndarray:
     return values
 
 
-def _date_blocks(batches, dates: list, which: list):
-    """The lines, without their date cells, of each block of data lines in
-    ``batches`` that are not the lines of the block before; ``dates`` gets
-    each block's date text and ``which`` the number of the block it reads.
+def _lead_end(data: bytes, pos: int, lead: bytes, guess: int) -> int:
+    """The end of the lines of ``data`` that start with ``lead`` from ``pos``
+    on, looked for back and then on from the line start before ``guess``."""
+    end = data.rfind(b"\n", pos, guess) + 1 or pos
+    while end > pos and not data.startswith(lead, start := data.rfind(b"\n", pos, end - 1) + 1 or pos):
+        end = start
+    while data.startswith(lead, end):
+        end = data.index(b"\n", end) + 1
+    return end
 
-    A block has as many lines as the first date's rows, and each of its lines
-    starts with its date, which is ASCII without ``"`` or a byte at or below
-    32, as any plain cell.  A block that repeats the block before's lines
-    under its own date is found by one comparison of bytes.
-    """
-    data, pos, run, rows = b"", 0, 0, None
-    for batch in chain(batches, [b""]):  # an empty batch: the end of the file
-        data, pos, more = data[pos:] + batch, 0, bool(batch)
+
+def _date_blocks(batches, dates: list, which: list):
+    """The lines, less their date cells, of each block of data lines in
+    ``batches`` that does not repeat the block before's; ``dates`` gets each
+    block's date text and ``which`` the number of the block it reads.  A
+    block's lines start with its date, a plain cell; it ends where its date
+    does, found from where the block before's length puts it, and holds as
+    many lines with its date as the first block has lines."""
+    batches, rows, run, size, fresh = iter(batches), None, 0, 0, -1
+    for data in batches:
+        pos = 0
         while pos < len(data):
             lead = data[pos:data.find(b",", pos) + 1]
             _plain(len(lead) > 1 and lead.isascii() and b'"' not in lead and min(lead) > 32)
-            if rows is not None:
-                same = lead + rows.replace(b"\n", b"\n" + lead)[:-len(lead)]
-                if data.startswith(same, pos):
-                    dates.append(lead[:-1].decode())
-                    which.append(which[-1])
-                    pos += len(same)
-                    continue
-                if more and len(data) - pos < len(same):
-                    break
-            cut = re.compile(rb"(?:%s[^\n]*\n)*" % re.escape(lead)).match(data, pos).end()
-            if more and cut == len(data):  # the block may go on in the next batch
-                break
-            rows = data[pos + len(lead):cut].replace(b"\n" + lead, b"\n")
-            run = run or rows.count(b"\n")
-            _plain(cut - pos - len(rows) == run * len(lead))
+            end = _lead_end(data, pos, lead, pos + size)
+            if end == len(data):  # the block may go on, a batch of its lines at a time
+                parts = [data[pos:]]
+                while (batch := next(batches, b"")) and batch.startswith(lead, batch.rfind(b"\n", 0, -1) + 1) \
+                        and batch.startswith(lead) and batch.count(b"\n" + lead) == batch.count(b"\n") - 1:
+                    parts.append(batch)
+                data, pos = b"".join([*parts, batch]), 0
+                end = _lead_end(data, 0, lead, max(size, len(data) - len(batch)))
+            block = data[pos + len(lead):end].replace(b"\n" + lead, b"\n")
+            run = run or block.count(b"\n")
+            _plain(end - pos - len(block) == run * len(lead))
             dates.append(lead[:-1].decode())
-            which.append(which[-1] + 1 if which else 0)
-            yield rows
-            pos = cut
+            size, pos = end - pos, end
+            if block != rows:
+                rows, fresh = block, fresh + 1
+                yield rows
+            which.append(fresh)
 
 
 def _date_runs(path, header, keys: int):
@@ -326,10 +334,11 @@ def _date_runs(path, header, keys: int):
             at, size = line % run, len(columns[0])
             for cells, column in zip(runs, columns):
                 cells += column[:max(run - line, 0)]  # the first block's, as they come
-                _plain(column == (cells * ((at + size) // run + 1))[at:at + size])
+                _plain(column == (cells[at:at + size] + cells * ((at + size) // run))[:size])
             for value, column in zip(values, columns[keys:]):
                 value.append(_floats(column))
             line += size
+    _plain(line == run * (which[-1] + 1))  # and no block parsed holds more lines
     return dates, runs, [np.concatenate(value).reshape(-1, run)[which] for value in values]
 
 

@@ -872,6 +872,7 @@ def test_the_workload_inputs_are_read_without_the_row_route(tmp_path, monkeypatc
 # each is plain to a glance but for one cell, line end or run.  A last row of
 # None ends its file without a line end
 ZERO_LINKS = ["A,S,0", "B,S,0.4", "C,S,0.2", "C,A,0.1"]
+BIG_NODES = [f"N{i:05d},1,S,0.5," for i in range(40_000)]
 PLAIN_ROUTE_TRAPS = {
     "runs-out-of-date-order": (
         quarter_rows("2005-Q2", TRAP_NODES) + quarter_rows("2005-Q1", TRAP_NODES),
@@ -985,6 +986,32 @@ PLAIN_ROUTE_TRAPS = {
         quarter_rows("2005-Q1", TRAP_NODES + [f"N{i:04d},1,S,0.5," for i in range(2000)])
         + quarter_rows("2005-Q2", TRAP_NODES + [f"N{i:04d},1,S,0.5," for i in range(2000)]),
         quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS), "\r\n", True,
+    ),
+    # about 1 MB of node rows per date: a block of many chunks, repeated,
+    # then read again with each risk value a byte longer, so that it ends
+    # more than a chunk after where the block before's length puts it
+    "date-blocks-of-many-chunks": (
+        quarter_rows("2005-Q1", TRAP_NODES + BIG_NODES) + quarter_rows("2005-Q2", TRAP_NODES + BIG_NODES)
+        + quarter_rows("2005-Q3", TRAP_NODES + [row.replace(",0.5,", ",0.25,") for row in BIG_NODES]),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS)
+        + quarter_rows("2005-Q3", TRAP_LINKS), "\r\n", True,
+    ),
+    # a block with one line without its date, which the row source refuses
+    # for its width, and its other lines in link order
+    "a-block-with-an-undated-line": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
+        quarter_rows("2005-Q1", TRAP_LINKS[:3]) + ["2005-Q2,A,S,0.6", "B,S,0.4", "2005-Q2,C,S,0.2"],
+        "\n", False,
+    ),
+    # two blocks that each hold an undated line between their dated ones,
+    # with every link in order: only the count of lines over all blocks
+    # tells that they hold one line too many
+    "blocks-with-an-undated-line-too-many": (
+        quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES)
+        + quarter_rows("2005-Q3", TRAP_NODES),
+        quarter_rows("2005-Q1", ["A,S,0.6000000000", "B,S,0.4000000000"])
+        + ["2005-Q2,A,S,0.6", "B,S,0.4", "2005-Q2,A,S,0.6"]
+        + ["2005-Q3,B,S,0.4", "A,S,0.6", "2005-Q3,B,S,0.4"], "\n", False,
     ),
     "a-last-block-without-a-line-end": (
         quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
