@@ -226,25 +226,22 @@ def _batches(chunks, eol: bytes):
     """The bytes of ``chunks`` cut after line ends into batches of at most
     ``_CHUNK`` bytes, so that no line is longer than a chunk; a last line
     that lacks its line end gets one."""
-    parts, size = [], 0
+    carry = b""
     for chunk in chunks:
-        parts.append(chunk)
-        if (size := size + len(chunk)) >= _CHUNK:
-            data, start = b"".join(parts), 0
-            while len(data) - start >= _CHUNK:
-                cut = data.rfind(b"\n", start, start + _CHUNK) + 1
-                _plain(cut > start)
-                yield data[start:cut]
-                start = cut
-            parts, size = [data[start:]], len(data) - start
-    if carry := b"".join(parts):
+        data, start = carry + chunk, 0
+        while len(data) - start >= _CHUNK:
+            cut = data.rfind(b"\n", start, start + _CHUNK) + 1
+            _plain(cut > start)
+            yield data[start:cut]
+            start = cut
+        carry = data[start:]
+    if carry:
         yield carry if carry.endswith(b"\n") else carry + eol
 
 
 def _plain_file(fh):
-    """The header cells of a plain file open at its start, the line end that
-    every line keeps (the header line's), and the ``_batches`` of the data
-    lines, of which there is one at least."""
+    """The header cells of a plain file open at its start, the line end of
+    every line (the header's), and the ``_batches`` of its data, not empty."""
     head = fh.readline(_CHUNK).removeprefix(codecs.BOM_UTF8)
     eol = b"\r\n" if head.endswith(b"\r\n") else b"\n"
     _plain(head.endswith(b"\n") and fh.peek(1))
@@ -274,10 +271,10 @@ def _floats(cells: list[str]) -> np.ndarray:
 
 def _lead_end(data: bytes, pos: int, lead: bytes, guess: int) -> int:
     """The end of the lines of ``data`` that start with ``lead`` from ``pos``
-    on, looked for back and then on from the line start before ``guess``."""
+    on: back from the line start before ``guess`` to such a line, then on."""
     end = data.rfind(b"\n", pos, guess) + 1 or pos
-    while end > pos and not data.startswith(lead, start := data.rfind(b"\n", pos, end - 1) + 1 or pos):
-        end = start
+    while end > pos and not data.startswith(lead, end):
+        end = data.rfind(b"\n", pos, end - 1) + 1 or pos
     while data.startswith(lead, end):
         end = data.index(b"\n", end) + 1
     return end
@@ -297,10 +294,10 @@ def _date_blocks(batches, dates: list, which: list):
             lead = data[pos:data.find(b",", pos) + 1]
             _plain(len(lead) > 1 and lead.isascii() and b'"' not in lead and min(lead) > 32)
             end = _lead_end(data, pos, lead, pos + size)
-            if end == len(data):  # the block may go on, a batch of its lines at a time
-                parts = [data[pos:]]
-                while (batch := next(batches, b"")) and batch.startswith(lead, batch.rfind(b"\n", 0, -1) + 1) \
-                        and batch.startswith(lead) and batch.count(b"\n" + lead) == batch.count(b"\n") - 1:
+            if end == len(data):  # the block may go on: take each batch whose last line
+                parts = [data[pos:]]  # has its date (if a line between has not, counts fail)
+                while ((batch := next(batches, b""))
+                       and batch.startswith(lead, batch.rfind(b"\n", 0, -1) + 1)):
                     parts.append(batch)
                 data, pos = b"".join([*parts, batch]), 0
                 end = _lead_end(data, 0, lead, max(size, len(data) - len(batch)))
@@ -319,8 +316,7 @@ def _date_runs(path, header, keys: int):
     """A plain file whose rows form one block per date, each block repeating
     the first's cells in the ``keys`` columns after the date: the blocks'
     date texts, the first block's key columns, and each later column as a
-    dates x block-length array of ``_floats``, which parses only the blocks
-    that ``_date_blocks`` yields, in ``_batches``."""
+    dates x block-length array, parsed from the blocks ``_date_blocks`` yields."""
     with open(path, "rb") as fh:
         names, eol, batches = _plain_file(fh)
         _plain(names == header)

@@ -1013,6 +1013,13 @@ PLAIN_ROUTE_TRAPS = {
         + ["2005-Q2,A,S,0.6", "B,S,0.4", "2005-Q2,A,S,0.6"]
         + ["2005-Q3,B,S,0.4", "A,S,0.6", "2005-Q3,B,S,0.4"], "\n", False,
     ),
+    # a chunk that starts and ends with lines of the first date, which the
+    # block reads on through, holds the next date's lines between
+    "a-date-split-by-another-inside-a-chunk": (
+        quarter_rows("2005-Q1", TRAP_NODES + BIG_NODES[:1500]) + quarter_rows("2005-Q2", TRAP_NODES)
+        + quarter_rows("2005-Q1", BIG_NODES[1500:3000]),
+        quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS), "\r\n", False,
+    ),
     "a-last-block-without-a-line-end": (
         quarter_rows("2005-Q1", TRAP_NODES) + quarter_rows("2005-Q2", TRAP_NODES),
         quarter_rows("2005-Q1", TRAP_LINKS) + quarter_rows("2005-Q2", TRAP_LINKS) + [None],
