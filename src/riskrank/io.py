@@ -269,17 +269,6 @@ def _floats(cells: list[str]) -> np.ndarray:
     return values
 
 
-def _lead_end(data: bytes, pos: int, lead: bytes, guess: int) -> int:
-    """The end of the lines of ``data`` that start with ``lead`` from ``pos``
-    on: back from the line start before ``guess`` to such a line, then on."""
-    end = data.rfind(b"\n", pos, guess) + 1 or pos
-    while end > pos and not data.startswith(lead, end):
-        end = data.rfind(b"\n", pos, end - 1) + 1 or pos
-    while data.startswith(lead, end):
-        end = data.index(b"\n", end) + 1
-    return end
-
-
 def _date_blocks(batches, dates: list, which: list):
     """The lines, less their date cells, of each block of data lines in
     ``batches`` that does not repeat the block before's; ``dates`` gets each
@@ -293,14 +282,19 @@ def _date_blocks(batches, dates: list, which: list):
         while pos < len(data):
             lead = data[pos:data.find(b",", pos) + 1]
             _plain(len(lead) > 1 and lead.isascii() and b'"' not in lead and min(lead) > 32)
-            end = _lead_end(data, pos, lead, pos + size)
-            if end == len(data):  # the block may go on: take each batch whose last line
-                parts = [data[pos:]]  # has its date (if a line between has not, counts fail)
-                while ((batch := next(batches, b""))
-                       and batch.startswith(lead, batch.rfind(b"\n", 0, -1) + 1)):
+            guess = pos + size
+            if data.startswith(lead, data.rfind(b"\n", 0, -1) + 1):  # the block may go on,
+                parts = [data[pos:]]  # through each batch whose last line has its date
+                while ((batch := next(batches, b""))  # (a line between without it fails
+                       and batch.startswith(lead, batch.rfind(b"\n", 0, -1) + 1)):  # the counts)
                     parts.append(batch)
                 data, pos = b"".join([*parts, batch]), 0
-                end = _lead_end(data, 0, lead, max(size, len(data) - len(batch)))
+                guess = max(size, len(data) - len(batch))
+            end = data.rfind(b"\n", pos, guess) + 1 or pos  # from the line start before the
+            while end > pos and not data.startswith(lead, end):  # guess back to a line with
+                end = data.rfind(b"\n", pos, end - 1) + 1 or pos  # the date, then on
+            while data.startswith(lead, end):
+                end = data.index(b"\n", end) + 1
             block = data[pos + len(lead):end].replace(b"\n" + lead, b"\n")
             run = run or block.count(b"\n")
             _plain(end - pos - len(block) == run * len(lead))

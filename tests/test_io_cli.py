@@ -1040,6 +1040,25 @@ def test_plain_route_traps_read_like_the_row_route(tmp_path, case):
     assert outcome(read_nodes_links, *files) == outcome(io._read_nodes_links_rows, *files)
 
 
+
+def test_date_blocks_read_no_further_than_the_block_they_give():
+    # a block that may go on reads on one batch at a time, up to the batch
+    # in which its date ends, so a few blocks' bytes are held, not the file
+    batches = [b"2005-Q1,A,0.1\n2005-Q1,B,0.2\n2005-Q2,A,0.1\n", b"2005-Q2,B,0.2\n",
+               b"2005-Q3,A,0.3\n2005-Q3,B,0.4\n", b"2005-Q4,A,0.5\n2005-Q4,B,0.6\n",
+               b"2005-Q5,A,0.7\n2005-Q5,B,0.8\n"]
+    read, dates, which = [], [], []
+
+    def feed():
+        for batch in batches:
+            read.append(batch)
+            yield batch
+
+    blocks = io._date_blocks(feed(), dates, which)
+    assert next(blocks) == b"A,0.1\nB,0.2\n" and len(read) == 1
+    assert next(blocks) == b"A,0.3\nB,0.4\n" and len(read) == 4
+    assert dates == ["2005-Q1", "2005-Q2", "2005-Q3"] and which == [0, 0]
+
 # case -> (header, rows, whether the plain route reads them)
 INDICATOR_TRAPS = {
     "rows-in-any-order-with-gaps": (
