@@ -10,20 +10,28 @@
 into a temporary directory with ``git worktree add``, so that both sides are
 fresh checkouts, and removes them afterwards; ``--dirs`` names two source
 trees instead, needs no git and records each side's ``src_sha256`` under
-``trees``.  Before any run, each side's ``src/`` and ``perfbench/`` are
-compiled once with ``compileall`` into a bytecode cache of the side's own
-under a temporary directory, which every child of that side reads as its
-``PYTHONPYCACHEPREFIX``, so that no run compiles the tree afresh and
-nothing is written into it.  For each workload of ``BENCHMARK.json`` it runs
-``perfbench/run.py --trace 0`` at one seed in pairs, each side from its
-own tree in its own process; the parent runs first in even pairs and HEAD
-in odd ones, so that neither side always follows the other.  After the
-pairs it runs each side once more with ``--trace 1 --seconds 0``.  The JSON
-it writes holds both revisions, the machine, ``"compiled": true``, each
-side's first ``context:`` line, every run's metrics, and per end-to-end
-metric the median and quartiles of each side and the number of pairs HEAD
-won (a strictly better value); under ``trace``, each side's per-layer
-metrics from its traced run.
+``trees``.  A third side, the control, is a copy of the parent's tree with
+one trailing comment line (``CONTROL_LINE``) in each ``src/riskrank/*.py``:
+a change that does nothing, whose pairs against the parent show how far
+the layout of the code alone moves a metric.  Before any run, each side's
+``src/`` and ``perfbench/`` are compiled once with ``compileall`` into a
+bytecode cache of the side's own under a temporary directory, which every
+child of that side reads as its ``PYTHONPYCACHEPREFIX``, so that no run
+compiles the tree afresh and nothing is written into it.  For each workload
+of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` at one seed in
+rounds of one run per side, each side from its own tree in its own
+process; the order of the sides rotates by one each round, so that no side
+always follows another.  After the rounds it runs each side once more with
+``--trace 1 --seconds 0``.  The JSON it writes holds both revisions, the
+machine, ``"compiled": true``, each side's first ``context:`` line, every
+run's metrics, and per end-to-end metric the median and quartiles of each
+side and the number of rounds in which HEAD, and the control, beat the
+parent (a strictly better value); under ``trace``, each side's per-layer
+metrics from its traced run.  Limits: compiling removes one known cause of
+layout differences between trees, and others, such as the size of the
+environment, may remain; the control measures what is left, so a gain
+counts where HEAD beats the parent in more rounds, and by a larger median
+gap, than the control does.
 
 ``diff`` takes the same two revisions and runs, on each side, the commands
 of the CI "Installed entry point" step (``COMMANDS``) on that side's own
@@ -58,6 +66,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import outputs_of  # noqa: E402
 
 SIDES = ("parent", "head")
+CONTROL_LINE = b"# control: a trailing comment line that changes no behaviour\n"
 # the CI "Installed entry point" step, in its order; {s} is the side's directory
 COMMANDS = (
     "evaluate --table2-fixture",
@@ -106,6 +115,18 @@ def worktrees(revisions: dict[str, str]):
         for tree in added:
             git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def control_tree(parent: Path, dest: Path) -> Path:
+    """A copy of ``parent`` at ``dest``, git metadata, bytecode and benchmark
+    outputs left out, with ``CONTROL_LINE`` appended to each
+    ``src/riskrank/*.py``."""
+    shutil.copytree(parent, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", "_work", "_results"))
+    for module in sorted((dest / "src" / "riskrank").glob("*.py")):
+        with open(module, "ab") as fh:
+            fh.write(CONTROL_LINE)
+    return dest
 
 
 def src_sha256(tree: Path) -> str:
@@ -172,36 +193,39 @@ def summary(values: list[float]) -> dict[str, float]:
 
 def bench(trees: dict[str, Side], revisions: dict[str, str] | None, workloads: list[str],
           metrics: list[dict], seed: int, pairs: int, seconds: float) -> dict:
-    """Paired runs of every workload; without ``revisions``, each side's is
-    the one its runs report."""
+    """Rounds of one run per side of ``trees`` for every workload, the
+    parent's first; without ``revisions``, the parent's and HEAD's are the
+    ones their runs report."""
+    sides = list(trees)
     report = {"seed": seed, "pairs": pairs, "seconds": seconds,
               "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
               "revisions": dict(revisions or {}), "workloads": {}}
     for workload in workloads:
-        runs = {side: [] for side in SIDES}
+        runs = {side: [] for side in sides}
         for i in range(pairs):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for side in sides[i % len(sides):] + sides[:i % len(sides)]:
                 runs[side].append(run_once(trees[side], workload, seed, seconds))
-        traced = {side: run_once(trees[side], workload, seed, 0.0, trace=1) for side in SIDES}
+        traced = {side: run_once(trees[side], workload, seed, 0.0, trace=1) for side in sides}
         for side in SIDES:
             report["revisions"].setdefault(side, runs[side][0]["context"]["revision"])
         values = {side: {m["name"]: [r["result"]["metrics"][m["name"]]["value"]
                                      for r in runs[side]] for m in metrics}
-                  for side in SIDES}
-        won = {}
+                  for side in sides}
+        won = {side: {} for side in sides[1:]}
         for m in metrics:
             sign = -1.0 if m["better"] == "lower" else 1.0
-            won[m["name"]] = sum(sign * (h - p) > 0 for p, h in
-                                 zip(values["parent"][m["name"]], values["head"][m["name"]]))
+            for side in sides[1:]:
+                won[side][m["name"]] = sum(sign * (h - p) > 0 for p, h in
+                                           zip(values["parent"][m["name"]], values[side][m["name"]]))
         report["workloads"][workload] = {
             "correct": all(r["result"]["correct"]
-                           for side in SIDES for r in runs[side] + [traced[side]]),
-            "context": {side: runs[side][0]["context"] for side in SIDES},
-            **{side: {name: summary(v) for name, v in values[side].items()} for side in SIDES},
-            "head_won": won,
+                           for side in sides for r in runs[side] + [traced[side]]),
+            "context": {side: runs[side][0]["context"] for side in sides},
+            **{side: {name: summary(v) for name, v in values[side].items()} for side in sides},
+            **{f"{side}_won": won[side] for side in sides[1:]},
             "samples": values,
             "trace": {side: {name: m["value"] for name, m in
-                             traced[side]["result"]["metrics"].items()} for side in SIDES},
+                             traced[side]["result"]["metrics"].items()} for side in sides},
         }
     return report
 
@@ -296,18 +320,24 @@ def main(argv=None) -> int:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
         with tempfile.TemporaryDirectory(prefix="against_parent-") as cache:
+            trees = {**trees, "control": control_tree(trees["parent"].resolve(),
+                                                      Path(cache) / "control-tree")}
             sides = {side: compiled(tree.resolve(), Path(cache) / side)
                      for side, tree in trees.items()}
             report = bench(sides, revisions, workloads, spec["end_to_end"], args.seed,
                            args.pairs, args.seconds)
+            if args.dirs:
+                report["trees"] = {side: src_sha256(tree) for side, tree in trees.items()}
         report["compiled"] = True
-        if args.dirs:
-            report["trees"] = {side: src_sha256(tree) for side, tree in trees.items()}
+        report["control"] = {"of": "parent", "line": CONTROL_LINE.decode(),
+                             "appended to": "src/riskrank/*.py"}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for workload, result in report["workloads"].items():
         print(f"{workload}: correct {result['correct']}; " + "; ".join(
             f"{name} {result['parent'][name]['median']:.4g} -> {result['head'][name]['median']:.4g}"
-            f" (HEAD won {won}/{args.pairs})" for name, won in result["head_won"].items()))
+            f" (HEAD won {won}/{args.pairs}; control {result['control'][name]['median']:.4g},"
+            f" won {result['control_won'][name]}/{args.pairs})"
+            for name, won in result["head_won"].items()))
     return 0 if all(r["correct"] for r in report["workloads"].values()) else 1
 
 

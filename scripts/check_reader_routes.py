@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the plain route of the network and indicator readers against the row route.
+"""Check the plain route of the readers against the row route.
 
 For each of seeds 1-20, generates the synthetic inputs of the benchmark's
 three workload specs (``SPECS``), and reads ``nodes.csv`` with ``links.csv``,
@@ -8,10 +8,12 @@ of ``riskrank.io``.  Synth holds its weights over time, so every date block
 of its ``links.csv`` repeats the one before; for the two network specs the
 series is also written with the weights of a seeded half of the dates
 scaled (``links_scaled.csv``) and read with ``nodes.csv``, so that blocks
-change too.  A file that the plain route reads must give the very series or
-panel of the row route, arrays compared byte for byte.  Prints one line per
-seed with the files the plain route read, then the totals; exits 1 if any
-read differs.
+change too.  Each spec's backtest writes ``probabilities.csv``, and for the
+network specs the k = 2 scores of every entity under those probabilities
+are written as ``decompositions.csv``; both are read as series.  A file
+that the plain route reads must give the very series or panel of the row
+route, arrays compared byte for byte.  Prints one line per seed with the
+files the plain route read, then the totals; exits 1 if any read differs.
 
     PYTHONPATH=src python scripts/check_reader_routes.py
 """
@@ -24,6 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from riskrank import io
+from riskrank.early_warning import recursive_backtest
+from riskrank.engine import riskrank_sums
 from riskrank.synth import SynthSpec, generate_synthetic
 
 # the synth flags of perfbench/run.py's workloads, one spec each
@@ -39,6 +43,8 @@ READERS = (
     (io._plain_nodes_links, io._read_nodes_links_rows, ("nodes", "links")),
     (io._plain_nodes_links, io._read_nodes_links_rows, ("nodes", "links_scaled")),
     (io._plain_indicators, io._read_indicators_rows, ("indicators",)),
+    (io._plain_series, io._read_series_rows, ("probabilities",)),
+    (io._plain_series, io._read_series_rows, ("decompositions",)),
 )
 
 
@@ -52,6 +58,22 @@ def write_scaled_links(paths, seed: int) -> None:
     W[dates] *= rng.uniform(0.5, 2.0, (len(dates), 1))
     paths["links_scaled"] = paths["links"].with_name("links_scaled.csv")
     io.write_links_csv(paths["links_scaled"], replace(series, W=W))
+
+
+def write_scores(paths, network: bool) -> None:
+    """The backtest's ``probabilities.csv``, and for a network the scores of
+    every entity under them as ``decompositions.csv``."""
+    cfg = io.RunConfig()
+    result = recursive_backtest(io.read_indicators(paths["indicators"]),
+                                io.read_events(paths["events"]), cfg.h1, cfg.h2, cfg.lag)
+    paths["probabilities"] = paths["indicators"].with_name("probabilities.csv")
+    io.write_probabilities(paths["probabilities"], result)
+    if network:
+        series = io.read_nodes_links(paths["nodes"], paths["links"]).with_probabilities(
+            io.read_series(paths["probabilities"]).cells)
+        paths["decompositions"] = paths["indicators"].with_name("decompositions.csv")
+        targets = [nid for nid, level in zip(series.node_ids, series.levels) if level]
+        io.write_decompositions(paths["decompositions"], riskrank_sums(series, targets, cfg))
 
 
 def contents(result) -> dict:
@@ -82,6 +104,7 @@ def main() -> int:
                 paths = generate_synthetic(replace(spec, seed=seed), Path(tmp) / name)
                 if name in NETWORKS:
                     write_scaled_links(paths, seed)
+                write_scores(paths, name in NETWORKS)
                 for fast, rows, kinds in READERS:
                     if not set(kinds) <= set(paths):
                         continue

@@ -32,6 +32,7 @@ from .engine import (
     RiskRankConfig,
     riskrank_for,
     riskrank_series,
+    riskrank_sums,
 )
 from .errors import (
     DegenerateFitError,

@@ -18,7 +18,7 @@ import numpy as np
 from . import benchmarks
 from .capacity import FuzzyMeasure, interaction_index, shapley, validate_measure
 from .early_warning import label_cells, recursive_backtest
-from .engine import riskrank_series
+from .engine import riskrank_series, riskrank_sums
 from .errors import RiskRankError
 from .evaluation import evaluate_series
 from .io import (
@@ -134,7 +134,8 @@ def cmd_score(args) -> int:
     if cfg.probabilities:
         series = series.with_probabilities(read_series(cfg.probabilities).cells)
     targets = _resolve_targets(args.targets, series)
-    rows = riskrank_series(series, targets, cfg)
+    score = riskrank_sums if cfg.max_path_length == 2 else riskrank_series
+    rows = score(series, targets, cfg)
     args.write(args.out, rows)
     print(f"wrote {len(rows)} {args.written} to {args.out}")
     return 0

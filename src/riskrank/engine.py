@@ -49,11 +49,42 @@ pairwise sum of each date's masses, taken from a dates x paths copy, and
 the other totals over paths add in order along the slow axis of a paths x
 dates block, except a one-date block, whose path axis numpy would sum
 pairwise and which therefore goes through ``cumsum``.
+
+At k = 2, ``riskrank_sums`` (what ``riskrank`` and ``report`` run there)
+scores without paths.  Let A be the dates x nodes x nodes weights with
+self-links zeroed, y the risk levels, a_j = w(j -> t) and S = A'y.  The
+two-step paths into t are the pairs j -> i -> t with j not t, so
+
+    L1 = sum_j a_j y_j,    L2 = sum_i a_i y_i (S_i - w(t -> i) y_t),
+
+and z is the same sum with y = 1, plus the self mass in "shapley" mode:
+a few matrix products per date for every target at once.  Each of the
+five numbers written is then bounded (N. J. Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., ch. 3-4: k roundings of
+nonnegative terms move a value by at most gamma_k = k u / (1 - k u) of it,
+and a sum of n terms in any order by at most gamma_{n-1} of the sum of
+their magnitudes).  The radius adds the sums' own error, taken from the
+magnitudes L2a + L2b of a difference, through the quotient L / z with z
+bounded below, to the path engine's: products of up to four factors, z
+summed pairwise (``_pairwise_depth``), the shares of n1 and n2 paths added
+in order.  A cell whose numbers all keep their ``"%.10g"`` text across
+their radius (``_same_text``) keeps the sums' values; any other is scored
+by paths on its dates alone.  So the rows have the path engine's text, but
+not always its bits.  The bound covers the arithmetic as modelled, not
+numpy's or BLAS's code, so the bytes are checked rather than proved:
+``scripts/check_sums_guard.py`` compares both engines' files on synth
+seeds 1-20, and the tests do on random networks.  Any input on which a
+target could fail (a missing level, a root with out-links, a z that may
+be 0 where it fails, a negative, non-finite or very small or large value)
+goes whole to ``riskrank_series``, so that the error is its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +94,7 @@ from .network import PATH_PAD, NetworkSeries, NetworkSnapshot, k_paths
 CENTRAL_WEIGHT_MODES = ("unit", "shapley")
 
 
-@dataclass(frozen=True)
-class RiskDecomposition:
+class RiskDecomposition(NamedTuple):
     """Individual / direct / indirect split of one target's score."""
 
     target: str
@@ -92,8 +122,7 @@ class RiskRankConfig:
             raise ValueError("max_path_length must be >= 1")
 
 
-@dataclass(frozen=True)
-class SeriesRow:
+class SeriesRow(NamedTuple):
     date: int
     target: str
     decomposition: RiskDecomposition
@@ -205,6 +234,17 @@ class _Scorer:
         return individual, direct, indirect, total_raw, total
 
 
+def _rows(dates, targets: list[str], parts) -> list[SeriesRow]:
+    """The rows of five dates x targets arrays, dates in order and each
+    date's targets in order."""
+    names = targets * len(dates)
+    # tuple.__new__, as a named tuple's _make calls it, without its length check
+    decompositions = map(tuple.__new__, repeat(RiskDecomposition),
+                         zip(names, *(part.ravel().tolist() for part in parts)))
+    return list(map(tuple.__new__, repeat(SeriesRow),
+                    zip([date for date in dates for _ in targets], names, decompositions)))
+
+
 def riskrank_series(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
     """One decomposition per (date, target) of a NetworkSeries, dates taken
     in order.  A failure is reported for the first failing (date, target) pair.
@@ -214,17 +254,179 @@ def riskrank_series(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> 
     scored, failures = [], []
     for j, target in enumerate(targets):
         try:
-            scored.append(list(zip(*(part.tolist() for part in scorer.score(target, cfg)))))
+            scored.append(scorer.score(target, cfg))
         except _Failure as failure:
             date_index, error = failure.args
             failures.append((date_index, j, error))
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
-    return [
-        SeriesRow(date, target, RiskDecomposition(target, *per_date[d]))
-        for d, date in enumerate(series.dates)
-        for target, per_date in zip(targets, scored)
-    ]
+    return _rows(series.dates, targets, [np.stack(part, axis=1) for part in zip(*scored)])
+
+
+_U = 2.0 ** -53  # the unit roundoff of float64
+_SLACK = 1.0 + 2.0 ** -20  # covers the rounding of the radii's own arithmetic
+_RANGE = 2.0 ** -120, 2.0 ** 120  # nonzero inputs: no product or quotient leaves the normals
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): a bound on the relative error of k
+    roundings, and of any sum of k + 1 nonnegative terms, whatever its order."""
+    return k * _U / (1.0 - k * _U)
+
+
+@lru_cache(maxsize=1024)
+def _pairwise_depth(n: int) -> int:
+    """The most additions one of n terms passes through in numpy's pairwise
+    sum: runs of up to 128 in eight accumulators joined by a tree of three,
+    then the rest one by one; longer runs split in halves cut to a multiple
+    of 8."""
+    if n < 8:
+        return n
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
+def _in_range(values: np.ndarray) -> bool:
+    """Whether no value is negative (-0.0 too) or not finite, and every other
+    one but 0.0 lies in ``_RANGE``."""
+    return (not np.signbit(values).any() and values.max(initial=0.0) <= _RANGE[1]
+            and np.count_nonzero(values < _RANGE[0]) == np.count_nonzero(values == 0.0))
+
+
+def _same_text(value: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Whether ``"%.10g"`` gives one text to every number within ``radius``
+    of ``value``; never where either is not finite.
+
+    The text is that of the number rounded to ten significant digits, which
+    does not fall as the number rises, so the two ends of the interval
+    decide.  Scaled to ten integer digits, an interval keeps its text when
+    it holds no half-integer; an end within 1e-4 of one, of a power of ten
+    or of zero has its texts compared as formatted.
+    """
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        lo = np.nextafter(value - radius, -np.inf)
+        hi = np.nextafter(value + radius, np.inf)
+        scale = 10.0 ** (9.0 - np.floor(np.log10(hi)))
+        a, b = lo * scale - 1e-4, hi * scale + 1e-4
+        sure = (a >= 1e9) & (b < 1e10 - 0.5) & (np.floor(a + 0.5) == np.floor(b + 0.5))
+    kept = (radius == 0.0) | sure
+    doubt = np.flatnonzero(~kept & np.isfinite(lo) & np.isfinite(hi))
+    kept.flat[doubt] = ["%.10g" % x == "%.10g" % y
+                        for x, y in zip(lo.flat[doubt].tolist(), hi.flat[doubt].tolist())]
+    return kept & np.isfinite(value) & np.isfinite(radius)
+
+
+def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
+    """The five parts of ``riskrank_series``, stacked as 5 x dates x targets,
+    from the k = 2 sums, and the dates x targets cells whose text the guard
+    could not keep, which are rescored by paths; None where the sums do not
+    apply or a target could fail."""
+    col = {nid: i for i, nid in enumerate(series.node_ids)}
+    c = np.array([col.get(target, -1) for target in targets], dtype=np.intp)
+    n, dates = len(col), len(series)
+    root = np.array(series.levels) == 0
+    if (cfg.max_path_length != 2 or (c < 0).any()
+            or not all(map(_in_range, (series.W, series.X[:, ~root],
+                                       series.exposure[~np.isnan(series.exposure)])))):
+        return None
+    # B[i, t]: whether the link i -> t exists; A[d, i, t]: its weight on date
+    # d, else 0.0; self-links left out of both
+    link = series.link_table[:-1, :-1]
+    B = link < len(series.link_keys)
+    A = np.zeros((dates, n * n))
+    A[:, B.ravel()] = series.W[:, link[B]]
+    A[:, ::n + 1] = 0.0
+    A = A.reshape(dates, n, n)
+    np.fill_diagonal(B, False)
+    if B[root].any():
+        return None  # a root's missing level is read on a path
+    y = np.where(root, 0.0, series.X)
+
+    def times_A(v):  # sum_i v[d, i] A[d, i, t]
+        return np.matmul(v[:, None, :], A)[:, 0]
+
+    Z1 = A.sum(axis=1)
+    L1 = times_A(y)  # S = A'y
+    L2a, Z2a = times_A(y * L1), times_A(Z1)
+    A *= A.transpose(0, 2, 1)  # A[d, i, t] w(t -> i): the paths t -> i -> t
+    L2b, Z2b = y * np.matmul(y[:, None, :], A)[:, 0], A.sum(axis=1)
+    del A
+    L1, L2a, L2b, Z1, Z2a, Z2b, y = (v[:, c] for v in (L1, L2a, L2b, Z1, Z2a, Z2b, y))
+
+    is_root = root[c]
+    shapley = ~is_root & (cfg.central_weight_mode == "shapley")
+    # the self exposure, else the in-link total capped at one, which
+    # _self_mass adds in another order
+    fallback = shapley & np.isnan(series.exposure[:, c])
+    s = np.where(fallback, np.minimum(Z1, 1.0), np.where(shapley, series.exposure[:, c], 0.0))
+    e_s = np.where(fallback, 2 * _gamma(n) * Z1, 0.0)
+    L2 = L2a - L2b
+    z = Z1 + (Z2a - Z2b) + s
+    # forward error bounds of the sums (2n + 3 roundings at most, from
+    # magnitudes where a term is subtracted)
+    e_L1, e_L2 = _gamma(n) * L1, _gamma(2 * n + 2) * (L2a + L2b)
+    e_z = _gamma(2 * n + 3) * (Z1 + Z2a + Z2b + s) + e_s
+    z_lo = z - e_z
+    if not (z_lo[:, is_root | shapley] > 0.0).all():
+        return None  # no mass may fail
+    sure = z_lo > 0.0  # z is not 0
+    # roundings of the path engine: n1 paths of length 1, n2 of length 2
+    n1 = B.sum(axis=0)
+    n2 = (B * (n1[:, None] - B.T)).sum(axis=0)
+    n1, n2 = n1[c], n2[c]
+    z_depth = 1 + np.array([_pairwise_depth(k) for k in (n1 + n2).tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_safe = np.where(sure, z, 1.0)
+        direct = np.where(sure, L1 / z_safe, 0.0)
+        indirect = np.where(sure, L2 / z_safe, 0.0)
+        individual = np.where(shapley, (s / z_safe) * y, y)
+        # the exact shares lie below these
+        direct_hi, indirect_hi = (L1 + e_L1) / z_lo, (L2 + e_L2) / z_lo
+        own_hi = (s + e_s) * y / z_lo
+        r_direct = ((e_L1 + direct_hi * e_z) / z_safe + _U * direct
+                    + _gamma(z_depth + n1 + 3) * direct_hi)
+        r_indirect = ((e_L2 + indirect_hi * e_z) / z_safe + _U * indirect
+                      + _gamma(z_depth + n2 + 5) * indirect_hi)
+        r_own = np.where(shapley, (own_hi * e_z + e_s * y) / z_safe + 2 * _U * individual
+                         + _gamma(z_depth + 4) * own_hi, 0.0)
+    # where z may be 0, the path engine's shares are 0; so are the sums' where
+    # every magnitude is 0, and nothing is known elsewhere
+    r_direct, r_indirect = (np.where(sure, r, np.where(e_z == 0.0, 0.0, np.inf))
+                            for r in (r_direct, r_indirect))
+    total_raw = individual + direct + indirect
+    total = np.where(is_root | cfg.clamp, np.minimum(total_raw, 1.0), total_raw)
+    r_parts = r_own + r_direct + r_indirect
+    r_raw = r_parts + 2 * _gamma(2) * (total_raw + r_parts)
+    parts = np.stack([individual, direct, indirect, total_raw, total])
+    radii = np.stack([r_own, r_direct, r_indirect, r_raw, r_raw]) * _SLACK
+    flagged = ~_same_text(parts, radii).all(axis=0)
+    if flagged.any():
+        rows = np.flatnonzero(flagged.any(axis=1))
+        subset = replace(series, dates=tuple(series.dates[d] for d in rows), W=series.W[rows],
+                         X=series.X[rows], exposure=series.exposure[rows])
+        vars(subset).update(link_table=series.link_table)  # the same structure
+        scorer = _Scorer(subset)
+        for j in np.flatnonzero(flagged.any(axis=0)).tolist():
+            cells = flagged[rows, j]
+            parts[:, rows[cells], j] = np.array(scorer.score(targets[j], cfg))[:, cells]
+    return parts, flagged
+
+
+def riskrank_sums(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
+    """``riskrank_series`` at k = 2 from the capacity's closed-form sums: the
+    same rows, each number with the path engine's ``"%.10g"`` text.
+
+    Cells whose text the error bound cannot keep are rescored by paths on
+    their dates alone; any input on which a target could fail, and any k but
+    2, is scored whole by ``riskrank_series``, so that its error is raised.
+    """
+    targets = list(targets)
+    scored = _sums(series, targets, cfg)
+    if scored is None:
+        return riskrank_series(series, targets, cfg)
+    return _rows(series.dates, targets, scored[0])
 
 
 def riskrank_for(snapshot: NetworkSnapshot, target: str,

@@ -22,22 +22,23 @@ problems are reported at their file and line: a header problem at line 1, an
 empty file at line 2, a data-row problem at the line of the row read.  A
 JSON file (config or measure) that gives a key twice is refused.
 
-``nodes.csv`` with ``links.csv``, and ``indicators.csv``, are first tried on
-a plain route, which reads ``_CHUNK`` bytes at a time, cuts them into
-batches of whole lines, splits each batch into column slices and checks
-them in bulk.  A file is plain when it is ASCII without ``"``, blanks or
-control bytes in a cell, keeps one line-end style (``\n`` or ``\r\n``), has
-no line longer than a chunk, the expected header, a data row and every row
-the header's width.  A network file must also come in date blocks: each
-date's rows in one block as long as the first date's and in its node or
-link order, the dates in one order in both files, with unique ids, known
-link ends and unique links.  A block whose bytes, less its dates, are the
-block before's takes that block's values; the others are parsed in
-batches, so that a few blocks' bytes and one batch's cells are held at a
-time.  Numbers pass through ``float`` as on the row source, and then their
-ranges are checked in bulk.  On any doubt the route gives up and ``_Rows``,
-which keeps no speed-up of its own, reads the files from the top, so every
-error, with its text and line, comes from the row source.
+``nodes.csv`` with ``links.csv``, ``indicators.csv`` and the probability and
+decomposition series are first tried on a plain route, which reads
+``_CHUNK`` bytes at a time, cuts them into batches of whole lines, splits
+each batch into column slices and checks them in bulk.  A file is plain when
+it is ASCII without ``"``, blanks or control bytes in a cell, keeps one
+line-end style (``\n`` or ``\r\n``), has no line longer than a chunk, the
+expected header, a data row and every row the header's width.  A network
+file must also come in date blocks: each date's rows in one block as long as
+the first date's and in its node or link order, the dates in one order in
+both files, with unique ids, known link ends and unique links.  A block
+whose bytes, less its dates, are the block before's takes that block's
+values; the others are parsed in batches, so that a few blocks' bytes and
+one batch's cells are held at a time.  Numbers pass through ``float`` as on
+the row source, and then their ranges are checked in bulk.  On any doubt the
+route gives up and ``_Rows``, which keeps no speed-up of its own, reads the
+files from the top, so every error, with its text and line, comes from the
+row source.
 
 Writers build the bytes ``csv.writer`` would write as text, one date's or
 one entity's block of lines at a time, so none holds a whole file.  Fixed
@@ -584,6 +585,40 @@ def write_probabilities(path, result) -> None:
 
 def read_series(path) -> ProbSeries:
     """Read a probability series; decomposition files count with p = total."""
+    series = _plain_route(_plain_series, path)
+    return _read_series_rows(path) if series is None else series
+
+
+def _plain_series(path) -> ProbSeries:
+    """``read_series`` of a plain file: each distinct entity and date text
+    gets a code as it comes, and each date text is parsed once."""
+    chunks = _plain_columns(path)
+    header = tuple(next(chunks))
+    _plain(header in SERIES_COLUMNS)
+    entity_at, date_at, p_at = map(header.index, SERIES_COLUMNS[header])
+    entities, dates, rows_e, rows_q, values = {}, {}, [], [], []
+    for columns in chunks:
+        rows_e += [entities.setdefault(e, len(entities)) for e in columns[entity_at]]
+        rows_q += [dates.setdefault(d, len(dates)) for d in columns[date_at]]
+        values.append(_floats(columns[p_at]))
+    p = np.concatenate(values)
+    quarters = [*map(quarter_index, dates)]
+    order = sorted(entities), sorted(set(quarters))
+    # each cell's place in (entity, quarter) order; numpy orders NUL-free
+    # texts as Python does
+    where = (np.searchsorted(order[0], [*entities])[rows_e] * len(order[1])
+             + np.searchsorted(order[1], quarters)[rows_q])
+    by_place = np.argsort(where)
+    _plain("" not in entities and ((p >= 0.0) & (p <= 1.0)).all()
+           and (np.diff(where[by_place]) > 0).all())
+    places = where[by_place].tolist()
+    return ProbSeries(Path(path).stem, tuple(zip(
+        [order[0][place // len(order[1])] for place in places],
+        [order[1][place % len(order[1])] for place in places],
+        p[by_place].tolist())))
+
+
+def _read_series_rows(path) -> ProbSeries:
     rows = _Rows(path)
     columns = SERIES_COLUMNS.get(tuple(rows.header))
     if columns is None:

@@ -1,5 +1,6 @@
 """Score computation: hand cases, the Moebius identity, and path variants."""
 
+import math
 import re
 from pathlib import Path
 
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series
+from riskrank import engine
+from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series, riskrank_sums
 from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
 from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
+
+from dataclasses import replace
 
 from conftest import random_snapshot, with_self_links
 from oracle import oracle_for, risk_of, riskrank_kpath, riskrank_node, riskrank_root
@@ -495,3 +499,134 @@ def test_series_rejects_structural_drift():
         riskrank_series(
             NetworkSeries.from_snapshots([snap, NetworkSnapshot(1, other)]), ["S"], UNIT
         )
+
+
+# ------------------------------------------------------------- k = 2 sums
+
+PARTS = ("individual", "direct", "indirect", "total_raw", "total")
+
+
+def looped(rng, snaps):
+    """The snapshots with self-links on a random half of their nodes, the
+    root's too, weights drawn per date."""
+    nodes = [nid for nid in sorted(snaps[0].network.nodes) if rng.random() < 0.5]
+    return [NetworkSnapshot(snap.date, RiskNetwork.build(
+        snap.network.nodes.values(),
+        [(s, t, w) for (s, t), w in snap.network.links.items()]
+        + [(nid, nid, float(rng.uniform(0.1, 1.0))) for nid in nodes])) for snap in snaps]
+
+
+def texts(rows):
+    """(date, target, each part's "%.10g" text) per row."""
+    return [(row.date, row.target, *("%.10g" % getattr(row.decomposition, part)
+                                     for part in PARTS)) for row in rows]
+
+
+def scored(score, series, targets, cfg):
+    try:
+        return texts(score(series, targets, cfg))
+    except (RiskRankError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["unit", "shapley"]), st.booleans())
+def test_sums_give_the_path_engines_text(seed, mode, clamp):
+    """Self-links, zero weights, missing levels and shuffled ids: the same
+    rows in the same order with the same text, or the same error."""
+    rng = np.random.default_rng(seed)
+    snaps = changing_series(rng, int(rng.integers(1, 5)))
+    if rng.random() < 0.5:
+        snaps = looped(rng, snaps)
+    ids = sorted(snaps[0].network.nodes)
+    names = dict(zip(ids, (f"N{i:02d}" for i in rng.permutation(len(ids)))))
+    series = NetworkSeries.from_snapshots([relabeled(snap, names) for snap in snaps])
+    targets = [str(t) for t in rng.permutation(series.node_ids)[: int(rng.integers(1, len(ids) + 1))]]
+    cfg = RiskRankConfig(mode, clamp, 2)
+    assert scored(riskrank_sums, series, targets, cfg) == \
+        scored(riskrank_series, series, targets, cfg)
+
+
+def sums_series(seed):
+    """A 4-date changing series the sums score without the path engine."""
+    rng = np.random.default_rng(seed)
+    while True:
+        series = NetworkSeries.from_snapshots(looped(rng, changing_series(rng, 4)))
+        if engine._sums(series, series.node_ids, SHAPLEY) is not None:
+            return series
+
+
+@pytest.mark.parametrize("cfg", [UNIT, SHAPLEY, RiskRankConfig("unit", False)])
+@pytest.mark.parametrize("seed", range(4))
+def test_sums_rescore_every_flagged_cell_by_paths(monkeypatch, seed, cfg):
+    """With every radius scaled up, and widened past one text, every cell is
+    flagged, and the rows are the path engine's, bit for bit."""
+    series = sums_series(seed)
+    targets = list(series.node_ids)
+    same_text = engine._same_text
+    monkeypatch.setattr(engine, "_same_text",
+                        lambda value, radius: same_text(value, radius * 1e6 + 1.0))
+    assert engine._sums(series, targets, cfg)[1].all()
+
+    def bits(rows):
+        return [(row.date, row.target, *map(float.hex, row.decomposition[1:])) for row in rows]
+    assert bits(riskrank_sums(series, targets, cfg)) == bits(riskrank_series(series, targets, cfg))
+
+
+def test_sums_fall_back_where_a_target_could_fail():
+    series = sums_series(0)
+    targets = list(series.node_ids)
+    assert engine._sums(series, targets, UNIT) is not None
+    child = next(nid for nid, level in zip(series.node_ids, series.levels) if level)
+    X, W = series.X.copy(), series.W.copy()
+    X[1, series.node_ids.index(child)] = np.nan
+    W[0, 0] = 2.0 ** -130
+    assert engine._sums(replace(series, X=X), targets, UNIT) is None  # a missing level
+    assert engine._sums(replace(series, W=W), targets, UNIT) is None  # underflow
+    assert engine._sums(replace(series, W=-W), targets, UNIT) is None
+    assert engine._sums(series, targets + ["GHOST"], UNIT) is None
+    assert engine._sums(series, targets, RiskRankConfig(max_path_length=3)) is None
+    with pytest.raises(ValueError, match="unknown node 'GHOST'"):
+        riskrank_sums(series, ["GHOST"], UNIT)
+    # the root's level is read on a path from it
+    looped_root = NetworkSeries.from_snapshots([NetworkSnapshot(0, RiskNetwork.build(
+        [Node("S", 0), Node("A", 1, "S", 0.5)], [("A", "S", 0.5), ("S", "A", 0.5)]))])
+    assert engine._sums(looped_root, ["A"], UNIT) is None
+    with pytest.raises(ValueError, match="node 'S' carries no risk value"):
+        riskrank_sums(looped_root, ["A"], UNIT)
+
+
+def test_text_check_at_powers_of_ten_one_zero_and_tiny_values():
+    cases = [
+        # (value, radius, one text throughout)
+        (1.0, 1e-15, True),  # a clamped total
+        (1.0, 0.0, True),
+        (1.0, 6e-11, False),  # 0.99999999994 reads 0.9999999999
+        (1000.0, 1e-12, True),
+        (1e-5, 1e-22, True),  # where %g turns to an exponent
+        (9.9999999995, 1e-15, False),  # 9.999999999 or 10
+        (9.99999999949, 1e-15, True),
+        (0.12345678905, 1e-13, False),
+        (0.123456789, 1e-18, True),
+        (0.0, 0.0, True),
+        (0.0, 1e-300, False),  # -1e-300 and 1e-300
+        (5e-324, 0.0, True),
+        (1e-300, 1e-320, True),
+        (2.5e-310, 1e-330, True),
+        (math.nan, 0.0, False),
+        (0.5, math.inf, False),
+        (0.5, math.nan, False),
+    ]
+    values, radii, want = map(np.array, zip(*cases))
+    assert engine._same_text(values, radii).tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1e6), st.floats(0.0, 1e-6))
+def test_text_check_keeps_only_one_text(value, radius):
+    kept = bool(engine._same_text(np.array([value]), np.array([radius]))[0])
+    ends = {"%.10g" % (value - radius), "%.10g" % value, "%.10g" % (value + radius)}
+    if kept:
+        assert len(ends) == 1
+    elif radius == 0.0:
+        raise AssertionError("an exact value is always kept")

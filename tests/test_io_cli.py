@@ -1125,6 +1125,56 @@ def test_read_series_prob_and_decomposition(tmp_path):
     assert err.value.line == 3
 
 
+PROBS_LINE = "entity,date,p"
+DECOMP_LINE = "date,target,individual,direct,indirect,total_raw,total"
+# case -> (header, rows, whether the plain route reads them)
+SERIES_TRAPS = {
+    "rows-in-any-order": (PROBS_LINE, ["B,2005-Q2,0.25", "A,2005-Q3,1e-3", "B,2005-Q1,1"],
+                          True),
+    "a-decomposition-file": (DECOMP_LINE, ["2005-Q2,B,0.1,0.2,0,0.3,0.3",
+                                           "2005-Q1,B,0,0,0,0,0.5"], True),
+    "a-repeated-cell": (PROBS_LINE, ["A,2005-Q1,0.5", "B,2005-Q1,0.1", "A,2005-Q1,0.7"], False),
+    "an-empty-entity": (PROBS_LINE, ["A,2005-Q1,0.5", ",2005-Q2,0.1"], False),
+    "an-empty-probability": (PROBS_LINE, ["A,2005-Q1,0.5", "A,2005-Q2,"], False),
+    "a-probability-above-one": (PROBS_LINE, ["A,2005-Q1,1.5"], False),
+    "a-negative-zero": (PROBS_LINE, ["A,2005-Q1,-0"], True),
+    "a-bad-quarter": (PROBS_LINE, ["A,2005-Q5,0.5"], False),
+    "a-padded-entity": (PROBS_LINE, ["A,2005-Q1,0.5", " B,2005-Q1,0.5"], False),
+    "an-unknown-header": ("entity,quarter,p", ["A,2005-Q1,0.5"], False),
+    "a-total-above-one": (DECOMP_LINE, ["2005-Q1,A,0.9,0.2,0,1.1,1.1"], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_TRAPS))
+def test_plain_route_series_traps_read_like_the_row_route(tmp_path, case):
+    header, rows, plain = SERIES_TRAPS[case]
+    path = tmp_path / "series.csv"
+    path.write_bytes("\r\n".join([header, *rows, ""]).encode())
+    assert (io._plain_route(io._plain_series, path) is not None) is plain
+    assert outcome(read_series, path) == outcome(io._read_series_rows, path)
+
+
+def test_workload_series_are_read_without_the_row_route(tmp_path, monkeypatch):
+    # the backtest's probabilities and the scores written from them, in
+    # chunks short enough to cut them into several batches
+    paths = generate_synthetic(replace(SPECS["network-k2"], seed=7), tmp_path)
+    probs, scores = tmp_path / "probabilities.csv", tmp_path / "riskrank.csv"
+    network = ["--nodes", str(paths["nodes"]), "--links", str(paths["links"])]
+    assert main(["backtest", "--indicators", str(paths["indicators"]), "--events",
+                 str(paths["events"]), "--out", str(probs)]) == 0
+    assert main(["riskrank", *network, "--probabilities", str(probs), "--targets", "all",
+                 "--out", str(scores)]) == 0
+    expected = {path: contents(io._read_series_rows(path)) for path in (probs, scores)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row route ran")
+
+    monkeypatch.setattr(io, "_read_series_rows", refuse)
+    monkeypatch.setattr(io, "_CHUNK", 4096)
+    for path, series in expected.items():
+        assert contents(read_series(path)) == series
+
+
 # ------------------------------------------------------------- synthesis
 
 def test_synth_same_seed_identical_bytes(tmp_path):

@@ -16,9 +16,9 @@ COPIED = shutil.ignore_patterns("__pycache__", "_work", "_results")
 
 
 def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypatch):
-    # two copies of this tree, one pair at --seconds 0: every metric is
-    # summarised for both sides, each pair is won by one side or neither,
-    # and each side's traced run reports its per-layer metrics
+    # two copies of this tree, one round at --seconds 0: every metric is
+    # summarised for every side, each round is won by a side or not, and
+    # each side's traced run reports its per-layer metrics
     for side in ("a", "b"):
         for part in ("src", "perfbench"):
             shutil.copytree(ROOT / part, tmp_path / side / part, ignore=COPIED)
@@ -26,15 +26,19 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypat
     # holds the side's compiled src/ when the run starts; bytecode writing is
     # allowed, so a run without a cache would write __pycache__ into its tree
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    caches, run = {}, subprocess.run
+    caches, run, order = {}, subprocess.run, []
+    a, b = ((tmp_path / side).resolve() for side in ("a", "b"))
 
     def spy(argv, **kwargs):
         if argv[1:2] == ["perfbench/run.py"]:
             cache, tree = kwargs["env"]["PYTHONPYCACHEPREFIX"], Path(kwargs["cwd"])
             caches.setdefault(tree, set()).add(cache)
+            order.append(tree)
             source = tree / "src" / "riskrank" / "io.py"
             assert Path(cache, *source.parent.parts[1:],
                         f"io.{sys.implementation.cache_tag}.pyc").is_file()
+            if tree not in (a, b):
+                assert_is_control_of(tree, a)
         return run(argv, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", spy)
@@ -46,29 +50,50 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypat
     report = json.loads(out.read_text())
     assert report["revisions"] == {"parent": "unknown", "head": "unknown"}
     assert report["compiled"] is True
-    assert sorted(caches) == [(tmp_path / side).resolve() for side in ("a", "b")]
-    assert all(len(cache) == 1 for cache in caches.values())
-    assert caches[(tmp_path / "a").resolve()] != caches[(tmp_path / "b").resolve()]
+    assert len(caches) == 3 and all(len(cache) == 1 for cache in caches.values())
+    assert len({cache for tree in caches.values() for cache in tree}) == 3
+    # the parent, HEAD and the control, each untraced, then traced
+    control = next(tree for tree in caches if tree not in (a, b))
+    assert order == [a, b, control] * 2
     assert not list(tmp_path.rglob("__pycache__"))
     result = report["workloads"]["paths-k3"]
     assert result["correct"] is True
     names = ["run_s", "setup_s", "peak_rss_mb"]
-    for side in ("parent", "head"):
+    for side in ("parent", "head", "control"):
         assert sorted(result[side]) == sorted(names)
         for name in names:
             stats = result[side][name]
             assert stats["q1"] == stats["median"] == stats["q3"] == result["samples"][side][name][0]
-    assert sorted(result["head_won"]) == sorted(names)
-    assert all(won in (0, 1) for won in result["head_won"].values())
-    assert all(result["trace"][side]["network.k_paths_calls"] > 0 for side in ("parent", "head"))
+        assert result["trace"][side]["network.k_paths_calls"] > 0
+    for side in ("head", "control"):
+        assert sorted(result[f"{side}_won"]) == sorted(names)
+        assert all(won in (0, 1) for won in result[f"{side}_won"].values())
     assert capsys.readouterr().out.startswith("paths-k3: correct True; run_s ")
-    # the copies' src/ hash alike, and one byte appended to a file in one
-    # copy tells them apart
-    assert report["trees"]["parent"] == report["trees"]["head"]
+    # the copies' src/ hash alike, the control's apart, and one byte
+    # appended to a file in one copy tells them apart
+    assert report["trees"]["parent"] == report["trees"]["head"] != report["trees"]["control"]
     assert report["trees"]["parent"] == against_parent.src_sha256(tmp_path / "a")
     with open(tmp_path / "b" / "src" / "riskrank" / "engine.py", "ab") as edited:
         edited.write(b" ")
     assert against_parent.src_sha256(tmp_path / "b") != report["trees"]["parent"]
+
+
+def assert_is_control_of(control: Path, parent: Path):
+    """``control`` holds the files of ``parent``, bytecode and benchmark
+    outputs left out, and each differs only by the comment line at the end
+    of every src/riskrank/*.py."""
+    def files(tree):
+        return {path.relative_to(tree): path for path in tree.rglob("*")
+                if path.is_file() and not {"__pycache__", "_work", "_results"} & set(path.parts)}
+
+    ours, theirs = files(control), files(parent)
+    assert sorted(ours) == sorted(theirs)
+    modules = {name for name in theirs if name.parts[:2] == ("src", "riskrank")
+               and name.suffix == ".py"}
+    assert modules
+    for name, path in theirs.items():
+        extra = against_parent.CONTROL_LINE if name in modules else b""
+        assert ours[name].read_bytes() == path.read_bytes() + extra, name
 
 
 def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
@@ -86,6 +111,25 @@ def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
     assert order == ["p", "h", "h", "p", "p", "h", "h", "p"]
     # HEAD ran second (slower, in this fake) in even pairs, first in odd ones
     assert report["workloads"]["w"]["head_won"] == {"run_s": 2}
+
+
+def test_against_parent_bench_rotates_three_sides(monkeypatch):
+    order = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        if not trace:
+            order.append(tree)
+        metrics = {"run_s": {"value": float(len(order))}}
+        return {"context": {"revision": tree}, "result": {"correct": True, "metrics": metrics}}
+
+    monkeypatch.setattr(against_parent, "run_once", run_once)
+    report = against_parent.bench({"parent": "p", "head": "h", "control": "c"}, None, ["w"],
+                                  [{"name": "run_s", "better": "lower"}], 7, 3, 0.0)
+    assert order == ["p", "h", "c", "h", "c", "p", "c", "p", "h"]
+    result = report["workloads"]["w"]
+    # a side that ran before the parent (faster, in this fake) won the round
+    assert result["head_won"] == {"run_s": 1} and result["control_won"] == {"run_s": 2}
+    assert report["revisions"] == {"parent": "p", "head": "h"}
 
 
 def test_against_parent_diff_reports_a_one_byte_change_in_a_writer(tmp_path, capsys):
