@@ -214,9 +214,10 @@ def bench(trees: dict[str, Side], revisions: dict[str, str] | None, workloads: l
         won = {side: {} for side in sides[1:]}
         for m in metrics:
             sign = -1.0 if m["better"] == "lower" else 1.0
+            parent = values["parent"][m["name"]]
             for side in sides[1:]:
-                won[side][m["name"]] = sum(sign * (h - p) > 0 for p, h in
-                                           zip(values["parent"][m["name"]], values[side][m["name"]]))
+                won[side][m["name"]] = sum(sign * (h - p) > 0
+                                           for p, h in zip(parent, values[side][m["name"]]))
         report["workloads"][workload] = {
             "correct": all(r["result"]["correct"]
                            for side in sides for r in runs[side] + [traced[side]]),

@@ -264,7 +264,7 @@ def riskrank_series(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> 
 
 
 _U = 2.0 ** -53  # the unit roundoff of float64
-_SLACK = 1.0 + 2.0 ** -20  # covers the rounding of the radii's own arithmetic
+_SLACK = 1.0 + 2.0 ** -20  # covers the rounding of the radii and the magnitudes they read
 _RANGE = 2.0 ** -120, 2.0 ** 120  # nonzero inputs: no product or quotient leaves the normals
 
 
@@ -335,11 +335,9 @@ def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
     # d, else 0.0; self-links left out of both
     link = series.link_table[:-1, :-1]
     B = link < len(series.link_keys)
-    A = np.zeros((dates, n * n))
-    A[:, B.ravel()] = series.W[:, link[B]]
-    A[:, ::n + 1] = 0.0
-    A = A.reshape(dates, n, n)
     np.fill_diagonal(B, False)
+    A = np.zeros((dates, n, n))
+    A[:, B] = series.W[:, link[B]]
     if B[root].any():
         return None  # a root's missing level is read on a path
     y = np.where(root, 0.0, series.X)

@@ -611,10 +611,9 @@ def _plain_series(path) -> ProbSeries:
     by_place = np.argsort(where)
     _plain("" not in entities and ((p >= 0.0) & (p <= 1.0)).all()
            and (np.diff(where[by_place]) > 0).all())
-    places = where[by_place].tolist()
+    entity, quarter = np.divmod(where[by_place], len(order[1]))
     return ProbSeries(Path(path).stem, tuple(zip(
-        [order[0][place // len(order[1])] for place in places],
-        [order[1][place % len(order[1])] for place in places],
+        map(order[0].__getitem__, entity.tolist()), map(order[1].__getitem__, quarter.tolist()),
         p[by_place].tolist())))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,6 @@ from riskrank import engine
 from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series, riskrank_sums
 from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
 from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
-
-from dataclasses import replace
 
 from conftest import random_snapshot, with_self_links
 from oracle import oracle_for, risk_of, riskrank_kpath, riskrank_node, riskrank_root
@@ -541,7 +540,8 @@ def test_sums_give_the_path_engines_text(seed, mode, clamp):
     ids = sorted(snaps[0].network.nodes)
     names = dict(zip(ids, (f"N{i:02d}" for i in rng.permutation(len(ids)))))
     series = NetworkSeries.from_snapshots([relabeled(snap, names) for snap in snaps])
-    targets = [str(t) for t in rng.permutation(series.node_ids)[: int(rng.integers(1, len(ids) + 1))]]
+    chosen = rng.permutation(series.node_ids)[:int(rng.integers(1, len(ids) + 1))]
+    targets = [str(t) for t in chosen]
     cfg = RiskRankConfig(mode, clamp, 2)
     assert scored(riskrank_sums, series, targets, cfg) == \
         scored(riskrank_series, series, targets, cfg)
