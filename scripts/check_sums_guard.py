@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Check the k = 2 sums against the path engine, byte for byte.
 
-For each of seeds 1-20, generates the synthetic inputs of two networks
-(``SPECS``: the benchmark's network-k2 spec, complete on 26 entities, and a
-sparser one on 40), runs the backtest for the probabilities that ``riskrank
---probabilities`` scores with, and scores the series at k = 2 in unit and
-shapley mode, with clamping on and off, at ``--targets all`` and ``root``:
-once by ``riskrank_sums`` and once by ``riskrank_series``, the path engine.
-Each pair of ``decompositions`` files written must be the same bytes.
+For each of seeds 1-20, generates the synthetic inputs of three networks
+(``SPECS``: the benchmark's network-k2 spec, complete on 26 entities, one
+on 40 entities at density 0.6, and a sparse one on 8, where some targets
+have no two-step path of any value and the sums must cancel to 0), runs
+the backtest for the probabilities that ``riskrank --probabilities``
+scores with, and scores the series at k = 2 in unit and shapley mode, with
+clamping on and off, at ``--targets all`` and ``root``: once by
+``riskrank_sums`` and once by ``riskrank_series``, the path engine.  Each
+pair of ``decompositions`` files written must be the same bytes, and
+where the path engine fails, the sums must fail with its error.
 Prints one line per seed with the cells the guard sent back to the path
 engine and the cells whose text would differ with the guard off (nothing
 rescored), then the totals; exits 1 if any file differs.
@@ -26,13 +29,15 @@ import numpy as np
 
 from riskrank import engine
 from riskrank.early_warning import recursive_backtest
+from riskrank.errors import RiskRankError
 from riskrank.io import (RunConfig, read_events, read_indicators, read_nodes_links,
                          write_decompositions)
 from riskrank.synth import SynthSpec, generate_synthetic
 
 SPECS = {
     "complete-26": SynthSpec(entities=26, network_density=1.0, start="2000-Q1", end="2018-Q4"),
-    "sparse-40": SynthSpec(entities=40, network_density=0.6, start="2000-Q1", end="2018-Q4"),
+    "dense-40": SynthSpec(entities=40, network_density=0.6, start="2000-Q1", end="2018-Q4"),
+    "sparse-8": SynthSpec(entities=8, network_density=0.3, start="2000-Q1", end="2018-Q4"),
 }
 SEEDS = range(1, 21)
 CONFIGS = [engine.RiskRankConfig(mode, clamp, 2)
@@ -65,6 +70,17 @@ def texts(rows) -> list[str]:
     return ["%.10g" % value for row in rows for value in row.decomposition[1:]]
 
 
+def scored(score, series, targets, cfg, path):
+    """The rows ``score`` gives, written to ``path``, or its error's type and
+    text."""
+    try:
+        rows = score(series, targets, cfg)
+    except (RiskRankError, ValueError) as exc:
+        return type(exc), str(exc)
+    write_decompositions(path, rows)
+    return path.read_bytes(), texts(rows)
+
+
 def main() -> int:
     differing, rescored, unguarded, cells = [], 0, 0, 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -80,22 +96,23 @@ def main() -> int:
                     "root": [series.root()],
                 }
                 for cfg, (selector, targets) in product(CONFIGS, selections.items()):
-                    scored = engine._sums(series, targets, cfg)
-                    if scored is None:  # scored whole by paths: every cell rescored
+                    sums = engine._sums(series, targets, cfg)
+                    if sums is None:  # scored whole by paths: every cell rescored
                         seed_rescored += len(series) * len(targets)
                     else:
-                        seed_rescored += int(scored[1].sum())
+                        seed_rescored += int(sums[1].sum())
                     seed_cells += len(series) * len(targets)
-                    paths_rows = engine.riskrank_series(series, targets, cfg)
-                    write_decompositions(tmp / "sums.csv",
-                                         engine.riskrank_sums(series, targets, cfg))
-                    write_decompositions(tmp / "paths.csv", paths_rows)
-                    with guard_off():
-                        bare = texts(engine.riskrank_sums(series, targets, cfg))
-                    seed_unguarded += len({i // 5 for i, (a, b) in
-                                           enumerate(zip(bare, texts(paths_rows))) if a != b})
-                    if (tmp / "sums.csv").read_bytes() != (tmp / "paths.csv").read_bytes():
+                    by_paths = scored(engine.riskrank_series, series, targets, cfg,
+                                      tmp / "paths.csv")
+                    if scored(engine.riskrank_sums, series, targets, cfg,
+                              tmp / "sums.csv")[0] != by_paths[0]:
                         differing.append(f"seed {seed} {name} {cfg} --targets {selector}")
+                    with guard_off():
+                        bare = scored(engine.riskrank_sums, series, targets, cfg,
+                                      tmp / "bare.csv")
+                    if isinstance(by_paths[0], bytes):  # rows, not an error
+                        seed_unguarded += len({i // 5 for i, (a, b) in
+                                               enumerate(zip(bare[1], by_paths[1])) if a != b})
             print(f"seed {seed}: {seed_rescored} of {seed_cells} cells rescored, "
                   f"{seed_unguarded} would differ unguarded")
             rescored, cells = rescored + seed_rescored, cells + seed_cells
