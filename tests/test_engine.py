@@ -612,7 +612,7 @@ def test_text_check_at_powers_of_ten_one_zero_and_tiny_values():
         (0.0, 1e-300, False),  # -1e-300 and 1e-300
         (5e-324, 0.0, True),
         (1e-300, 1e-320, True),
-        (2.5e-310, 1e-330, True),
+        (2.5e-310, 5e-324, True),  # one subnormal step
         (math.nan, 0.0, False),
         (0.5, math.inf, False),
         (0.5, math.nan, False),
