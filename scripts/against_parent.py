@@ -17,7 +17,8 @@ the layout of the code alone moves a metric.  Before any run, each side's
 ``src/`` and ``perfbench/`` are compiled once with ``compileall`` into a
 bytecode cache of the side's own under a temporary directory, which every
 child of that side reads as its ``PYTHONPYCACHEPREFIX``, so that no run
-compiles the tree afresh and nothing is written into it.  For each workload
+compiles the tree afresh and writes no bytecode into it; what the runs add
+under a tree's ``OUTPUTS`` is removed after the last run.  For each workload
 of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` at one seed in
 rounds of one run per side, each side from its own tree in its own
 process; the order of the sides rotates by one each round, so that no side
@@ -67,6 +68,8 @@ from run import outputs_of  # noqa: E402
 
 SIDES = ("parent", "head")
 CONTROL_LINE = b"# control: a trailing comment line that changes no behaviour\n"
+# where perfbench/run.py writes its results and inputs, in the tree it runs from
+OUTPUTS = ("perfbench/_results", "perfbench/_work")
 # the CI "Installed entry point" step, in its order; {s} is the side's directory
 COMMANDS = (
     "evaluate --table2-fixture",
@@ -127,6 +130,26 @@ def control_tree(parent: Path, dest: Path) -> Path:
         with open(module, "ab") as fh:
             fh.write(CONTROL_LINE)
     return dest
+
+
+@contextmanager
+def outputs_removed(trees):
+    """Remove what the benchmark runs add under each tree's ``OUTPUTS``, so
+    that a tree named by ``--dirs`` is left as it was found; what was there
+    before stays."""
+    def found():
+        return {path for tree in trees for name in OUTPUTS
+                for path in [tree / name, *(tree / name).rglob("*")] if path.exists()}
+
+    before = found()
+    try:
+        yield
+    finally:
+        for path in sorted(found() - before, reverse=True):  # files before their directory
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink()
 
 
 def src_sha256(tree: Path) -> str:
@@ -320,7 +343,8 @@ def main(argv=None) -> int:
             return 1 if differing else 0
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-        with tempfile.TemporaryDirectory(prefix="against_parent-") as cache:
+        with (tempfile.TemporaryDirectory(prefix="against_parent-") as cache,
+              outputs_removed([tree.resolve() for tree in trees.values()])):
             trees = {**trees, "control": control_tree(trees["parent"].resolve(),
                                                       Path(cache) / "control-tree")}
             sides = {side: compiled(tree.resolve(), Path(cache) / side)

@@ -18,7 +18,7 @@ import numpy as np
 from . import benchmarks
 from .capacity import FuzzyMeasure, interaction_index, shapley, validate_measure
 from .early_warning import label_cells, recursive_backtest
-from .engine import riskrank_series, riskrank_sums
+from .engine import riskrank_sums
 from .errors import RiskRankError
 from .evaluation import evaluate_series
 from .io import (
@@ -134,8 +134,7 @@ def cmd_score(args) -> int:
     if cfg.probabilities:
         series = series.with_probabilities(read_series(cfg.probabilities).cells)
     targets = _resolve_targets(args.targets, series)
-    score = riskrank_sums if cfg.max_path_length == 2 else riskrank_series
-    rows = score(series, targets, cfg)
+    rows = riskrank_sums(series, targets, cfg)
     args.write(args.out, rows)
     print(f"wrote {len(rows)} {args.written} to {args.out}")
     return 0

@@ -20,11 +20,11 @@ both of these hold, and otherwise refits the quarter cold
 
 * the fit has a bound e, at most 1e-12 times its largest coefficient (or
   1e-12, if that is below one);
-* every finite probability p of the quarter has one text over
-  [p(1 - b), p(1 + b)], where b = max(GUARD_FLOOR, |x|.e) for the row x led
-  by the intercept's one: p moves by a relative (1 - p)|x.d| <= |x|.|d| when
-  the coefficients move by d.  ``%.10g`` rounds monotonically, so one text
-  at both ends is one text over the whole interval.
+* every finite probability p of the quarter has one ``%.10g`` text within
+  p b of p (``engine._same_text``, the test of the k = 2 sums), where
+  b = max(GUARD_FLOOR, |x|.e) for the row x led by the intercept's one:
+  p moves by a relative (1 - p)|x.d| <= |x|.|d| when the coefficients move
+  by d.
 
 A fit has a bound only when it stopped on IRLS_TOL after two steps or more,
 the last one whole (not halved by the line search); the bound then adds two
@@ -53,7 +53,7 @@ random small panels, one fit's rounding term alone was five times the
 coefficients' actual warm-cold distance or more.  The bound is an estimate
 of the error, not a proof of it: ``tests/test_early_warning.py`` checks the
 bytes on random panels in standard and in raw (x100 to x1000) units, and
-``scripts/check_backtest_guard.py`` on synth seeds 1-20.
+``scripts/check_guards.py`` on synth seeds 1-20.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _same_text
 from .errors import DegenerateFitError
 from .quarters import quarter_label
 
@@ -299,10 +300,7 @@ def _settled(model: LogitModel, p: np.ndarray, rows: np.ndarray) -> bool:
                                                   *np.abs(model.coefficients)):
         return False
     b = np.maximum(GUARD_FLOOR, error[0] + np.abs(rows) @ error[1:])
-    finite = np.isfinite(p)
-    v, b = p[finite], b[finite]
-    return all("%.10g" % lo == "%.10g" % hi
-               for lo, hi in zip((v * (1.0 - b)).tolist(), (v * (1.0 + b)).tolist()))
+    return bool((_same_text(p, p * b) | np.isnan(p)).all())
 
 
 @dataclass(frozen=True, eq=False)

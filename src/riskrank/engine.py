@@ -72,8 +72,8 @@ their radius (``_same_text``) keeps the sums' values; any other is scored
 by paths on its dates alone.  So the rows have the path engine's text, but
 not always its bits.  The bound covers the arithmetic as modelled, not
 numpy's or BLAS's code, so the bytes are checked rather than proved:
-``scripts/check_sums_guard.py`` compares both engines' files on synth
-seeds 1-20, and the tests do on random networks.  Any input on which a
+``scripts/check_guards.py`` compares both engines' files on synth seeds
+1-20, and the tests do on random networks.  Any input on which a
 target could fail (a missing level, a root with out-links, a z that may
 be 0 where it fails, a negative, non-finite or very small or large value)
 goes whole to ``riskrank_series``, so that the error is its own.

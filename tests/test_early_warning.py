@@ -434,6 +434,22 @@ def test_a_warm_fit_at_the_iteration_cap_is_refit_cold(monkeypatch):
     assert len(recursive_backtest(panel, events, 5, 12, lag=1, start=start).refit) < len(fitted) - 1
 
 
+def test_a_text_test_that_keeps_nothing_refits_every_warm_quarter(monkeypatch):
+    # the backtest's text test is the k = 2 sums' own; one that keeps no
+    # probability's text sends every quarter after the first fit back to a
+    # cold fit, and the bytes are the cold backtest's
+    from riskrank.engine import _same_text
+    assert early_warning._same_text is _same_text
+    panel, events = synthetic_backtest_inputs()
+    monkeypatch.setattr(early_warning, "_same_text",
+                        lambda value, radius: np.zeros(value.shape, dtype=bool))
+    start = panel.quarters[20]
+    result = recursive_backtest(panel, events, 5, 12, lag=1, start=start)
+    fitted = sorted(result.training_end)
+    assert len(fitted) > 1 and result.refit == tuple(fitted[1:])
+    assert written(result) == written(oracle.recursive_backtest(panel, events, 5, 12, 1, start))
+
+
 def test_a_cold_refit_goes_through_fit_logit(monkeypatch):
     # a cap of 2 refits every warm quarter cold; each refit is one more
     # fit_logit call, so a wrapper around it (as the benchmark's tracer is)

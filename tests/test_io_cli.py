@@ -41,7 +41,7 @@ import oracle
 from conftest import random_snapshot
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from check_reader_routes import SPECS, contents, outcome  # noqa: E402
+from check_guards import SPECS, contents, outcome  # noqa: E402
 
 
 def small_snapshots():

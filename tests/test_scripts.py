@@ -1,6 +1,7 @@
 """The scripts in ``scripts/`` that compare the package with a reference."""
 
 import json
+import re
 import shlex
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import against_parent  # noqa: E402
+import check_guards  # noqa: E402
 
 COPIED = shutil.ignore_patterns("__pycache__", "_work", "_results")
 
@@ -56,6 +58,8 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypat
     control = next(tree for tree in caches if tree not in (a, b))
     assert order == [a, b, control] * 2
     assert not list(tmp_path.rglob("__pycache__"))
+    # the runs' results and inputs are not left in the trees named by --dirs
+    assert not [path for path in tmp_path.rglob("*") if {"_results", "_work"} & set(path.parts)]
     result = report["workloads"]["paths-k3"]
     assert result["correct"] is True
     names = ["run_s", "setup_s", "peak_rss_mb"]
@@ -94,6 +98,26 @@ def assert_is_control_of(control: Path, parent: Path):
     for name, path in theirs.items():
         extra = against_parent.CONTROL_LINE if name in modules else b""
         assert ours[name].read_bytes() == path.read_bytes() + extra, name
+
+
+def test_against_parent_removes_only_what_the_runs_add(tmp_path):
+    # a results file from before stays, with its directory; what a run adds
+    # goes, new directories too, in a tree with both output directories and
+    # in one with neither
+    a, b = tmp_path / "a", tmp_path / "b"
+    kept = a / "perfbench" / "_results" / "kept.json"
+    kept.parent.mkdir(parents=True)
+    kept.write_text("{}")
+    b.mkdir()
+    with against_parent.outputs_removed([a, b]):
+        for tree in (a, b):
+            for name in against_parent.OUTPUTS:
+                work = tree / name / "paths-k3-1"
+                work.mkdir(parents=True)
+                (work / "nodes.csv").write_text("")
+            (tree / "perfbench" / "_results" / "run.json").write_text("{}")
+    assert sorted(tmp_path.rglob("*")) == [a, a / "perfbench", kept.parent, kept,
+                                           b, b / "perfbench"]
 
 
 def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
@@ -168,3 +192,18 @@ def test_against_parent_diff_runs_the_ci_steps_commands():
             inputs.append((words[3].removeprefix("{s}/"), words[1] + "\n"))
     assert commands == [command.split() for command in against_parent.COMMANDS]
     assert inputs == list(against_parent.INPUTS.items())
+
+
+def test_check_guards_passes_on_one_seed(capsys):
+    # the CI guard check at one seed: no file differs, and the four totals
+    # count that seed's 107 backtest quarters, 18 files read and 20636
+    # scored cells
+    assert check_guards.main(range(7, 8)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert re.fullmatch(r"seed 7: \d+ of 107 quarters refit cold, 18 of 18 files read plain, "
+                        r"\d+ of 20636 cells rescored, \d+ would differ unguarded", lines[0])
+    assert re.fullmatch(r"\d+ of 107 quarters refit cold over seeds 7-7", lines[1])
+    assert lines[2] == "18 of 18 files took the plain route"
+    assert re.fullmatch(r"\d+ of 20636 cells would differ in their text unguarded", lines[3])
+    assert re.fullmatch(r"\d+ of 20636 cells rescored; 0 differing files", lines[4])
