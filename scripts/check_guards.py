@@ -17,11 +17,10 @@ what they need of it:
   block of its ``links.csv`` repeats the one before; for the two network
   specs the series is also written with the weights of a seeded half of
   the dates scaled (``links_scaled.csv``) and read with ``nodes.csv``, so
-  that blocks change too.  The backtest's ``probabilities.csv``, and for
-  the network specs the k = 2 scores of every entity under those
-  probabilities (``decompositions.csv``), are read as series.  A file that
-  the plain route reads must give the very series or panel of the row
-  route, arrays compared byte for byte;
+  that blocks change too.  The backtest's ``probabilities.csv`` is read as
+  a series (decomposition series have no plain route).  A file that the
+  plain route reads must give the very series or panel of the row route,
+  arrays compared byte for byte;
 * sums, on network-k2 and ``MORE_NETWORKS``: the series under the
   backtest's probabilities is scored at k = 2 in unit and shapley mode,
   with clamping on and off, at ``--targets all`` and ``root``, once by
@@ -75,7 +74,6 @@ READERS = (
     (io._plain_nodes_links, io._read_nodes_links_rows, ("nodes", "links_scaled")),
     (io._plain_indicators, io._read_indicators_rows, ("indicators",)),
     (io._plain_series, io._read_series_rows, ("probabilities",)),
-    (io._plain_series, io._read_series_rows, ("decompositions",)),
 )
 CONFIGS = [engine.RiskRankConfig(mode, clamp, 2)
            for mode, clamp in product(("unit", "shapley"), (True, False))]
@@ -199,8 +197,8 @@ def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[
         if (tmp / "cold.csv").read_bytes() != paths["probabilities"].read_bytes():
             differing.append("backtest probabilities.csv")
         counts.update(refit=len(result.refit), fitted=len(result.training_end))
-    series = io.read_nodes_links(paths["nodes"], paths["links"])
     if name in SUMS_NETWORKS:
+        series = io.read_nodes_links(paths["nodes"], paths["links"])
         cells = [(entity, quarter, p)
                  for entity, row in zip(result.entities, result.probabilities.tolist())
                  for quarter, p in zip(result.quarters, row) if p == p]
@@ -208,10 +206,6 @@ def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[
                       for case in check_sums(series.with_probabilities(cells), tmp, counts)]
     if name in READ_NETWORKS:
         write_scaled_links(paths, seed)
-        series = series.with_probabilities(io.read_series(paths["probabilities"]).cells)
-        paths["decompositions"] = paths["indicators"].with_name("decompositions.csv")
-        io.write_decompositions(paths["decompositions"], engine.riskrank_sums(
-            series, entities(series), io.RunConfig()))
     if name in SPECS:
         differing += [f"read {case}" for case in read_routes(paths, counts)]
     return differing

@@ -102,10 +102,13 @@ def cmd_validate(args) -> int:
         print(line)
     if violations:
         raise RiskRankError(f"hierarchy: {len(violations)} violations (first: {violations[0]})")
-    # only NoCapacityError can fail here: nonnegative masses are monotone
-    root = series.root()
-    for snap in series:
-        build_capacity(snap.network, root)
+    # only NoCapacityError can fail here: nonnegative masses are monotone.
+    # The root capacity reads only the weights: one date per distinct row
+    root, firsts = series.root(), {}
+    for d, weights in enumerate(series.W):
+        firsts.setdefault(weights.tobytes(), d)
+    for d in firsts.values():
+        build_capacity(series[d].network, root)
     print(f"ok: {len(series)} snapshots, hierarchy and capacities valid")
     return 0
 

@@ -81,7 +81,7 @@ goes whole to ``riskrank_series``, so that the error is its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
@@ -154,19 +154,22 @@ def _running_total(block: np.ndarray) -> np.ndarray:
 
 
 class _Scorer:
-    """A series' arrays as one ``riskrank_series`` call scores them.
+    """A series' arrays on the dates it scores (``dates``, indices into the
+    series; all of them by default), as one ``riskrank_series`` call scores
+    them.
 
     ``weights`` and ``risks`` are W.T and X.T with a trailing row of ones
     that padded path entries point at.
     """
 
-    def __init__(self, series: NetworkSeries):
+    def __init__(self, series: NetworkSeries, dates=slice(None)):
         self.series = series
         self.node_col = {nid: i for i, nid in enumerate(series.node_ids)}
         self.link_pos = series.link_table  # k_paths reads it for every target
-        ones = np.ones((1, len(series)))
-        self.weights = np.vstack([series.W.T, ones])
-        self.risks = np.vstack([series.X.T, ones])
+        self.exposure, self.known = series.exposure[dates], series.known[dates]
+        ones = np.ones((1, len(self.known)))
+        self.weights = np.vstack([series.W[dates].T, ones])
+        self.risks = np.vstack([series.X[dates].T, ones])
 
     def _self_mass(self, target: str) -> np.ndarray:
         """Self exposure per date, else the in-link weight total capped at one;
@@ -175,7 +178,7 @@ class _Scorer:
         inbound = np.delete(self.link_pos[:-1, col], col)
         inbound = inbound[inbound < len(self.series.link_keys)]
         fallback = np.minimum(_running_total(self.weights[inbound]), 1.0)
-        given = self.series.exposure[:, col]
+        given = self.exposure[:, col]
         return np.where(np.isnan(given), fallback, given)
 
     def score(self, target: str, cfg: RiskRankConfig) -> tuple[np.ndarray, ...]:
@@ -199,7 +202,7 @@ class _Scorer:
         scored = z > 0.0
 
         # Checks in the order the path operator makes them at every k.
-        known = self.series.known
+        known = self.known
         checks = []
         if is_root or shapley:
             what = "mass" if is_root else "mass or self exposure"
@@ -223,7 +226,7 @@ class _Scorer:
         indirect = np.where(scored, _running_total(share[n_direct:]), 0.0)
         own_level = self.risks[col]
         if is_root:
-            individual = np.zeros(len(self.series))
+            individual = np.zeros(len(known))
         elif shapley:
             individual = (self_mass / z) * own_level
         else:
@@ -402,10 +405,7 @@ def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
     flagged = ~_same_text(parts, radii).all(axis=0)
     if flagged.any():
         rows = np.flatnonzero(flagged.any(axis=1))
-        subset = replace(series, dates=tuple(series.dates[d] for d in rows), W=series.W[rows],
-                         X=series.X[rows], exposure=series.exposure[rows])
-        vars(subset).update(link_table=series.link_table)  # the same structure
-        scorer = _Scorer(subset)
+        scorer = _Scorer(series, rows)
         for j in np.flatnonzero(flagged.any(axis=0)).tolist():
             cells = flagged[rows, j]
             parts[:, rows[cells], j] = np.array(scorer.score(targets[j], cfg))[:, cells]

@@ -22,8 +22,10 @@ problems are reported at their file and line: a header problem at line 1, an
 empty file at line 2, a data-row problem at the line of the row read.  A
 JSON file (config or measure) that gives a key twice is refused.
 
-``nodes.csv`` with ``links.csv``, ``indicators.csv`` and the probability and
-decomposition series are first tried on a plain route, which reads
+``nodes.csv`` with ``links.csv``, ``indicators.csv`` and a probability
+series, read as an indicator file whose one column is ``p`` and kept only
+when every entity has a probability on every quarter, are first tried on a
+plain route (a decomposition series always takes the row route), which reads
 ``_CHUNK`` bytes at a time, cuts them into batches of whole lines, splits
 each batch into column slices and checks them in bulk.  A file is plain when
 it is ASCII without ``"``, blanks or control bytes in a cell, keeps one
@@ -250,16 +252,6 @@ def _plain_file(fh):
     return header, eol, _batches(iter(lambda: fh.read(_CHUNK), b""), eol)
 
 
-def _plain_columns(path):
-    """The header cells of a plain file, then the columns of each batch of
-    its lines, so that only one batch's cells live at once."""
-    with open(path, "rb") as fh:
-        header, eol, batches = _plain_file(fh)
-        yield header
-        for batch in batches:
-            yield _columns(batch, eol, len(header))
-
-
 def _floats(cells: list[str]) -> np.ndarray:
     """``float`` of each cell, as the row source converts it, NaN for an
     empty one; every other cell must be finite."""
@@ -461,17 +453,19 @@ def read_indicators(path) -> IndicatorPanel:
 
 
 def _plain_indicators(path) -> IndicatorPanel:
-    """``read_indicators`` of a plain file: each distinct entity and date text
-    gets a code as it comes, and each date text is parsed once."""
-    chunks = _plain_columns(path)
-    header = next(chunks)
-    names = tuple(header[2:])
-    _plain(header[:2] == ["entity", "date"] and names and len(set(names)) == len(names))
+    """``read_indicators`` of a plain file, one batch's cells at a time: each
+    distinct entity and date text gets a code as it comes, and each date text
+    is parsed once."""
     entities, dates, rows_e, rows_q, values = {}, {}, [], [], []
-    for columns in chunks:
-        rows_e += [entities.setdefault(e, len(entities)) for e in columns[0]]
-        rows_q += [dates.setdefault(d, len(dates)) for d in columns[1]]
-        values.append(np.column_stack([_floats(column) for column in columns[2:]]))
+    with open(path, "rb") as fh:
+        header, eol, batches = _plain_file(fh)
+        names = tuple(header[2:])
+        _plain(header[:2] == ["entity", "date"] and names and len(set(names)) == len(names))
+        for batch in batches:
+            columns = _columns(batch, eol, len(header))
+            rows_e += [entities.setdefault(e, len(entities)) for e in columns[0]]
+            rows_q += [dates.setdefault(d, len(dates)) for d in columns[1]]
+            values.append(np.column_stack([_floats(column) for column in columns[2:]]))
     quarters = [*map(quarter_index, dates)]
     order = sorted(entities), sorted(quarters)
     # each row's place in the panel; numpy orders NUL-free texts as Python does
@@ -590,31 +584,16 @@ def read_series(path) -> ProbSeries:
 
 
 def _plain_series(path) -> ProbSeries:
-    """``read_series`` of a plain file: each distinct entity and date text
-    gets a code as it comes, and each date text is parsed once."""
-    chunks = _plain_columns(path)
-    header = tuple(next(chunks))
-    _plain(header in SERIES_COLUMNS)
-    entity_at, date_at, p_at = map(header.index, SERIES_COLUMNS[header])
-    entities, dates, rows_e, rows_q, values = {}, {}, [], [], []
-    for columns in chunks:
-        rows_e += [entities.setdefault(e, len(entities)) for e in columns[entity_at]]
-        rows_q += [dates.setdefault(d, len(dates)) for d in columns[date_at]]
-        values.append(_floats(columns[p_at]))
-    p = np.concatenate(values)
-    quarters = [*map(quarter_index, dates)]
-    order = sorted(entities), sorted(set(quarters))
-    # each cell's place in (entity, quarter) order; numpy orders NUL-free
-    # texts as Python does
-    where = (np.searchsorted(order[0], [*entities])[rows_e] * len(order[1])
-             + np.searchsorted(order[1], quarters)[rows_q])
-    by_place = np.argsort(where)
-    _plain("" not in entities and ((p >= 0.0) & (p <= 1.0)).all()
-           and (np.diff(where[by_place]) > 0).all())
-    entity, quarter = np.divmod(where[by_place], len(order[1]))
+    """``read_series`` of a plain probability file that gives every entity a
+    probability on every quarter, read as an indicator file whose one column
+    is ``p``; the panel's cells come in (entity, quarter) order."""
+    panel = _plain_indicators(path)
+    p = panel.values.ravel()  # NaN where a cell is absent or empty
+    _plain(panel.indicator_names == ("p",) and ((p >= 0.0) & (p <= 1.0)).all())
+    quarters = len(panel.quarters)
     return ProbSeries(Path(path).stem, tuple(zip(
-        map(order[0].__getitem__, entity.tolist()), map(order[1].__getitem__, quarter.tolist()),
-        p[by_place].tolist())))
+        [entity for entity in panel.entities for _ in range(quarters)],
+        panel.quarters * len(panel.entities), p.tolist())))
 
 
 def _read_series_rows(path) -> ProbSeries:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskrank
-from riskrank import engine, io
+from riskrank import cli, engine, io
 from riskrank.cli import main
 from riskrank.early_warning import CrisisEvent, CrisisEvents, IndicatorPanel
 from riskrank.engine import RiskRankConfig
@@ -32,8 +33,9 @@ from riskrank.io import (
     write_indicators,
     write_links_csv,
     write_nodes_csv,
+    write_probabilities,
 )
-from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork
+from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
 from riskrank.quarters import quarter_index, quarter_label
 from riskrank.synth import SynthSpec, generate_synthetic
 
@@ -748,10 +750,11 @@ def test_reading_builds_no_snapshot_or_network(tmp_path, monkeypatch):
 
 
 def write_plain_inputs(directory, rng):
-    """nodes.csv, links.csv and indicators.csv as the writers write them: a
-    random structure on one to six dates, and a random panel with gaps.  On
-    some dates a file repeats the date before's rows, as synth's held
-    weights do, so that its date blocks repeat."""
+    """nodes.csv, links.csv, indicators.csv and probabilities.csv as the
+    writers write them: a random structure on one to six dates, a random
+    panel with gaps, and probabilities on a full grid or with gaps.  On some
+    dates a file repeats the date before's rows, as synth's held weights do,
+    so that its date blocks repeat."""
     base = NetworkSeries.from_snapshots([random_snapshot(
         rng, max_children=5, two_level=bool(rng.integers(2)))])
     dates, nodes = int(rng.integers(1, 7)), len(base.node_ids)
@@ -776,10 +779,19 @@ def write_plain_inputs(directory, rng):
     panel = IndicatorPanel(tuple(f"E{i:02d}" for i in range(len(values))),
                            tuple(range(first, first + values.shape[1])), values,
                            tuple(f"ind_{k}" for k in range(values.shape[2])))
-    paths = {name: directory / f"{name}.csv" for name in ("nodes", "links", "indicators")}
+    probabilities = rng.uniform(size=(int(rng.integers(1, 5)), int(rng.integers(1, 9))))
+    if rng.random() < 0.5:
+        probabilities[rng.random(probabilities.shape) < 0.2] = np.nan
+        probabilities[0, 0] = 0.5
+    backtest = SimpleNamespace(
+        entities=tuple(f"E{i:02d}" for i in range(len(probabilities))),
+        quarters=tuple(range(first, first + probabilities.shape[1])), probabilities=probabilities)
+    paths = {name: directory / f"{name}.csv"
+             for name in ("nodes", "links", "indicators", "probabilities")}
     write_nodes_csv(paths["nodes"], series)
     write_links_csv(paths["links"], series)
     write_indicators(paths["indicators"], panel)
+    write_probabilities(paths["probabilities"], backtest)
     return paths
 
 
@@ -829,24 +841,32 @@ def edit_text(text: str, rng) -> str:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9))
 def test_the_plain_route_reads_like_the_row_route(tmp_path_factory, seed):
-    # writer-shaped files take the plain route; after zero to three edits
-    # each reader gives what its row function gives, series or error.  Small
-    # chunks cut dates' runs and lines, and no line is longer than 64 bytes
+    # writer-shaped files take the plain route, but for probabilities with
+    # gaps; after zero to three edits each reader gives what its row function
+    # gives, series or error.  Small chunks cut dates' runs and lines, and no
+    # line is longer than 64 bytes
     rng = np.random.default_rng(seed)
     paths = write_plain_inputs(tmp_path_factory.mktemp("plain"), rng)
+    cells = [line.split(b",")[:2] for line in paths["probabilities"].read_bytes().splitlines()[1:]]
+    entities, dates = ({cell[j] for cell in cells} for j in (0, 1))
+    full_grid = len(cells) == len(entities) * len(dates)
     edits = int(rng.integers(4))
     for _ in range(edits):
-        path = paths[("nodes", "links", "indicators")[int(rng.integers(3))]]
+        path = paths[("nodes", "links", "indicators", "probabilities")[int(rng.integers(4))]]
         path.write_bytes(edit_text(path.read_bytes().decode("utf-8"), rng).encode("utf-8"))
     network, indicators = (paths["nodes"], paths["links"]), (paths["indicators"],)
+    probabilities = (paths["probabilities"],)
     with mock.patch.object(io, "_CHUNK", int(rng.choice([64, 256, io._CHUNK]))):
         assert outcome(read_nodes_links, *network) == outcome(io._read_nodes_links_rows,
                                                               *network)
         assert outcome(read_indicators, *indicators) == outcome(io._read_indicators_rows,
                                                                 *indicators)
+        assert outcome(read_series, *probabilities) == outcome(io._read_series_rows,
+                                                               *probabilities)
         if not edits:
             assert io._plain_route(io._plain_nodes_links, *network) is not None
             assert io._plain_route(io._plain_indicators, *indicators) is not None
+            assert (io._plain_route(io._plain_series, *probabilities) is not None) is full_grid
 
 
 def test_the_workload_inputs_are_read_without_the_row_route(tmp_path, monkeypatch):
@@ -1130,9 +1150,14 @@ DECOMP_LINE = "date,target,individual,direct,indirect,total_raw,total"
 # case -> (header, rows, whether the plain route reads them)
 SERIES_TRAPS = {
     "rows-in-any-order": (PROBS_LINE, ["B,2005-Q2,0.25", "A,2005-Q3,1e-3", "B,2005-Q1,1"],
-                          True),
+                          False),
+    "a-full-grid-in-any-order": (PROBS_LINE, ["B,2005-Q2,0.25", "A,2005-Q2,1e-3",
+                                              "B,2005-Q1,1", "A,2005-Q1,0"], True),
+    "a-full-grid-less-one-cell": (PROBS_LINE, ["B,2005-Q2,0.25", "A,2005-Q2,1e-3",
+                                               "B,2005-Q1,1"], False),
+    "a-fourth-column": ("entity,date,p,q", ["A,2005-Q1,0.5,0.5"], False),
     "a-decomposition-file": (DECOMP_LINE, ["2005-Q2,B,0.1,0.2,0,0.3,0.3",
-                                           "2005-Q1,B,0,0,0,0,0.5"], True),
+                                           "2005-Q1,B,0,0,0,0,0.5"], False),
     "a-repeated-cell": (PROBS_LINE, ["A,2005-Q1,0.5", "B,2005-Q1,0.1", "A,2005-Q1,0.7"], False),
     "an-empty-entity": (PROBS_LINE, ["A,2005-Q1,0.5", ",2005-Q2,0.1"], False),
     "an-empty-probability": (PROBS_LINE, ["A,2005-Q1,0.5", "A,2005-Q2,"], False),
@@ -1155,24 +1180,31 @@ def test_plain_route_series_traps_read_like_the_row_route(tmp_path, case):
 
 
 def test_workload_series_are_read_without_the_row_route(tmp_path, monkeypatch):
-    # the backtest's probabilities and the scores written from them, in
-    # chunks short enough to cut them into several batches
-    paths = generate_synthetic(replace(SPECS["network-k2"], seed=7), tmp_path)
-    probs, scores = tmp_path / "probabilities.csv", tmp_path / "riskrank.csv"
-    network = ["--nodes", str(paths["nodes"]), "--links", str(paths["links"])]
-    assert main(["backtest", "--indicators", str(paths["indicators"]), "--events",
-                 str(paths["events"]), "--out", str(probs)]) == 0
-    assert main(["riskrank", *network, "--probabilities", str(probs), "--targets", "all",
-                 "--out", str(scores)]) == 0
-    expected = {path: contents(io._read_series_rows(path)) for path in (probs, scores)}
+    # the backtest's probabilities of both workloads that read them, in
+    # chunks short enough to cut them into several batches; the scores
+    # written from network-k2's, a decomposition file, take the row route
+    probs = {}
+    for name in ("network-k2", "early-warning"):
+        paths = generate_synthetic(replace(SPECS[name], seed=7), tmp_path / name)
+        probs[name] = tmp_path / name / "probabilities.csv"
+        assert main(["backtest", "--indicators", str(paths["indicators"]), "--events",
+                     str(paths["events"]), "--out", str(probs[name])]) == 0
+    scores = tmp_path / "riskrank.csv"
+    assert main(["riskrank", "--nodes", str(tmp_path / "network-k2" / "nodes.csv"),
+                 "--links", str(tmp_path / "network-k2" / "links.csv"), "--probabilities",
+                 str(probs["network-k2"]), "--targets", "all", "--out", str(scores)]) == 0
+    expected = {path: contents(io._read_series_rows(path)) for path in (*probs.values(), scores)}
+    row_route, rows_read = io._read_series_rows, []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the row route ran")
+    def record(path):
+        rows_read.append(path)
+        return row_route(path)
 
-    monkeypatch.setattr(io, "_read_series_rows", refuse)
+    monkeypatch.setattr(io, "_read_series_rows", record)
     monkeypatch.setattr(io, "_CHUNK", 4096)
     for path, series in expected.items():
         assert contents(read_series(path)) == series
+    assert rows_read == [scores]
 
 
 # ------------------------------------------------------------- synthesis
@@ -1255,6 +1287,49 @@ def test_cli_validate_and_riskrank_agree_on_a_root_without_in_links(tmp_path, ca
         assert main(["riskrank", *network, "--targets", "root", "--k", k,
                      "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err == line
+
+
+# case -> (weight rows over link keys A->S, B->A, B->S; the root capacities
+# validate builds before it stops)
+VALIDATE_WEIGHTS = {
+    "repeated-rows": ([[0.6, 0.5, 0.4], [0.6, 0.5, 0.4], [0.3, 0.5, 0.4], [0.6, 0.5, 0.4]], 2),
+    "a-later-row-without-root-mass": (
+        [[0.6, 0.5, 0.4], [0.6, 0.5, 0.4], [0.0, 0.5, 0.0], [0.6, 0.5, 0.4]], 2),
+    "signed-zeros": ([[0.0, 0.5, 0.4], [-0.0, 0.5, 0.4], [0.0, 0.5, 0.4], [0.0, -0.0, 0.4]], 3),
+    "signed-zeros-without-root-mass": ([[-0.0, 0.5, 0.0], [0.0, 0.5, -0.0]], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_WEIGHTS))
+def test_cli_validate_builds_one_root_capacity_per_weight_row(tmp_path, capsys, monkeypatch,
+                                                             case):
+    # validate's exit code and lines are those of a root capacity built on
+    # every date, and each distinct row of weights (in bits) is built once
+    rows, builds = VALIDATE_WEIGHTS[case]
+    base = small_snapshots()
+    W = np.array(rows)
+    series = replace(base, dates=tuple(range(base.dates[0], base.dates[0] + len(W))), W=W,
+                     X=np.repeat(base.X[:1], len(W), axis=0),
+                     exposure=np.repeat(base.exposure[:1], len(W), axis=0))
+    try:
+        for snapshot in series:
+            build_capacity(snapshot.network, series.root())
+        expected = 0, f"ok: {len(W)} snapshots, hierarchy and capacities valid\n", ""
+    except RiskRankError as exc:
+        expected = 1, "", cli._diagnostic(exc) + "\n"
+    write_nodes_csv(tmp_path / "nodes.csv", series)
+    write_links_csv(tmp_path / "links.csv", series)
+    built = []
+
+    def counted(net, target):
+        built.append(np.array([net.links[key] for key in net.link_keys]).tobytes())
+        return build_capacity(net, target)
+
+    monkeypatch.setattr(cli, "build_capacity", counted)
+    code = main(["validate", "--nodes", str(tmp_path / "nodes.csv"),
+                 "--links", str(tmp_path / "links.csv")])
+    assert (code, *capsys.readouterr()) == expected
+    assert len(built) == len(set(built)) == builds
 
 
 def test_cli_shapley_on_synth_needs_an_in_link_or_self_exposure_per_target(tmp_path, capsys):
