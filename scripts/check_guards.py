@@ -24,9 +24,10 @@ what they need of it:
 * sums, on network-k2 and ``MORE_NETWORKS``: the series under the
   backtest's probabilities is scored at k = 2 in unit and shapley mode,
   with clamping on and off, at ``--targets all`` and ``root``, once by
-  ``riskrank_sums`` and once by ``riskrank_series``, the path engine.  Each
-  pair of ``decompositions`` files must be the same bytes, and where the
-  path engine fails, the sums must fail with its error.
+  ``riskrank_series``, the scorer, which runs the k = 2 sums under their
+  text guard, and once by ``engine._by_paths``, the path engine alone.
+  Each pair of ``decompositions`` files must be the same bytes, and where
+  the path engine fails, the scorer must fail with its error.
 
 Prints one line per seed, then four totals: the quarters refit cold, the
 files the plain route read, the cells whose text would differ with the
@@ -135,7 +136,7 @@ def read_routes(paths, counts: Counter) -> list[str]:
 
 @contextmanager
 def guard_off():
-    """``riskrank_sums`` keeps every cell's sums, whatever their text."""
+    """``riskrank_series`` keeps every cell's sums, whatever their text."""
     same_text = engine._same_text
     engine._same_text = lambda value, radius: np.ones(value.shape, dtype=bool)
     try:
@@ -172,11 +173,11 @@ def check_sums(series, tmp: Path, counts: Counter) -> list[str]:
         counts["cells"] += cells
         # scored whole by paths where the sums do not apply: every cell rescored
         counts["rescored"] += cells if sums is None else int(sums[1].sum())
-        by_paths = scored(engine.riskrank_series, series, targets, cfg, tmp / "paths.csv")
-        if scored(engine.riskrank_sums, series, targets, cfg, tmp / "sums.csv")[0] != by_paths[0]:
+        by_paths = scored(engine._by_paths, series, targets, cfg, tmp / "paths.csv")
+        if scored(engine.riskrank_series, series, targets, cfg, tmp / "sums.csv")[0] != by_paths[0]:
             differing.append(f"{cfg} --targets {selector}")
         with guard_off():
-            bare = scored(engine.riskrank_sums, series, targets, cfg, tmp / "bare.csv")
+            bare = scored(engine.riskrank_series, series, targets, cfg, tmp / "bare.csv")
         if isinstance(by_paths[0], bytes):  # rows, not an error
             counts["unguarded"] += len({i // 5 for i, (a, b) in
                                         enumerate(zip(bare[1], by_paths[1])) if a != b})

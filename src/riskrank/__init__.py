@@ -32,7 +32,6 @@ from .engine import (
     RiskRankConfig,
     riskrank_for,
     riskrank_series,
-    riskrank_sums,
 )
 from .errors import (
     DegenerateFitError,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import benchmarks
 from .capacity import FuzzyMeasure, interaction_index, shapley, validate_measure
 from .early_warning import label_cells, recursive_backtest
-from .engine import riskrank_sums
+from .engine import riskrank_series
 from .errors import RiskRankError
 from .evaluation import evaluate_series
 from .io import (
@@ -137,8 +138,9 @@ def cmd_score(args) -> int:
     if cfg.probabilities:
         series = series.with_probabilities(read_series(cfg.probabilities).cells)
     targets = _resolve_targets(args.targets, series)
-    rows = riskrank_sums(series, targets, cfg)
-    args.write(args.out, rows)
+    rows = riskrank_series(series, targets, cfg)
+    write = write_decompositions if args.command == "riskrank" else write_series_long
+    write(args.out, rows)
     print(f"wrote {len(rows)} {args.written} to {args.out}")
     return 0
 
@@ -233,18 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.add_argument("--indicators")
     p.add_argument("--events")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(handler="cmd_validate")
 
     p = sub.add_parser("shapley", help="print importance and interactions of a measure file")
     p.add_argument("--measure", required=True, help="JSON measure file")
-    p.set_defaults(func=cmd_shapley)
+    p.set_defaults(handler="cmd_shapley")
 
     p = sub.add_parser("riskrank", help="compute decompositions for targets over snapshots")
     _add_config_flag(p)
     _add_network_flags(p)
     _add_engine_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score, write=write_decompositions, written="decompositions")
+    p.set_defaults(handler="cmd_score", written="decompositions")
 
     p = sub.add_parser("backtest", help="recursive out-of-sample crisis probabilities")
     _add_config_flag(p)
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int)
     p.add_argument("--start", help="first evaluation quarter, YYYY-Qn")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_backtest)
+    p.set_defaults(handler="cmd_backtest")
 
     p = sub.add_parser("evaluate", help="usefulness and metric tables for probability series")
     _add_config_flag(p)
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="eval_report.csv")
     p.add_argument("--table2-fixture", action="store_true", dest="table2_fixture",
                    help="run the built-in benchmark reconstruction and exit")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(handler="cmd_evaluate")
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic input set")
     _add_config_flag(p)
@@ -279,24 +281,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crisis-intensity", type=float, default=1.5)
     p.add_argument("--density", type=float, default=0.6)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(handler="cmd_synth")
 
     p = sub.add_parser("report", help="emit decomposition time series for plotting")
     _add_config_flag(p)
     _add_network_flags(p)
     _add_engine_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score, write=write_series_long,
-                   written="decompositions (long form)")
+    p.set_defaults(handler="cmd_score", written="decompositions (long form)")
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # named, not held: a handler (or a writer) replaced here is the one called
+        return globals()[args.handler](args)
     except (RiskRankError, ValueError, OSError) as exc:
         print(_diagnostic(exc), file=sys.stderr)
         return 1

@@ -50,10 +50,10 @@ the other totals over paths add in order along the slow axis of a paths x
 dates block, except a one-date block, whose path axis numpy would sum
 pairwise and which therefore goes through ``cumsum``.
 
-At k = 2, ``riskrank_sums`` (what ``riskrank`` and ``report`` run there)
-scores without paths.  Let A be the dates x nodes x nodes weights with
-self-links zeroed, y the risk levels, a_j = w(j -> t) and S = A'y.  The
-two-step paths into t are the pairs j -> i -> t with j not t, so
+``riskrank_series``, the one scorer, at k = 2 first scores without paths.
+Let A be the dates x nodes x nodes weights with self-links zeroed, y the
+risk levels, a_j = w(j -> t) and S = A'y.  The two-step paths into t are
+the pairs j -> i -> t with j not t, so
 
     L1 = sum_j a_j y_j,    L2 = sum_i a_i y_i (S_i - w(t -> i) y_t),
 
@@ -68,15 +68,16 @@ magnitudes L2a + L2b of a difference, through the quotient L / z with z
 bounded below, to the path engine's: products of up to four factors, z
 summed pairwise (``_pairwise_depth``), the shares of n1 and n2 paths added
 in order.  A cell whose numbers all keep their ``"%.10g"`` text across
-their radius (``_same_text``) keeps the sums' values; any other is scored
-by paths on its dates alone.  So the rows have the path engine's text, but
-not always its bits.  The bound covers the arithmetic as modelled, not
-numpy's or BLAS's code, so the bytes are checked rather than proved:
-``scripts/check_guards.py`` compares both engines' files on synth seeds
-1-20, and the tests do on random networks.  Any input on which a
-target could fail (a missing level, a root with out-links, a z that may
-be 0 where it fails, a negative, non-finite or very small or large value)
-goes whole to ``riskrank_series``, so that the error is its own.
+their radius (``_same_text``) keeps the sums' values; the path engine,
+``_by_paths``, rescores any other on its dates alone.  So the rows have
+its text, but not always its bits.  The bound covers the arithmetic as
+modelled, not numpy's or BLAS's code, so the bytes are checked rather than
+proved: ``scripts/check_guards.py`` compares the scorer's files with the
+path engine's on synth seeds 1-20, and the tests do on random networks.
+At any other k, and on any input on which a target could fail (a missing
+level, a root with out-links, a z that may be 0 where it fails, a
+negative, non-finite or very small or large value), the path engine
+scores every cell, so that the error is its own.
 """
 
 from __future__ import annotations
@@ -154,9 +155,8 @@ def _running_total(block: np.ndarray) -> np.ndarray:
 
 
 class _Scorer:
-    """A series' arrays on the dates it scores (``dates``, indices into the
-    series; all of them by default), as one ``riskrank_series`` call scores
-    them.
+    """A series' arrays on the dates the path engine scores (``dates``,
+    indices into the series; all of them by default).
 
     ``weights`` and ``risks`` are W.T and X.T with a trailing row of ones
     that padded path entries point at.
@@ -248,24 +248,6 @@ def _rows(dates, targets: list[str], parts) -> list[SeriesRow]:
                     zip([date for date in dates for _ in targets], names, decompositions)))
 
 
-def riskrank_series(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
-    """One decomposition per (date, target) of a NetworkSeries, dates taken
-    in order.  A failure is reported for the first failing (date, target) pair.
-    """
-    targets = list(targets)
-    scorer = _Scorer(series)
-    scored, failures = [], []
-    for j, target in enumerate(targets):
-        try:
-            scored.append(scorer.score(target, cfg))
-        except _Failure as failure:
-            date_index, error = failure.args
-            failures.append((date_index, j, error))
-    if failures:
-        raise min(failures, key=lambda f: f[:2])[2]
-    return _rows(series.dates, targets, [np.stack(part, axis=1) for part in zip(*scored)])
-
-
 _U = 2.0 ** -53  # the unit roundoff of float64
 _SLACK = 1.0 + 2.0 ** -20  # covers the rounding of the radii and the magnitudes they read
 _RANGE = 2.0 ** -120, 2.0 ** 120  # nonzero inputs: no product or quotient leaves the normals
@@ -322,10 +304,10 @@ def _same_text(value: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 
 def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
-    """The five parts of ``riskrank_series``, stacked as 5 x dates x targets,
-    from the k = 2 sums, and the dates x targets cells whose text the guard
-    could not keep, which are rescored by paths; None where the sums do not
-    apply or a target could fail."""
+    """The five parts of the scores, stacked as 5 x dates x targets, from the
+    k = 2 sums, and the dates x targets cells whose text the guard could not
+    keep, for the path engine to rescore; None where the sums do not apply or
+    a target could fail."""
     col = {nid: i for i, nid in enumerate(series.node_ids)}
     c = np.array([col.get(target, -1) for target in targets], dtype=np.intp)
     n, dates = len(col), len(series)
@@ -402,29 +384,38 @@ def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
     r_raw = r_parts + 2 * _gamma(2) * (total_raw + r_parts)
     parts = np.stack([individual, direct, indirect, total_raw, total])
     radii = np.stack([r_own, r_direct, r_indirect, r_raw, r_raw]) * _SLACK
-    flagged = ~_same_text(parts, radii).all(axis=0)
-    if flagged.any():
-        rows = np.flatnonzero(flagged.any(axis=1))
-        scorer = _Scorer(series, rows)
-        for j in np.flatnonzero(flagged.any(axis=0)).tolist():
-            cells = flagged[rows, j]
-            parts[:, rows[cells], j] = np.array(scorer.score(targets[j], cfg))[:, cells]
-    return parts, flagged
+    return parts, ~_same_text(parts, radii).all(axis=0)
 
 
-def riskrank_sums(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
-    """``riskrank_series`` at k = 2 from the capacity's closed-form sums: the
-    same rows, each number with the path engine's ``"%.10g"`` text.
-
-    Cells whose text the error bound cannot keep are rescored by paths on
-    their dates alone; any input on which a target could fail, and any k but
-    2, is scored whole by ``riskrank_series``, so that its error is raised.
+def _by_paths(series, targets: list[str], cfg: RiskRankConfig, sums=None) -> list[SeriesRow]:
+    """The path engine: the rows of every (date, target) cell scored by paths,
+    or, given ``_sums``' parts and flags, the sums' rows with the flagged cells
+    rescored on their dates alone.  A failure is reported for the first
+    failing (date, target) pair.
     """
+    shape = len(series), len(targets)
+    parts, flagged = sums or (np.empty((5,) + shape), np.ones(shape, dtype=bool))
+    dates = np.flatnonzero(flagged.any(axis=1))
+    scorer, failures = _Scorer(series, dates), []
+    for j in np.flatnonzero(flagged.any(axis=0)).tolist():
+        cells = flagged[dates, j]
+        try:
+            parts[:, dates[cells], j] = np.array(scorer.score(targets[j], cfg))[:, cells]
+        except _Failure as failure:
+            date_index, error = failure.args
+            failures.append((dates[date_index], j, error))
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    return _rows(series.dates, targets, parts)
+
+
+def riskrank_series(series, targets, cfg: RiskRankConfig = RiskRankConfig()) -> list[SeriesRow]:
+    """One decomposition per (date, target) of a NetworkSeries, dates taken
+    in order, each number with the path engine's ``"%.10g"`` text: at k = 2
+    from the sums where their error bound keeps it, else by paths.  A failure
+    is reported for the first failing (date, target) pair, as by paths."""
     targets = list(targets)
-    scored = _sums(series, targets, cfg)
-    if scored is None:
-        return riskrank_series(series, targets, cfg)
-    return _rows(series.dates, targets, scored[0])
+    return _by_paths(series, targets, cfg, _sums(series, targets, cfg))
 
 
 def riskrank_for(snapshot: NetworkSnapshot, target: str,

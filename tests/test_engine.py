@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskrank import engine
-from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series, riskrank_sums
+from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series
 from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
 from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
 
@@ -444,9 +444,9 @@ def relabeled(snap, names):
 @given(st.integers(0, 10**9), st.sampled_from([1, 2, 3]),
        st.sampled_from(["unit", "shapley"]), st.booleans())
 def test_series_equals_path_oracle_exactly(seed, k, mode, clamp):
-    """Products and sums run in the path operator's order, so the two agree
-    bit for bit.  Ids are shuffled so that any node, not only the root,
-    may sort last and sit next to the padding."""
+    """The path engine runs products and sums in the path operator's order,
+    so the two agree bit for bit.  Ids are shuffled so that any node, not
+    only the root, may sort last and sit next to the padding."""
     rng = np.random.default_rng(seed)
     snaps = changing_series(rng, int(rng.integers(1, 4)))
     ids = sorted(snaps[0].network.nodes)
@@ -458,7 +458,7 @@ def test_series_equals_path_oracle_exactly(seed, k, mode, clamp):
         expected = [riskrank_kpath(snap, t, cfg) for snap in snaps for t in targets]
     except (RiskRankError, ValueError):
         return  # failures are compared by the test above
-    rows = riskrank_series(NetworkSeries.from_snapshots(snaps), targets, cfg)
+    rows = engine._by_paths(NetworkSeries.from_snapshots(snaps), targets, cfg)
     assert [row.decomposition for row in rows] == expected
 
 
@@ -543,8 +543,8 @@ def test_sums_give_the_path_engines_text(seed, mode, clamp):
     chosen = rng.permutation(series.node_ids)[:int(rng.integers(1, len(ids) + 1))]
     targets = [str(t) for t in chosen]
     cfg = RiskRankConfig(mode, clamp, 2)
-    assert scored(riskrank_sums, series, targets, cfg) == \
-        scored(riskrank_series, series, targets, cfg)
+    assert scored(riskrank_series, series, targets, cfg) == \
+        scored(engine._by_paths, series, targets, cfg)
 
 
 def sums_series(seed):
@@ -570,7 +570,7 @@ def test_sums_rescore_every_flagged_cell_by_paths(monkeypatch, seed, cfg):
 
     def bits(rows):
         return [(row.date, row.target, *map(float.hex, row.decomposition[1:])) for row in rows]
-    assert bits(riskrank_sums(series, targets, cfg)) == bits(riskrank_series(series, targets, cfg))
+    assert bits(riskrank_series(series, targets, cfg)) == bits(engine._by_paths(series, targets, cfg))
 
 
 def test_sums_fall_back_where_a_target_could_fail():
@@ -587,13 +587,13 @@ def test_sums_fall_back_where_a_target_could_fail():
     assert engine._sums(series, targets + ["GHOST"], UNIT) is None
     assert engine._sums(series, targets, RiskRankConfig(max_path_length=3)) is None
     with pytest.raises(ValueError, match="unknown node 'GHOST'"):
-        riskrank_sums(series, ["GHOST"], UNIT)
+        riskrank_series(series, ["GHOST"], UNIT)
     # the root's level is read on a path from it
     looped_root = NetworkSeries.from_snapshots([NetworkSnapshot(0, RiskNetwork.build(
         [Node("S", 0), Node("A", 1, "S", 0.5)], [("A", "S", 0.5), ("S", "A", 0.5)]))])
     assert engine._sums(looped_root, ["A"], UNIT) is None
     with pytest.raises(ValueError, match="node 'S' carries no risk value"):
-        riskrank_sums(looped_root, ["A"], UNIT)
+        riskrank_series(looped_root, ["A"], UNIT)
 
 
 def test_text_check_at_powers_of_ten_one_zero_and_tiny_values():

@@ -43,7 +43,9 @@ import oracle
 from conftest import random_snapshot
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from check_guards import SPECS, contents, outcome  # noqa: E402
+from tracer import Tracer  # noqa: E402
 
 
 def small_snapshots():
@@ -198,24 +200,31 @@ def read_network(directory):
     return read_nodes_links(directory / "nodes.csv", directory / "links.csv")
 
 
-# format -> (file name, header, a valid data row, reader of the directory)
+# format -> (file name, header, a valid data row, reader of the directory,
+# the error for a first line of the cells {})
 FORMATS = {
-    "nodes": ("nodes.csv", ",".join(NODES_HEADER), "2005-Q1,S,0,,,", read_network),
-    "links": ("links.csv", ",".join(LINKS_HEADER), "2005-Q1,A,S,0.6", read_network),
+    "nodes": ("nodes.csv", ",".join(NODES_HEADER), "2005-Q1,S,0,,,", read_network,
+              "header {} != expected "
+              "['date', 'node_id', 'level', 'parent_id', 'risk_value', 'self_exposure']"),
+    "links": ("links.csv", ",".join(LINKS_HEADER), "2005-Q1,A,S,0.6", read_network,
+              "header {} != expected ['date', 'source_id', 'target_id', 'weight']"),
     "indicators": ("indicators.csv", "entity,date,ind_1,ind_2", "A,2005-Q1,0.5,",
-                   lambda d: read_indicators(d / "indicators.csv")),
+                   lambda d: read_indicators(d / "indicators.csv"),
+                   "header must be entity,date,ind_1,..."),
     "events": ("events.csv", "entity,crisis_start,crisis_end", "A,2008-Q1,2008-Q4",
-               lambda d: read_events(d / "events.csv")),
+               lambda d: read_events(d / "events.csv"),
+               "header {} != expected ['entity', 'crisis_start', 'crisis_end']"),
     "probabilities": ("p.csv", "entity,date,p", "A,2005-Q1,0.5",
-                      lambda d: read_series(d / "p.csv")),
+                      lambda d: read_series(d / "p.csv"), "unrecognized series header {}"),
     "decompositions": ("rr.csv", "date,target,individual,direct,indirect,total_raw,total",
-                       "2005-Q1,A,0.1,0.2,0,0.3,0.3", lambda d: read_series(d / "rr.csv")),
+                       "2005-Q1,A,0.1,0.2,0,0.3,0.3", lambda d: read_series(d / "rr.csv"),
+                       "unrecognized series header {}"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FORMATS))
 def test_every_format_checks_header_and_row_length(tmp_path, kind):
-    name, header, valid, reader = FORMATS[kind]
+    name, header, valid, reader, header_error = FORMATS[kind]
     (tmp_path / "nodes.csv").write_text(NODES_CSV_HEAD + "2005-Q1,A,1,S,0.5,\n")
     (tmp_path / "links.csv").write_text(",".join(LINKS_HEADER) + "\n2005-Q1,A,S,0.6\n")
     width = len(header.split(","))
@@ -229,6 +238,12 @@ def test_every_format_checks_header_and_row_length(tmp_path, kind):
     with pytest.raises(SchemaError, match="header") as err:
         reader(tmp_path)
     assert err.value.line == 1
+    # a blank first line, or one holding a space, is read as the header
+    for first, cells in (("", []), (" ", [" "])):
+        (tmp_path / name).write_text(f"{first}\n{header}\n{valid}\n")
+        with pytest.raises(SchemaError) as err:
+            reader(tmp_path)
+        assert str(err.value) == f"{tmp_path / name}:1: {header_error.format(cells)}"
 
 
 # format -> (a bad data row, its message)
@@ -243,7 +258,7 @@ BAD_ROW_AFTER_BLANKS = {
 
 @pytest.mark.parametrize("kind", sorted(BAD_ROW_AFTER_BLANKS))
 def test_line_numbers_count_blank_lines(tmp_path, kind):
-    name, header, valid, reader = FORMATS[kind]
+    name, header, valid, reader, _ = FORMATS[kind]
     bad_row, message = BAD_ROW_AFTER_BLANKS[kind]
     (tmp_path / "nodes.csv").write_text(NODES_CSV_HEAD + "2005-Q1,A,1,S,0.5,\n")
     (tmp_path / "links.csv").write_text(",".join(LINKS_HEADER) + "\n2005-Q1,A,S,0.6\n")
@@ -276,7 +291,7 @@ BAD_CELLS = {
 @pytest.mark.parametrize("case", sorted(BAD_CELLS))
 def test_cell_rules_fail_at_their_line(tmp_path, case):
     kind, bad_rows, line, message = BAD_CELLS[case]
-    name, header, valid, reader = FORMATS[kind]
+    name, header, valid, reader, _ = FORMATS[kind]
     (tmp_path / name).write_text("\n".join([header, valid, *bad_rows]) + "\n")
     with pytest.raises(SchemaError) as err:
         reader(tmp_path)
@@ -1699,6 +1714,57 @@ def test_cli_report_long_form(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "date,target,component,value"
     assert len(lines) == 1 + 76 * 4
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    assert main(["evaluate", "--table2-fixture"]) == 0
+
+    def refused():
+        raise AssertionError("the parser is built again")
+    monkeypatch.setattr(cli, "build_parser", refused)
+    assert main(["evaluate", "--table2-fixture"]) == 0
+    assert capsys.readouterr().out == TABLE2_FIXTURE * 2
+
+
+@pytest.mark.parametrize("command, writer", [("riskrank", "write_decompositions"),
+                                             ("report", "write_series_long")])
+def test_cli_calls_the_handler_and_writer_it_holds_now(tmp_path, monkeypatch, capsys,
+                                                       command, writer):
+    """Handlers and writers are looked up in ``cli`` at call time, so one
+    replaced after the parser is built is the one called."""
+    main(["evaluate", "--table2-fixture"])
+    series = small_snapshots()
+    write_nodes_csv(tmp_path / "nodes.csv", series)
+    write_links_csv(tmp_path / "links.csv", series)
+    argv = [command, "--nodes", str(tmp_path / "nodes.csv"), "--links",
+            str(tmp_path / "links.csv"), "--targets", "all", "--out", str(tmp_path / "out.csv")]
+    calls = []
+    monkeypatch.setattr(cli, writer, lambda path, rows: calls.append((writer, len(rows))))
+    assert main(argv) == 0
+    assert calls == [(writer, 4)] and not (tmp_path / "out.csv").exists()
+    monkeypatch.setattr(cli, "cmd_score", lambda args: calls.append(args.command) or 3)
+    assert main(argv) == 3
+    assert calls[-1] == command
+
+
+def test_traced_scoring_counts_every_row_written(tmp_path, capsys):
+    """The benchmark's tracer counts the rows of ``riskrank_series`` at the
+    default k, and the totals above one, which the engine clamps."""
+    data, out = tmp_path / "data", tmp_path / "rr.csv"
+    main(["synth", "--outdir", str(data), "--entities", "5", "--seed", "3"])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = main(["riskrank", "--nodes", str(data / "nodes.csv"), "--links",
+                     str(data / "links.csv"), "--targets", "all", "--out", str(out)])
+    finally:
+        trace = tracer.uninstall()
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    above_one = sum(float(row[5]) > 1.0 for row in rows)
+    assert above_one > 0
+    assert trace.counter("engine.decompositions") == len(rows)
+    assert trace.counter("engine.clamped") == above_one
 
 
 # (nodes, links, flags, stderr line); each line is the same at every path
