@@ -5,6 +5,7 @@
     python scripts/against_parent.py bench --dirs PARENT_DIR HEAD_DIR --out bench.json
     python scripts/against_parent.py diff
     python scripts/against_parent.py diff --dirs PARENT_DIR HEAD_DIR
+    python scripts/against_parent.py trajectory
 
 ``bench`` checks out the parent (``--parent``, default ``HEAD~1``) and HEAD
 into a temporary directory with ``git worktree add``, so that both sides are
@@ -41,6 +42,14 @@ calls its tree's ``riskrank.cli.main(argv)`` for each command.  It prints
 every command whose exit code, stdout, stderr or output-file sha256
 differs between the sides, each side's temporary directory read as
 ``{s}``, then the count, and exits 1 if any command differs.
+
+``trajectory`` reads every ``BENCH_*.json`` at the top of the repository,
+in the order of their numbers, and prints one row per file and workload: the
+HEAD/parent ratio of the medians of each end-to-end metric of
+``BENCHMARK.json``, with the rounds HEAD won, and the control's ratio and
+wins where the file has a control side.  A row is keyed by the revisions the
+file compared; a file whose revisions are unknown by its trees' sha256s,
+and one with neither by its name.  A file that lacks a field fails.
 """
 
 from __future__ import annotations
@@ -315,6 +324,42 @@ def diff(trees: dict[str, Path]) -> list[tuple[str, list[str]]]:
             if parent != head]
 
 
+def bench_key(path: Path, report: dict) -> str:
+    """The parent and HEAD a bench file compared: their revisions, else the
+    sha256 prefixes of their trees, else the file's name."""
+    revisions = report["revisions"]
+    if "unknown" not in (revisions["parent"], revisions["head"]):
+        return f"{revisions['parent'][:7]}..{revisions['head'][:7]}"
+    if "trees" in report:
+        return f"trees {report['trees']['parent'][:8]}..{report['trees']['head'][:8]}"
+    return path.name
+
+
+def trajectory(paths, metrics: list[str]) -> list[str]:
+    """One row per bench file of ``paths`` and workload: per metric of
+    ``metrics``, HEAD's median over the parent's and the rounds HEAD won,
+    and the control's where the file has one."""
+    rows = []
+    for path in paths:
+        try:
+            report = json.loads(path.read_text(encoding="utf-8"))
+            key, pairs = bench_key(path, report), report["pairs"]
+            for workload, result in report["workloads"].items():
+                cells = []
+                for name in metrics:
+                    parent = result["parent"][name]["median"]
+                    cell = (f"{name} {result['head'][name]['median'] / parent:.3f}"
+                            f" won {result['head_won'][name]}/{pairs}")
+                    if "control" in result:
+                        cell += (f" (control {result['control'][name]['median'] / parent:.3f}"
+                                 f" won {result['control_won'][name]}/{pairs})")
+                    cells.append(cell)
+                rows.append(f"{path.name} {key} {workload}: " + "; ".join(cells))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path.name}: not a bench file: {exc!r}") from exc
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sides = argparse.ArgumentParser(add_help=False)
@@ -329,8 +374,16 @@ def main(argv=None) -> int:
     cmd.add_argument("--seconds", type=float, default=4.0)
     cmd.add_argument("--seed", type=int, default=7)
     sub.add_parser("diff", parents=[sides], help="the CI step's commands, byte for byte")
+    sub.add_parser("trajectory", help="HEAD/parent ratios of every BENCH_*.json")
     args = parser.parse_args(argv)
 
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.mode == "trajectory":
+        files = sorted(ROOT.glob("BENCH_*.json"),
+                       key=lambda path: int(path.stem.removeprefix("BENCH_")))
+        for row in trajectory(files, [m["name"] for m in spec["end_to_end"]]):
+            print(row)
+        return 0
     revisions = None if args.dirs else {"parent": git("rev-parse", args.parent),
                                         "head": git("rev-parse", "HEAD")}
     checkout = worktrees(revisions) if revisions else nullcontext(dict(zip(SIDES, args.dirs)))
@@ -341,7 +394,6 @@ def main(argv=None) -> int:
                 print(f"differs: riskrank {command}: {', '.join(what)}")
             print(f"{len(differing)} of {len(COMMANDS)} commands differ")
             return 1 if differing else 0
-        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
         with (tempfile.TemporaryDirectory(prefix="against_parent-") as cache,
               outputs_removed([tree.resolve() for tree in trees.values()])):

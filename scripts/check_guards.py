@@ -199,12 +199,9 @@ def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[
             differing.append("backtest probabilities.csv")
         counts.update(refit=len(result.refit), fitted=len(result.training_end))
     if name in SUMS_NETWORKS:
-        series = io.read_nodes_links(paths["nodes"], paths["links"])
-        cells = [(entity, quarter, p)
-                 for entity, row in zip(result.entities, result.probabilities.tolist())
-                 for quarter, p in zip(result.quarters, row) if p == p]
-        differing += [f"sums {case}"
-                      for case in check_sums(series.with_probabilities(cells), tmp, counts)]
+        series = io.read_nodes_links(paths["nodes"], paths["links"]).with_probabilities(
+            result.entities, result.quarters, result.probabilities)
+        differing += [f"sums {case}" for case in check_sums(series, tmp, counts)]
     if name in READ_NETWORKS:
         write_scaled_links(paths, seed)
     if name in SPECS:

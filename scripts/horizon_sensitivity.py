@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from riskrank.early_warning import label_cells, recursive_backtest
+from riskrank.early_warning import label_precrisis, recursive_backtest
 from riskrank.engine import RiskRankConfig, riskrank_series
 from riskrank.evaluation import evaluate_series
 from riskrank.io import read_events, read_indicators, read_nodes_links
@@ -22,30 +22,14 @@ HORIZONS = ((5, 8), (5, 12), (5, 16))
 MU_GRID = (0.3, 0.5, 0.7, 0.9)
 
 
-def series_cells(result):
-    cells, probs = [], []
-    for ei, entity in enumerate(result.entities):
-        for qi, quarter in enumerate(result.quarters):
-            p = result.probabilities[ei, qi]
-            if not np.isnan(p):
-                cells.append((entity, quarter))
-                probs.append(float(p))
-    return cells, np.array(probs)
-
-
-def aggregated_cells(series, result):
-    individual, individual_probs = series_cells(result)
-    usable = series.with_probabilities([
-        (entity, quarter, p) for (entity, quarter), p in zip(individual, individual_probs)
-    ])
-    targets = sorted(
-        nid for nid, level in zip(usable.node_ids, usable.levels) if level > 0
-    )
-    cells, probs = [], []
-    for row in riskrank_series(usable, targets, RiskRankConfig(central_weight_mode="unit")):
-        cells.append((row.target, row.date))
-        probs.append(row.decomposition.total)
-    return cells, np.array(probs)
+def aggregated(series, result):
+    """The network-aggregated totals of every non-root node under the
+    backtest's probabilities, as (targets, dates, targets x dates grid)."""
+    usable = series.with_probabilities(result.entities, result.quarters, result.probabilities)
+    targets = [nid for nid, level in zip(usable.node_ids, usable.levels) if level > 0]
+    rows = riskrank_series(usable, targets, RiskRankConfig(central_weight_mode="unit"))
+    totals = np.array([row.decomposition.total for row in rows]).reshape(len(usable), -1)
+    return targets, usable.dates, totals.T
 
 
 def main() -> None:
@@ -66,13 +50,13 @@ def main() -> None:
             result = recursive_backtest(panel, events, h1, h2, lag=1,
                                         start=panel.quarters[24])
             print(f"\nhorizon {h1}-{h2} quarters")
-            for name, (cells, probs) in (
-                ("individual", series_cells(result)),
-                ("aggregated", aggregated_cells(series, result)),
+            for name, (entities, quarters, probs) in (
+                ("individual", (result.entities, result.quarters, result.probabilities)),
+                ("aggregated", aggregated(series, result)),
             ):
-                labels, excluded = label_cells(events, cells, h1, h2)
-                report = evaluate_series(probs, labels, MU_GRID, name,
-                                         mask=excluded)
+                labels, excluded = label_precrisis(events, entities, quarters, h1, h2)
+                report = evaluate_series(probs.ravel(), labels.ravel(), MU_GRID, name,
+                                         mask=(excluded | np.isnan(probs)).ravel())
                 urs = " ".join(
                     f"U_r({row.mu_pref:.1f})={row.u_r * 100:5.1f}%"
                     for row in report.rows

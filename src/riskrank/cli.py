@@ -18,7 +18,7 @@ import numpy as np
 
 from . import benchmarks
 from .capacity import FuzzyMeasure, interaction_index, shapley, validate_measure
-from .early_warning import label_cells, recursive_backtest
+from .early_warning import label_precrisis, recursive_backtest
 from .engine import riskrank_series
 from .errors import RiskRankError
 from .evaluation import evaluate_series
@@ -136,7 +136,8 @@ def cmd_score(args) -> int:
     cfg = _load_run_config(args, "nodes", "links")
     series = read_nodes_links(cfg.nodes, cfg.links)
     if cfg.probabilities:
-        series = series.with_probabilities(read_series(cfg.probabilities).cells)
+        probs = read_series(cfg.probabilities)
+        series = series.with_probabilities(probs.entities, probs.quarters, probs.probabilities)
     targets = _resolve_targets(args.targets, series)
     rows = riskrank_series(series, targets, cfg)
     write = write_decompositions if args.command == "riskrank" else write_series_long
@@ -172,12 +173,11 @@ def cmd_evaluate(args) -> int:
     reports = []
     for series_path in args.series:
         series = read_series(series_path)
-        cells = [(entity, quarter) for entity, quarter, _ in series.cells]
-        probs = np.array([p for _, _, p in series.cells])
-        labels, excluded = label_cells(events, cells, cfg.h1, cfg.h2)
-        reports.append(
-            evaluate_series(probs, labels, cfg.mu_grid, series.name, mask=excluded)
-        )
+        p = series.probabilities
+        labels, excluded = label_precrisis(events, series.entities, series.quarters,
+                                           cfg.h1, cfg.h2)
+        reports.append(evaluate_series(p.ravel(), labels.ravel(), cfg.mu_grid, series.name,
+                                       mask=(excluded | np.isnan(p)).ravel()))
     write_eval_reports(args.out, reports)
     for report in reports:
         print(f"{report.model}: AUC={report.auc:.4f}")

@@ -146,38 +146,28 @@ class CrisisEvents:
         return tuple(e for e in self.events if e.entity == entity)
 
 
-def label_cells(events: CrisisEvents, cells, h1: int, h2: int):
-    """Labels and exclusion mask for (entity, quarter) cells.
+def label_precrisis(events: CrisisEvents, entities, quarters, h1: int, h2: int):
+    """The entity x quarter grids (labels, excluded) of distinct
+    ``entities`` and ``quarters``, which may have gaps.
 
-    A cell is labelled one when some crisis of its entity starts h1 to h2
+    A quarter is labelled one when some crisis of its entity starts h1 to h2
     quarters after it (start - h2 <= quarter <= start - h1), and excluded
     when it lies inside a crisis episode (start <= quarter <= last quarter);
-    excluded cells are labelled zero.
+    excluded quarters are labelled zero.
     """
     if not 1 <= h1 <= h2:
         raise ValueError("horizon must satisfy 1 <= h1 <= h2")
-    labels = np.zeros(len(cells), dtype=np.int8)
-    excluded = np.zeros(len(cells), dtype=bool)
-    episodes: dict[str, tuple[CrisisEvent, ...]] = {}
-    for i, (entity, quarter) in enumerate(cells):
-        if entity not in episodes:
-            episodes[entity] = events.for_entity(entity)
-        for event in episodes[entity]:
-            if event.start - h2 <= quarter <= event.start - h1:
-                labels[i] = 1
-            if event.start <= quarter <= event.last_quarter:
-                excluded[i] = True
+    q = np.array(quarters, dtype=int)
+    labels = np.zeros((len(entities), len(q)), dtype=np.int8)
+    excluded = np.zeros(labels.shape, dtype=bool)
+    row = {entity: i for i, entity in enumerate(entities)}
+    for event in events.events:
+        if event.entity in row:
+            i = row[event.entity]
+            labels[i, (event.start - h2 <= q) & (q <= event.start - h1)] = 1
+            excluded[i, (event.start <= q) & (q <= event.last_quarter)] = True
     labels[excluded] = 0
     return labels, excluded
-
-
-def label_precrisis(events: CrisisEvents, entities, quarters, h1: int, h2: int):
-    """``label_cells`` over every (entity, quarter) pair, as the pair of
-    entity x quarter grids (labels, excluded)."""
-    cells = [(entity, q) for entity in entities for q in quarters]
-    labels, excluded = label_cells(events, cells, h1, h2)
-    shape = (len(entities), len(quarters))
-    return labels.reshape(shape), excluded.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

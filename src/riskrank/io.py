@@ -492,14 +492,20 @@ def _read_indicators_rows(path) -> IndicatorPanel:
                       for cell in row[2:]]
     if not cells:
         raise SchemaError(rows.path, 2, "no indicator rows")
+    return IndicatorPanel(*_grid(cells, len(names)), names)
+
+
+def _grid(cells: dict, *depth: int):
+    """The sorted entities and quarters of ``cells``, keyed (entity, quarter),
+    and the entity x quarter grid of their values, of ``depth`` each, NaN
+    where there is no cell."""
     entities = tuple(sorted({e for e, _ in cells}))
     quarters = tuple(sorted({q for _, q in cells}))
-    values = np.full((len(entities), len(quarters), len(names)), np.nan)
-    e_index = {e: i for i, e in enumerate(entities)}
-    q_index = {q: i for i, q in enumerate(quarters)}
-    for (entity, date), row_values in cells.items():
-        values[e_index[entity], q_index[date], :] = row_values
-    return IndicatorPanel(entities, quarters, values, names)
+    row = {e: i for i, e in enumerate(entities)}
+    column = {q: j for j, q in enumerate(quarters)}
+    values = np.full((len(entities), len(quarters), *depth), np.nan)
+    values[[row[e] for e, _ in cells], [column[q] for _, q in cells]] = [*cells.values()]
+    return entities, quarters, values
 
 
 def write_indicators(path, panel: IndicatorPanel) -> None:
@@ -559,12 +565,23 @@ def write_events(path, events: CrisisEvents) -> None:
     _write_lines(path, EVENTS_HEADER, blocks())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbSeries:
-    """A named probability series as (entity, quarter, p) cells."""
+    """A named probability series: an entity x quarter grid of probabilities,
+    entities and quarters sorted, NaN where the file has no cell."""
 
     name: str
-    cells: tuple[tuple[str, int, float], ...]
+    entities: tuple[str, ...]
+    quarters: tuple[int, ...]
+    probabilities: np.ndarray
+
+    @property
+    def cells(self) -> tuple[tuple[str, int, float], ...]:
+        """The (entity, quarter, p) of each cell with a probability, in
+        (entity, quarter) order."""
+        return tuple((entity, quarter, p)
+                     for entity, row in zip(self.entities, self.probabilities.tolist())
+                     for quarter, p in zip(self.quarters, row) if p == p)
 
 
 def write_probabilities(path, result) -> None:
@@ -586,14 +603,11 @@ def read_series(path) -> ProbSeries:
 def _plain_series(path) -> ProbSeries:
     """``read_series`` of a plain probability file that gives every entity a
     probability on every quarter, read as an indicator file whose one column
-    is ``p``; the panel's cells come in (entity, quarter) order."""
+    is ``p``."""
     panel = _plain_indicators(path)
-    p = panel.values.ravel()  # NaN where a cell is absent or empty
+    p = panel.values[:, :, 0]  # NaN where a cell is absent or empty
     _plain(panel.indicator_names == ("p",) and ((p >= 0.0) & (p <= 1.0)).all())
-    quarters = len(panel.quarters)
-    return ProbSeries(Path(path).stem, tuple(zip(
-        [entity for entity in panel.entities for _ in range(quarters)],
-        panel.quarters * len(panel.entities), p.tolist())))
+    return ProbSeries(Path(path).stem, panel.entities, panel.quarters, p)
 
 
 def _read_series_rows(path) -> ProbSeries:
@@ -611,7 +625,7 @@ def _read_series_rows(path) -> ProbSeries:
         cells[key] = p
     if not cells:
         raise SchemaError(rows.path, 2, "no series rows")
-    return ProbSeries(rows.path.stem, tuple((e, q, p) for (e, q), p in sorted(cells.items())))
+    return ProbSeries(rows.path.stem, *_grid(cells))
 
 
 def _series_cells(rows):

@@ -234,29 +234,23 @@ class NetworkSeries:
     def __iter__(self):
         return map(self.__getitem__, range(len(self.dates)))
 
-    def with_probabilities(self, cells) -> "NetworkSeries":
-        """Risk levels of the non-root nodes replaced by ``(entity, quarter,
-        p)`` cells; dates missing a probability for any such node are dropped."""
-        row = {date: d for d, date in enumerate(self.dates)}
+    def with_probabilities(self, entities, quarters, probabilities) -> "NetworkSeries":
+        """Risk levels of the non-root nodes replaced by an entity x quarter
+        grid of ``probabilities``, NaN where there is none; a date stays when
+        the grid has some probability on its quarter and one for every
+        non-root node."""
         valued = [i for i, level in enumerate(self.levels) if level > 0]
-        col = {self.node_ids[i]: j for j, i in enumerate(valued)}
-        probs = np.zeros((len(self.dates), len(valued)))
-        given = np.zeros(probs.shape, dtype=bool)
-        dated = np.zeros(len(self.dates), dtype=bool)
-        for entity, quarter, p in cells:
-            d = row.get(quarter)
-            if d is None:
-                continue
-            dated[d] = True
-            j = col.get(entity)
-            if j is not None:
-                probs[d, j] = p
-                given[d, j] = True
-        keep = dated & given.all(axis=1)
+        row = {e: i for i, e in enumerate(entities)}
+        column = {q: j for j, q in enumerate(quarters)}
+        # quarters x entities; -1, a date or node that it lacks, picks the padding's NaN
+        grid = np.pad(np.asarray(probabilities, dtype=float).T, (0, 1), constant_values=np.nan)
+        dates = [column.get(date, -1) for date in self.dates]
+        levels = grid[np.ix_(dates, [row.get(self.node_ids[i], -1) for i in valued])]
+        keep = ~np.isnan(grid).all(axis=1)[dates] & ~np.isnan(levels).any(axis=1)
         if not keep.any():
             raise RiskRankError("no snapshot date is fully covered by the probability series")
         X = self.X[keep]
-        X[:, valued] = probs[keep]
+        X[:, valued] = levels[keep]
         return replace(
             self, dates=tuple(compress(self.dates, keep.tolist())), W=self.W[keep], X=X,
             exposure=self.exposure[keep],

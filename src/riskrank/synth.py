@@ -110,10 +110,7 @@ def generate_synthetic(spec: SynthSpec, outdir) -> dict[str, Path]:
     W, X, exposure = (np.repeat(rows, len(quarters), axis=0)
                       for rows in (one.W, one.X, one.exposure))
     series = replace(one, dates=quarters, W=W, X=X, exposure=exposure).with_probabilities(
-        (entity, quarter, level)
-        for entity, row in zip(entities, risk.tolist())
-        for quarter, level in zip(quarters, row)
-    )
+        entities, quarters, risk)
 
     paths = {
         "indicators": outdir / "indicators.csv",

@@ -41,7 +41,9 @@ recount of the series at every distinct probability for the threshold.
 ``loss`` and ``usefulness`` are the scalar scorers of one contingency matrix
 that the array scoring of the sweep replaced; the threshold oracle uses them.
 ``label_precrisis`` is the panel labeller that ``label_cells`` replaced, one
-vectorised pass per crisis episode over the quarter grid.  ``fit_logit`` is
+vectorised pass per crisis episode over the quarter grid.  ``label_cells``
+is the per-cell labeller that the package's panel labeller replaced in turn:
+the specification of its rule, for any (entity, quarter) cells.  ``fit_logit`` is
 the cold logit fit, from zero and with two masked gathers per sigmoid, and
 ``recursive_backtest`` the cold backtest that calls it at every quarter:
 the specification of the package's warm-started, guarded backtest, which
@@ -100,6 +102,7 @@ from riskrank.early_warning import (
     MIN_TRAIN_QUARTERS,
     RIDGE_LAMBDA,
     BacktestResult,
+    CrisisEvent,
     CrisisEvents,
     IndicatorPanel,
     LogitModel,
@@ -521,6 +524,31 @@ def label_precrisis(events: CrisisEvents, panel: IndicatorPanel, h1: int, h2: in
             labels[ei, pre] = 1
             inside = (qarr >= event.start) & (qarr <= event.last_quarter)
             excluded[ei, inside] = True
+    labels[excluded] = 0
+    return labels, excluded
+
+
+def label_cells(events: CrisisEvents, cells, h1: int, h2: int):
+    """Labels and exclusion mask for (entity, quarter) cells.
+
+    A cell is labelled one when some crisis of its entity starts h1 to h2
+    quarters after it (start - h2 <= quarter <= start - h1), and excluded
+    when it lies inside a crisis episode (start <= quarter <= last quarter);
+    excluded cells are labelled zero.
+    """
+    if not 1 <= h1 <= h2:
+        raise ValueError("horizon must satisfy 1 <= h1 <= h2")
+    labels = np.zeros(len(cells), dtype=np.int8)
+    excluded = np.zeros(len(cells), dtype=bool)
+    episodes: dict[str, tuple[CrisisEvent, ...]] = {}
+    for i, (entity, quarter) in enumerate(cells):
+        if entity not in episodes:
+            episodes[entity] = events.for_entity(entity)
+        for event in episodes[entity]:
+            if event.start - h2 <= quarter <= event.start - h1:
+                labels[i] = 1
+            if event.start <= quarter <= event.last_quarter:
+                excluded[i] = True
     labels[excluded] = 0
     return labels, excluded
 

@@ -15,7 +15,6 @@ from riskrank.early_warning import (
     IndicatorPanel,
     LogitModel,
     fit_logit,
-    label_cells,
     label_precrisis,
     predict_prob,
     recursive_backtest,
@@ -121,9 +120,41 @@ def test_label_cells_agrees_with_panel_labeling():
         assert np.array_equal(labels, expected_labels)
         assert np.array_equal(excluded, expected_excluded)
         cells = [(entity, q) for entity in panel.entities for q in panel.quarters]
-        labels, excluded = label_cells(events, cells, h1, h2)
+        labels, excluded = oracle.label_cells(events, cells, h1, h2)
         assert np.array_equal(labels, expected_labels.ravel())
         assert np.array_equal(excluded, expected_excluded.ravel())
+
+
+@st.composite
+def episodes(draw, entity):
+    """Non-overlapping episodes of ``entity`` from quarter -12 on, some
+    open-ended, some past quarter 40."""
+    events, start = [], draw(st.integers(-12, 30))
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.none() | st.integers(0, 8))
+        events.append(CrisisEvent(entity, start, None if length is None else start + length))
+        start = events[-1].last_quarter + draw(st.integers(1, 15))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_panel_labels_follow_the_per_cell_rule(data):
+    # quarters with gaps, as a ragged series has; events of entities outside
+    # the panel; open-ended episodes and episodes over the panel's edges;
+    # h1 == h2 as often as not
+    quarters = sorted(data.draw(st.sets(st.integers(0, 40), max_size=20)))
+    entities = data.draw(st.lists(st.sampled_from("ABCD"), unique=True, max_size=4))
+    events = CrisisEvents(tuple(event for entity in "ABCDE"
+                                for event in data.draw(episodes(entity))))
+    h1 = data.draw(st.integers(1, 8))
+    h2 = h1 + data.draw(st.sampled_from([0, 0, 1, 5, 12]))
+    labels, excluded = label_precrisis(events, entities, quarters, h1, h2)
+    expected = oracle.label_cells(events, [(e, q) for e in entities for q in quarters], h1, h2)
+    assert labels.shape == excluded.shape == (len(entities), len(quarters))
+    assert labels.dtype == expected[0].dtype and excluded.dtype == expected[1].dtype
+    assert np.array_equal(labels.ravel(), expected[0])
+    assert np.array_equal(excluded.ravel(), expected[1])
 
 
 def test_horizon_must_be_ordered():

@@ -511,17 +511,19 @@ def test_series_arrays_and_override_match_the_oracle(tmp_path_factory, seed):
     # probabilities on most (entity, quarter) cells, some for no node or date
     entities = [*series.node_ids, "GHOST"]
     quarters = [*series.dates, max(series.dates) + 1]
-    cells = [(e, q, float(rng.uniform())) for e in entities for q in quarters
-             if rng.random() < 0.9]
+    grid = np.where(rng.random((len(entities), len(quarters))) < 0.9,
+                    rng.uniform(size=(len(entities), len(quarters))), np.nan)
+    cells = [(e, q, p) for e, row in zip(entities, grid.tolist())
+             for q, p in zip(quarters, row) if p == p]
     rng.shuffle(cells)
     try:
         expected = oracle.snapshots_with_probabilities(snaps, cells)
     except RiskRankError as exc:
         with pytest.raises(RiskRankError) as err:
-            series.with_probabilities(cells)
+            series.with_probabilities(entities, quarters, grid)
         assert str(err.value) == str(exc)
         return
-    overridden = series.with_probabilities(cells)
+    overridden = series.with_probabilities(entities, quarters, grid)
     assert_series_matches(overridden, expected)
 
     # failures as the path operator reports them, date by date; values from
@@ -555,11 +557,11 @@ def test_network_writers_match_the_oracle(tmp_path_factory, seed):
         series = read_nodes_links(*write_network_files(directory, *random_network_rows(rng)))
     except StructuralDriftError:
         return
-    cells = [(e, q, float(rng.uniform())) for e in series.node_ids for q in series.dates]
+    grid = rng.uniform(size=(len(series.node_ids), len(series)))
     no_links = NetworkSeries.from_snapshots(
         NetworkSnapshot(s.date, RiskNetwork(s.network.nodes, {})) for s in series)
     assert no_links.W.shape == (len(series), 0)
-    for candidate in (series, series.with_probabilities(cells),
+    for candidate in (series, series.with_probabilities(series.node_ids, series.dates, grid),
                       NetworkSeries.from_snapshots([series[-1]]), no_links):
         assert_writers_match_the_oracle(directory, candidate)
 

@@ -527,12 +527,11 @@ def test_probability_override_assigns_levels_and_drops_uncovered_dates():
     series = NetworkSeries.from_snapshots(
         NetworkSnapshot(d, two_level_network()) for d in (4, 5, 6)
     )
-    cells = [("A", 4, 0.9), ("B", 4, 0.8), ("G", 4, 0.7), ("S", 4, 0.6),
-             ("A", 5, 0.1), ("B", 5, 0.2),
-             ("A", 6, 0.5), ("B", 6, 0.5), ("G", 6, 0.5), ("X", 6, 0.5), ("A", 6, 0.25)]
-    overridden = series.with_probabilities(cells)
+    nan = np.nan  # entities A, B, G, S, X by quarters 4, 5, 6
+    grid = [[0.9, 0.1, 0.25], [0.8, 0.2, 0.5], [0.7, nan, 0.5], [0.6, nan, nan], [nan, nan, 0.5]]
+    overridden = series.with_probabilities("ABGSX", (4, 5, 6), grid)
     assert overridden.dates == (4, 6)
-    # the root keeps its missing level; a later cell wins
+    # the root keeps its missing level
     assert np.array_equal(overridden.X, [[0.9, 0.8, 0.7, np.nan], [0.25, 0.5, 0.5, np.nan]],
                           equal_nan=True)
     assert np.array_equal(overridden.W, series.W[[0, 2]])
@@ -546,7 +545,7 @@ def test_probability_override_assigns_levels_and_drops_uncovered_dates():
         "G": Node("G", 2, "A", 0.5),
     })
     with pytest.raises(RiskRankError, match="no snapshot date is fully covered"):
-        series.with_probabilities([("A", 5, 0.1), ("B", 5, 0.2), ("G", 7, 0.3)])
+        series.with_probabilities("ABG", (5, 7), [[0.1, nan], [0.2, nan], [nan, 0.3]])
 
 
 def test_in_links_returns_a_copy_of_the_index():

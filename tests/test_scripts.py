@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
@@ -207,3 +209,40 @@ def test_check_guards_passes_on_one_seed(capsys):
     assert lines[2] == "16 of 16 files took the plain route"
     assert re.fullmatch(r"\d+ of 20636 cells would differ in their text unguarded", lines[3])
     assert re.fullmatch(r"\d+ of 20636 cells rescored; 0 differing files", lines[4])
+
+
+def bench_file(path, revisions, medians, won, control=None, **more):
+    """A bench file of one workload and metric, ``run_s``: the parent's and
+    HEAD's medians, the rounds HEAD won, and the control's pair if given."""
+    result = {"parent": {"run_s": {"median": medians[0]}},
+              "head": {"run_s": {"median": medians[1]}}, "head_won": {"run_s": won}}
+    if control:
+        result.update(control={"run_s": {"median": control[0]}},
+                      control_won={"run_s": control[1]})
+    path.write_text(json.dumps({"pairs": 10, "revisions": revisions,
+                                "workloads": {"tiny": result}, **more}))
+    return path
+
+
+def test_against_parent_trajectory_reads_each_bench_file(tmp_path, capsys):
+    # one row per file and workload, keyed by revisions, trees or name; the
+    # control's ratio and wins where the file has a control side
+    known = bench_file(tmp_path / "BENCH_1.json", {"parent": "a" * 40, "head": "b" * 40},
+                       (0.2, 0.1), 9)
+    trees = bench_file(tmp_path / "BENCH_2.json", {"parent": "unknown", "head": "c" * 40},
+                       (0.1, 0.125), 2, control=(0.11, 4),
+                       trees={"parent": "d" * 64, "head": "e" * 64, "control": "f" * 64})
+    named = bench_file(tmp_path / "BENCH_3.json", {"parent": "unknown", "head": "unknown"},
+                       (0.5, 0.5), 0)
+    assert against_parent.trajectory([known, trees, named], ["run_s"]) == [
+        "BENCH_1.json aaaaaaa..bbbbbbb tiny: run_s 0.500 won 9/10",
+        "BENCH_2.json trees dddddddd..eeeeeeee tiny: run_s 1.250 won 2/10"
+        " (control 1.100 won 4/10)",
+        "BENCH_3.json BENCH_3.json tiny: run_s 1.000 won 0/10",
+    ]
+    with pytest.raises(ValueError, match="BENCH_1.json: not a bench file: KeyError"):
+        against_parent.trajectory([known], ["peak_rss_mb"])
+    # and the repository's own files, as CI runs it
+    assert against_parent.main(["trajectory"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert {row.split()[0] for row in rows} == {path.name for path in ROOT.glob("BENCH_*.json")}
