@@ -11,7 +11,11 @@ what they need of it:
 
 * backtest, on the early-warning spec: the warm-started backtest's
   ``probabilities.csv`` against that of the cold backtest kept in
-  ``tests/oracle.py``;
+  ``tests/oracle.py``.  A warm fit scores its line search with the
+  exponent its probabilities share, a fit from zero with ``np.logaddexp``;
+  each warm value is also taken the cold way, and the values that differ
+  and the accept/halve decisions that the cold value would flip are
+  counted, as a report, not a check;
 * readers, on ``SPECS``: the plain route of ``riskrank.io``'s readers
   against the row route.  Synth holds its weights over time, so every date
   block of its ``links.csv`` repeats the one before; for the two network
@@ -29,11 +33,12 @@ what they need of it:
   Each pair of ``decompositions`` files must be the same bytes, and where
   the path engine fails, the scorer must fail with its error.
 
-Prints one line per seed, then four totals: the quarters refit cold, the
-files the plain route read, the cells whose text would differ with the
-sums' guard off (nothing rescored), and the cells the guard sent back to
-the path engine, with the count of differing files; exits 1 if any file
-differs.
+Prints one line per seed, then five totals: the quarters refit cold, the
+warm log-likelihoods that differ from ``np.logaddexp``'s and the decisions
+they would flip, the files the plain route read, the cells whose text
+would differ with the sums' guard off (nothing rescored), and the cells the
+guard sent back to the path engine, with the count of differing files;
+exits 1 if any file differs.
 
     PYTHONPATH=src python scripts/check_guards.py
 """
@@ -41,7 +46,7 @@ differs.
 import sys
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -51,7 +56,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import oracle  # noqa: E402
-from riskrank import engine, io  # noqa: E402
+from riskrank import early_warning, engine, io  # noqa: E402
 from riskrank.early_warning import recursive_backtest  # noqa: E402
 from riskrank.errors import RiskRankError  # noqa: E402
 from riskrank.synth import SynthSpec, generate_synthetic  # noqa: E402
@@ -135,6 +140,35 @@ def read_routes(paths, counts: Counter) -> list[str]:
 
 
 @contextmanager
+def paired_logliks(counts: Counter):
+    """Warm fits score their line search as the backtest does, and each
+    value is also taken with ``np.logaddexp``: ``counts`` gets the values,
+    those that differ, their largest gap and the accept/halve decisions the
+    other value would flip, replayed as ``early_warning._newton`` takes them."""
+    shared, fit = early_warning._shared_loglik, {}
+
+    def paired(beta, z, y, e):
+        value, exact = shared(beta, z, y, e), early_warning._penalized_loglik(beta, z, y, e)
+        counts.update(logliks=1, loglik_differ=int(value != exact))
+        counts["loglik_gap"] = max(counts["loglik_gap"], abs(value - exact))
+        if fit.get("y") is not y:  # a new fit's first value, at its start
+            fit.update(y=y, ll=(value, exact), tries=0)
+            return value
+        accept = value >= fit["ll"][0] - 1e-12
+        counts["flips"] += accept != (exact >= fit["ll"][1] - 1e-12)
+        fit["tries"] += 1
+        if accept or fit["tries"] == 30:  # the step is taken, or the search ran out
+            fit.update(ll=(value, exact), tries=0)
+        return value
+
+    early_warning._shared_loglik = paired
+    try:
+        yield
+    finally:
+        early_warning._shared_loglik = shared
+
+
+@contextmanager
 def guard_off():
     """``riskrank_series`` keeps every cell's sums, whatever their text."""
     same_text = engine._same_text
@@ -188,7 +222,8 @@ def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[
     """The checks that read spec ``name``'s inputs ``paths``, its counts
     added to ``counts``; the cases that differ."""
     panel, events = io.read_indicators(paths["indicators"]), io.read_events(paths["events"])
-    result = recursive_backtest(panel, events, H1, H2, LAG)
+    with paired_logliks(counts) if name == "early-warning" else nullcontext():
+        result = recursive_backtest(panel, events, H1, H2, LAG)
     paths["probabilities"] = paths["indicators"].with_name("probabilities.csv")
     io.write_probabilities(paths["probabilities"], result)
     differing = []
@@ -210,7 +245,7 @@ def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[
 
 
 def main(seeds=SEEDS) -> int:
-    totals, differing = Counter(), []
+    totals, differing, gap = Counter(), [], 0.0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for seed in seeds:
@@ -223,11 +258,15 @@ def main(seeds=SEEDS) -> int:
                   f"{counts['plain']} of {counts['files']} files read plain, "
                   f"{counts['rescored']} of {counts['cells']} cells rescored, "
                   f"{counts['unguarded']} would differ unguarded")
+            gap = max(gap, counts.pop("loglik_gap", 0.0))
             totals.update(counts)
     for case in differing:
         print(f"DIFFERS: {case}")
     print(f"{totals['refit']} of {totals['fitted']} quarters refit cold over seeds "
           f"{seeds[0]}-{seeds[-1]}")
+    print(f"{totals['loglik_differ']} of {totals['logliks']} warm-fit log-likelihoods differ "
+          f"from np.logaddexp's, by at most {gap:.2g}; {totals['flips']} accept/halve "
+          f"decisions would flip")
     print(f"{totals['plain']} of {totals['files']} files took the plain route")
     print(f"{totals['unguarded']} of {totals['cells']} cells would differ in their text "
           f"unguarded")

@@ -45,6 +45,17 @@ terms per coefficient, each counted for both fits:
   few rows, nearly separated) this term is what sends a quarter back to a
   cold fit.
 
+The two kinds of fit score their line search with different arithmetic.
+A fit from zero takes log(1 + exp(z)) from ``np.logaddexp``, as the cold
+fit in ``tests/oracle.py`` does, and gives its coefficients to the bit: it
+writes every cold quarter, the first fit included, so its bits define the
+written text.  A warm fit takes it as max(z, 0) + log1p(e), from the
+e = exp(-|z|) that its probabilities use as well; ``np.logaddexp`` calls
+libm once per element and is several times slower.  The two values differ in
+the last bit on a few percent of elements, which can change a halving
+decision and so a warm fit's last bits, and the guard above already keeps
+such a fit only where its text stands for the cold one's.
+
 GUARD_FLOOR = 1e-13 covers the rounding of the probabilities themselves.
 Over the 856 quarters of synth seeds 1-8 (40 entities, 1990-Q1 to 2018-Q4,
 14 indicators), kappa stayed under 0.48, |x|_1 under 25, and warm and cold
@@ -142,9 +153,6 @@ class CrisisEvents:
             refuse_overlap(event, earlier)
             earlier.append(event)
 
-    def for_entity(self, entity: str) -> tuple[CrisisEvent, ...]:
-        return tuple(e for e in self.events if e.entity == entity)
-
 
 def label_precrisis(events: CrisisEvents, entities, quarters, h1: int, h2: int):
     """The entity x quarter grids (labels, excluded) of distinct
@@ -189,22 +197,39 @@ class LogitModel:
         object.__setattr__(self, "coefficients", coefs)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), from e = exp(-|z|) when it is given."""
+    if e is None:
+        e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _penalized_loglik(beta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
+def _scores(design: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The linear scores z of ``design`` rows and their e = exp(-|z|)."""
+    z = design @ beta
+    return z, np.exp(-np.abs(z))
+
+
+def _penalized_loglik(beta: np.ndarray, z: np.ndarray, y: np.ndarray, e: np.ndarray) -> float:
+    """The penalized log-likelihood, log(1 + exp(z)) by ``np.logaddexp``: a
+    fit from zero scores its line search so."""
     return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * RIDGE_LAMBDA * beta @ beta)
 
 
-def _newton(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> LogitModel:
+def _shared_loglik(beta: np.ndarray, z: np.ndarray, y: np.ndarray, e: np.ndarray) -> float:
+    """The same, log(1 + exp(z)) as max(z, 0) + log1p(e) from the e the
+    probabilities use: a warm fit scores its line search so."""
+    return float(np.sum(y * z - (np.maximum(z, 0.0) + np.log1p(e)))
+                 - 0.5 * RIDGE_LAMBDA * beta @ beta)
+
+
+def _newton(design: np.ndarray, y: np.ndarray, beta: np.ndarray, loglik) -> LogitModel:
     ridge = RIDGE_LAMBDA * np.eye(design.shape[1])
-    z = design @ beta
-    ll = _penalized_loglik(beta, z, y)
+    z, e = _scores(design, beta)
+    ll = loglik(beta, z, y, e)
     steps, scale = [], 1.0
     for _ in range(IRLS_MAX_ITER):
-        p = _sigmoid(z)
+        p = _sigmoid(z, e)
         w = p * (1.0 - p)
         hess = design.T @ (design * w[:, None]) + ridge
         grad = design.T @ (y - p) - RIDGE_LAMBDA * beta
@@ -212,14 +237,14 @@ def _newton(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> LogitModel:
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            z = design @ candidate
-            new_ll = _penalized_loglik(candidate, z, y)
+            z, e = _scores(design, candidate)
+            new_ll = loglik(candidate, z, y, e)
             if new_ll >= ll - 1e-12:
                 break
             scale *= 0.5
         else:  # the search ran out: beta still moves, by one more halving
             candidate = beta + scale * step
-            z = design @ candidate
+            z, e = _scores(design, candidate)
         beta = candidate
         ll = new_ll
         steps.append(float(np.max(np.abs(scale * step))))
@@ -261,10 +286,11 @@ def fit_logit(X, y, start: LogitModel | None = None) -> LogitModel:
         raise DegenerateFitError("no complete training rows")
     if np.all(yv == yv[0]):
         raise DegenerateFitError("training data contains a single class")
-    beta = np.zeros(Xv.shape[1] + 1)
+    beta, loglik = np.zeros(Xv.shape[1] + 1), _penalized_loglik
     if start is not None:
         beta[0], beta[1:] = start.intercept, start.coefficients
-    return _newton(np.column_stack([np.ones(Xv.shape[0]), Xv]), yv, beta)
+        loglik = _shared_loglik
+    return _newton(np.column_stack([np.ones(Xv.shape[0]), Xv]), yv, beta, loglik)
 
 
 def predict_prob(model: LogitModel, X) -> np.ndarray:
@@ -335,7 +361,11 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
         raise ValueError(f"start {quarter_label(start)} is after the last panel quarter "
                          f"{quarter_label(panel.quarters[-1])}")
     labels, excluded = label_precrisis(events, panel.entities, panel.quarters, h1, h2)
-    usable = ~excluded & ~np.isnan(panel.values).any(axis=2)
+    # the usable cells of every window, entity-major as its own argwhere gives them
+    cells = np.flatnonzero(~excluded & ~np.isnan(panel.values).any(axis=2))
+    values = panel.values.reshape(labels.size, panel.n_indicators)
+    y_all = labels.ravel()[cells].astype(float)
+    q_all = qarr[cells % len(qarr)]
     probs = np.full((len(panel.entities), len(panel.quarters)), np.nan)
     training_end: dict[int, int] = {}
     refit: list[int] = []
@@ -343,10 +373,8 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
     for qi, t in enumerate(panel.quarters):
         if t < start:
             continue
-        window = usable & (qarr <= t - lag)[None, :]
-        rows = np.argwhere(window)
-        X = panel.values[rows[:, 0], rows[:, 1], :]
-        y = labels[rows[:, 0], rows[:, 1]]
+        window = q_all <= t - lag
+        X, y = values.take(cells[window], axis=0), y_all[window]
         try:
             model = fit_logit(X, y, start=last)
         except DegenerateFitError:
@@ -357,7 +385,7 @@ def recursive_backtest(panel: IndicatorPanel, events: CrisisEvents,
             p = predict_prob(model, panel.values[:, qi, :])
             refit.append(t)
         last = model
-        training_end[t] = int(qarr[rows[:, 1].max()])
+        training_end[t] = int(q_all[window].max())
         probs[:, qi] = p
     probs.flags.writeable = False
     return BacktestResult(panel.entities, panel.quarters, probs, training_end, tuple(refit))

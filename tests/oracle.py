@@ -43,8 +43,11 @@ that the array scoring of the sweep replaced; the threshold oracle uses them.
 ``label_precrisis`` is the panel labeller that ``label_cells`` replaced, one
 vectorised pass per crisis episode over the quarter grid.  ``label_cells``
 is the per-cell labeller that the package's panel labeller replaced in turn:
-the specification of its rule, for any (entity, quarter) cells.  ``fit_logit`` is
-the cold logit fit, from zero and with two masked gathers per sigmoid, and
+the specification of its rule, for any (entity, quarter) cells.  Both read
+each entity's episodes with ``for_entity``, the ``CrisisEvents`` method that
+no package code called once the panel labeller walked the events in one
+pass.  ``fit_logit`` is the cold logit fit, from zero, with two masked
+gathers per sigmoid and ``np.logaddexp`` in its line search, and
 ``recursive_backtest`` the cold backtest that calls it at every quarter:
 the specification of the package's warm-started, guarded backtest, which
 must write the same probability bytes.
@@ -509,6 +512,10 @@ def optimal_threshold(probs, labels, mu_pref: float, mask=None) -> float:
     return best_tau
 
 
+def for_entity(events: CrisisEvents, entity: str) -> tuple[CrisisEvent, ...]:
+    return tuple(e for e in events.events if e.entity == entity)
+
+
 def label_precrisis(events: CrisisEvents, panel: IndicatorPanel, h1: int, h2: int):
     """Label one within [start - h2, start - h1]; mask crisis quarters.
     Returns the (labels, excluded) entity x quarter grids."""
@@ -519,7 +526,7 @@ def label_precrisis(events: CrisisEvents, panel: IndicatorPanel, h1: int, h2: in
     labels = np.zeros((len(panel.entities), nq), dtype=np.int8)
     excluded = np.zeros((len(panel.entities), nq), dtype=bool)
     for ei, entity in enumerate(panel.entities):
-        for event in events.for_entity(entity):
+        for event in for_entity(events, entity):
             pre = (qarr >= event.start - h2) & (qarr <= event.start - h1)
             labels[ei, pre] = 1
             inside = (qarr >= event.start) & (qarr <= event.last_quarter)
@@ -543,7 +550,7 @@ def label_cells(events: CrisisEvents, cells, h1: int, h2: int):
     episodes: dict[str, tuple[CrisisEvent, ...]] = {}
     for i, (entity, quarter) in enumerate(cells):
         if entity not in episodes:
-            episodes[entity] = events.for_entity(entity)
+            episodes[entity] = for_entity(events, entity)
         for event in episodes[entity]:
             if event.start - h2 <= quarter <= event.start - h1:
                 labels[i] = 1

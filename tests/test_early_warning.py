@@ -251,6 +251,32 @@ def test_missing_rows_are_dropped_in_fit():
     assert np.allclose(model.coefficients, clean.coefficients, atol=1e-10)
 
 
+def assert_oracle_bits(X, y):
+    model, reference = fit_logit(X, y), oracle.fit_logit(X, y)
+    assert np.array_equal(model.coefficients, reference.coefficients)
+    assert model.intercept == reference.intercept
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from((1.0, 1e2, 1e3)))
+def test_a_fit_from_zero_has_the_oracle_bits(seed, scale):
+    # a fit from zero scores its line search with np.logaddexp, as the cold
+    # oracle does, and its bits define the backtest's written text; scale
+    # 1e2 and 1e3 as raw units, with a few incomplete rows
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(10, 300)), int(rng.integers(1, 5))
+    X = rng.standard_normal((n, k))
+    y = (X @ rng.standard_normal(k) + rng.standard_normal(n) > 0).astype(float)
+    y[:2] = 0.0, 1.0
+    X[2:][rng.uniform(size=(n - 2, k)) < 0.03] = np.nan
+    assert_oracle_bits(scale * X, y)
+
+
+def test_a_separable_fit_from_zero_has_the_oracle_bits():
+    X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    assert_oracle_bits(X, np.array([0.0, 0.0, 1.0, 1.0]))
+
+
 # ---------------------------------------------------------- prediction
 
 def test_predict_hand_cases():
@@ -276,7 +302,7 @@ def synthetic_backtest_inputs(seed=0, n_quarters=60):
     ))
     pre = np.zeros((3, n_quarters))
     for ei, entity in enumerate(entities):
-        for event in events.for_entity(entity):
+        for event in oracle.for_entity(events, entity):
             pre[ei, (quarters >= event.start - 12) & (quarters <= event.start - 5)] = 1
     values = np.stack([
         pre * 1.5 + rng.standard_normal((3, n_quarters)),

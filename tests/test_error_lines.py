@@ -11,6 +11,7 @@ of ``test_cli_scoring_errors``.
 import pytest
 
 from riskrank.cli import main
+from riskrank.quarters import quarter_index, quarter_label
 
 NETWORK = {
     "nodes.csv": "date,node_id,level,parent_id,risk_value,self_exposure\n"
@@ -25,6 +26,16 @@ RISKRANK = ["riskrank", "--nodes", "{dir}/nodes.csv", "--links", "{dir}/links.cs
 EVALUATE = ["evaluate", "{dir}/p.csv", "--events", "{dir}/events.csv", "--out", "{dir}/out.csv"]
 EVENTS = {"events.csv": "entity,crisis_start,crisis_end\nA,2009-Q1,\n"}
 PROBS = "entity,date,p\n"
+BACKTEST = ["backtest", "--indicators", "{dir}/ind.csv", "--events", "{dir}/events.csv",
+            "--out", "{dir}/out.csv"]
+
+
+def indicators(n_quarters: int) -> dict[str, str]:
+    """An indicator file of entity A over ``n_quarters`` quarters from 2005-Q1."""
+    q0 = quarter_index("2005-Q1")
+    return {"ind.csv": "entity,date,ind_1\n" + "".join(
+        f"A,{quarter_label(q0 + i)},{i % 3}\n" for i in range(n_quarters))}
+
 
 # case -> (argv, input files, stderr line)
 ROWS = {
@@ -55,6 +66,15 @@ ROWS = {
     "evaluate: probability outside [0,1]": (
         EVALUATE, {**EVENTS, "p.csv": PROBS + "A,2005-Q1,0.5\nA,2005-Q2,1.5\n"},
         "error: schema: {dir}/p.csv:3: probability 1.5 outside [0,1]"),
+    "backtest: panel too short": (
+        BACKTEST, {**EVENTS, **indicators(9)},
+        "error: invalid: panel too short for a backtest"),
+    "backtest: horizon out of order": (
+        [*BACKTEST, "--h1", "13"], {**EVENTS, **indicators(20)},
+        "error: invalid: horizon must satisfy 1 <= h1 <= h2"),
+    "backtest: bad start quarter": (
+        [*BACKTEST, "--start", "2005-Q5"], {**EVENTS, **indicators(20)},
+        "error: invalid: bad quarter '2005-Q5', expected YYYY-Qn"),
 }
 
 

@@ -197,18 +197,20 @@ def test_against_parent_diff_runs_the_ci_steps_commands():
 
 
 def test_check_guards_passes_on_one_seed(capsys):
-    # the CI guard check at one seed: no file differs, and the four totals
-    # count that seed's 107 backtest quarters, 16 files read and 20636
-    # scored cells
+    # the CI guard check at one seed: no file differs, and the five totals
+    # count that seed's 107 backtest quarters, its warm fits'
+    # log-likelihoods, 16 files read and 20636 scored cells
     assert check_guards.main(range(7, 8)) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert re.fullmatch(r"seed 7: \d+ of 107 quarters refit cold, 16 of 16 files read plain, "
                         r"\d+ of 20636 cells rescored, \d+ would differ unguarded", lines[0])
     assert re.fullmatch(r"\d+ of 107 quarters refit cold over seeds 7-7", lines[1])
-    assert lines[2] == "16 of 16 files took the plain route"
-    assert re.fullmatch(r"\d+ of 20636 cells would differ in their text unguarded", lines[3])
-    assert re.fullmatch(r"\d+ of 20636 cells rescored; 0 differing files", lines[4])
+    assert re.fullmatch(r"\d+ of [1-9]\d* warm-fit log-likelihoods differ from np.logaddexp's, "
+                        r"by at most \S+; \d+ accept/halve decisions would flip", lines[2])
+    assert lines[3] == "16 of 16 files took the plain route"
+    assert re.fullmatch(r"\d+ of 20636 cells would differ in their text unguarded", lines[4])
+    assert re.fullmatch(r"\d+ of 20636 cells rescored; 0 differing files", lines[5])
 
 
 def bench_file(path, revisions, medians, won, control=None, **more):
