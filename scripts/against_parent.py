@@ -10,16 +10,18 @@
 ``bench`` checks out the parent (``--parent``, default ``HEAD~1``) and HEAD
 into a temporary directory with ``git worktree add``, so that both sides are
 fresh checkouts, and removes them afterwards; ``--dirs`` names two source
-trees instead, needs no git and records each side's ``src_sha256`` under
-``trees``.  A third side, the control, is a copy of the parent's tree with
-one trailing comment line (``CONTROL_LINE``) in each ``src/riskrank/*.py``:
-a change that does nothing, whose pairs against the parent show how far
-the layout of the code alone moves a metric.  Before any run, each side's
-``src/`` and ``perfbench/`` are compiled once with ``compileall`` into a
-bytecode cache of the side's own under a temporary directory, which every
-child of that side reads as its ``PYTHONPYCACHEPREFIX``, so that no run
-compiles the tree afresh and writes no bytecode into it; what the runs add
-under a tree's ``OUTPUTS`` is removed after the last run.  For each workload
+trees instead, needs no git, copies both into a temporary directory
+(``copy_tree``) and records each side's ``src_sha256`` under ``trees``, so
+that both sides run from copies alike and nothing is written into the
+named trees.  A third side, the control, is a copy of the parent's tree
+with one trailing comment line (``CONTROL_LINE``) in each
+``src/riskrank/*.py``: a change that does nothing, whose pairs against the
+parent show how far the layout of the code alone moves a metric.  Before
+any run, each side's ``src/`` and ``perfbench/`` are compiled once with
+``compileall`` into a bytecode cache of the side's own under a temporary
+directory, which every child of that side reads as its
+``PYTHONPYCACHEPREFIX``, so that no run compiles the tree afresh and
+writes no bytecode into it.  For each workload
 of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` at one seed in
 rounds of one run per side, each side from its own tree in its own
 process; the order of the sides rotates by one each round, so that no side
@@ -77,8 +79,6 @@ from run import outputs_of  # noqa: E402
 
 SIDES = ("parent", "head")
 CONTROL_LINE = b"# control: a trailing comment line that changes no behaviour\n"
-# where perfbench/run.py writes its results and inputs, in the tree it runs from
-OUTPUTS = ("perfbench/_results", "perfbench/_work")
 # the CI "Installed entry point" step, in its order; {s} is the side's directory
 COMMANDS = (
     "evaluate --table2-fixture",
@@ -129,36 +129,23 @@ def worktrees(revisions: dict[str, str]):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def control_tree(parent: Path, dest: Path) -> Path:
-    """A copy of ``parent`` at ``dest``, git metadata, bytecode and benchmark
-    outputs left out, with ``CONTROL_LINE`` appended to each
-    ``src/riskrank/*.py``."""
-    shutil.copytree(parent, dest, ignore=shutil.ignore_patterns(
+def copy_tree(tree: Path, dest: Path) -> Path:
+    """A copy of ``tree`` at ``dest``, git metadata, bytecode and the
+    benchmark's results and inputs (``perfbench/_results``, ``_work``) left
+    out."""
+    shutil.copytree(tree, dest, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", "_work", "_results"))
+    return dest
+
+
+def control_tree(parent: Path, dest: Path) -> Path:
+    """``copy_tree`` of ``parent`` with ``CONTROL_LINE`` appended to each
+    ``src/riskrank/*.py``."""
+    copy_tree(parent, dest)
     for module in sorted((dest / "src" / "riskrank").glob("*.py")):
         with open(module, "ab") as fh:
             fh.write(CONTROL_LINE)
     return dest
-
-
-@contextmanager
-def outputs_removed(trees):
-    """Remove what the benchmark runs add under each tree's ``OUTPUTS``, so
-    that a tree named by ``--dirs`` is left as it was found; what was there
-    before stays."""
-    def found():
-        return {path for tree in trees for name in OUTPUTS
-                for path in [tree / name, *(tree / name).rglob("*")] if path.exists()}
-
-    before = found()
-    try:
-        yield
-    finally:
-        for path in sorted(found() - before, reverse=True):  # files before their directory
-            if path.is_dir():
-                path.rmdir()
-            else:
-                path.unlink()
 
 
 def src_sha256(tree: Path) -> str:
@@ -395,8 +382,10 @@ def main(argv=None) -> int:
             print(f"{len(differing)} of {len(COMMANDS)} commands differ")
             return 1 if differing else 0
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-        with (tempfile.TemporaryDirectory(prefix="against_parent-") as cache,
-              outputs_removed([tree.resolve() for tree in trees.values()])):
+        with tempfile.TemporaryDirectory(prefix="against_parent-") as cache:
+            if args.dirs:
+                trees = {side: copy_tree(tree.resolve(), Path(cache) / f"{side}-tree")
+                         for side, tree in trees.items()}
             trees = {**trees, "control": control_tree(trees["parent"].resolve(),
                                                       Path(cache) / "control-tree")}
             sides = {side: compiled(tree.resolve(), Path(cache) / side)

@@ -5,9 +5,9 @@ for byte.
 For each of seeds 1-20, synthesizes the inputs of five specs once each:
 the three workloads of ``perfbench/run.py`` (``SPECS``), and two more
 networks (``MORE_NETWORKS``: 40 entities at density 0.6, and a sparse one
-on 8, where some targets have no two-step path of any value and the sums
-must cancel to 0).  Each spec's backtest runs once, and three checks read
-what they need of it:
+on 8, where some targets have no two- or three-step path of any value and
+the sums must cancel to 0).  Each spec's backtest runs once, and three
+checks read what they need of it:
 
 * backtest, on the early-warning spec: the warm-started backtest's
   ``probabilities.csv`` against that of the cold backtest kept in
@@ -25,20 +25,22 @@ what they need of it:
   a series (decomposition series have no plain route).  A file that the
   plain route reads must give the very series or panel of the row route,
   arrays compared byte for byte;
-* sums, on network-k2 and ``MORE_NETWORKS``: the series under the
-  backtest's probabilities is scored at k = 2 in unit and shapley mode,
-  with clamping on and off, at ``--targets all`` and ``root``, once by
-  ``riskrank_series``, the scorer, which runs the k = 2 sums under their
-  text guard, and once by ``engine._by_paths``, the path engine alone.
-  Each pair of ``decompositions`` files must be the same bytes, and where
-  the path engine fails, the scorer must fail with its error.
+* sums, in two legs: at k = 2 on network-k2 and ``MORE_NETWORKS``, and at
+  k = 3 on paths-k3 and sparse-8 (``SUMS_NETWORKS``).  The series under
+  the backtest's probabilities is scored in unit and shapley mode, with
+  clamping on and off, at ``--targets all`` and ``root``, once by
+  ``riskrank_series``, the scorer, which runs the sums under their text
+  guard, and once by ``engine._by_paths``, the path engine alone.  Each
+  pair of ``decompositions`` files must be the same bytes, and where the
+  path engine fails, the scorer must fail with its error.
 
 Prints one line per seed, then five totals: the quarters refit cold, the
 warm log-likelihoods that differ from ``np.logaddexp``'s and the decisions
 they would flip, the files the plain route read, the cells whose text
-would differ with the sums' guard off (nothing rescored), and the cells the
-guard sent back to the path engine, with the count of differing files;
-exits 1 if any file differs.
+would differ at k = 2 with the sums' guard off (nothing rescored), and the
+cells the guard sent back to the path engine at k = 2, with the count of
+differing files outside the k = 3 leg; then the k = 3 leg's total line,
+with its own count of differing files.  Exits 1 if any file differs.
 
     PYTHONPATH=src python scripts/check_guards.py
 """
@@ -73,7 +75,8 @@ MORE_NETWORKS = {
 }
 SEEDS = range(1, 21)
 READ_NETWORKS = ("network-k2", "paths-k3")
-SUMS_NETWORKS = ("network-k2", *MORE_NETWORKS)
+# the specs each path-length bound's sums are checked on
+SUMS_NETWORKS = {2: ("network-k2", *MORE_NETWORKS), 3: ("paths-k3", "sparse-8")}
 # (plain route, row route, the files each reads)
 READERS = (
     (io._plain_nodes_links, io._read_nodes_links_rows, ("nodes", "links")),
@@ -195,13 +198,15 @@ def scored(score, series, targets, cfg, path):
     return path.read_bytes(), texts(rows)
 
 
-def check_sums(series, tmp: Path, counts: Counter) -> list[str]:
-    """The cases of ``CONFIGS`` and both target selections whose files differ
-    from the path engine's; the cells scored, those rescored by paths and
-    those whose text would differ unguarded added to ``counts``."""
+def check_sums(series, k: int, tmp: Path, counts: Counter) -> list[str]:
+    """The cases of ``CONFIGS`` at path length ``k`` and both target
+    selections whose files differ from the path engine's; the cells scored,
+    those rescored by paths and those whose text would differ unguarded
+    added to ``counts``."""
     differing = []
     selections = {"all": entities(series), "root": [series.root()]}
     for cfg, (selector, targets) in product(CONFIGS, selections.items()):
+        cfg = replace(cfg, max_path_length=k)
         sums = engine._sums(series, targets, cfg)
         cells = len(series) * len(targets)
         counts["cells"] += cells
@@ -218,9 +223,11 @@ def check_sums(series, tmp: Path, counts: Counter) -> list[str]:
     return differing
 
 
-def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[str]:
+def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter,
+               k3: Counter) -> list[str]:
     """The checks that read spec ``name``'s inputs ``paths``, its counts
-    added to ``counts``; the cases that differ."""
+    added to ``counts``, and the k = 3 leg's to ``k3``; the cases that
+    differ."""
     panel, events = io.read_indicators(paths["indicators"]), io.read_events(paths["events"])
     with paired_logliks(counts) if name == "early-warning" else nullcontext():
         result = recursive_backtest(panel, events, H1, H2, LAG)
@@ -233,10 +240,12 @@ def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[
         if (tmp / "cold.csv").read_bytes() != paths["probabilities"].read_bytes():
             differing.append("backtest probabilities.csv")
         counts.update(refit=len(result.refit), fitted=len(result.training_end))
-    if name in SUMS_NETWORKS:
+    legs = [(k, leg) for k, leg in ((2, counts), (3, k3)) if name in SUMS_NETWORKS[k]]
+    if legs:
         series = io.read_nodes_links(paths["nodes"], paths["links"]).with_probabilities(
             result.entities, result.quarters, result.probabilities)
-        differing += [f"sums {case}" for case in check_sums(series, tmp, counts)]
+    for k, leg in legs:
+        differing += [f"sums k = {k} {case}" for case in check_sums(series, k, tmp, leg)]
     if name in READ_NETWORKS:
         write_scaled_links(paths, seed)
     if name in SPECS:
@@ -245,7 +254,7 @@ def check_spec(name: str, paths, seed: int, tmp: Path, counts: Counter) -> list[
 
 
 def main(seeds=SEEDS) -> int:
-    totals, differing, gap = Counter(), [], 0.0
+    totals, k3, differing, gap = Counter(), Counter(), [], 0.0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for seed in seeds:
@@ -253,7 +262,7 @@ def main(seeds=SEEDS) -> int:
             for name, spec in {**SPECS, **MORE_NETWORKS}.items():
                 paths = generate_synthetic(replace(spec, seed=seed), tmp / name)
                 differing += [f"seed {seed} {name} {case}"
-                              for case in check_spec(name, paths, seed, tmp, counts)]
+                              for case in check_spec(name, paths, seed, tmp, counts, k3)]
             print(f"seed {seed}: {counts['refit']} of {counts['fitted']} quarters refit cold, "
                   f"{counts['plain']} of {counts['files']} files read plain, "
                   f"{counts['rescored']} of {counts['cells']} cells rescored, "
@@ -270,8 +279,11 @@ def main(seeds=SEEDS) -> int:
     print(f"{totals['plain']} of {totals['files']} files took the plain route")
     print(f"{totals['unguarded']} of {totals['cells']} cells would differ in their text "
           f"unguarded")
+    differing_k3 = sum(" sums k = 3 " in case for case in differing)
     print(f"{totals['rescored']} of {totals['cells']} cells rescored; "
-          f"{len(differing)} differing files")
+          f"{len(differing) - differing_k3} differing files")
+    print(f"at k = 3: {k3['unguarded']} of {k3['cells']} cells would differ in their text "
+          f"unguarded, {k3['rescored']} rescored; {differing_k3} differing files")
     return 1 if differing else 0
 
 

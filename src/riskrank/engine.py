@@ -50,34 +50,47 @@ the other totals over paths add in order along the slow axis of a paths x
 dates block, except a one-date block, whose path axis numpy would sum
 pairwise and which therefore goes through ``cumsum``.
 
-``riskrank_series``, the one scorer, at k = 2 first scores without paths.
-Let A be the dates x nodes x nodes weights with self-links zeroed, y the
-risk levels, a_j = w(j -> t) and S = A'y.  The two-step paths into t are
-the pairs j -> i -> t with j not t, so
+``riskrank_series``, the one scorer, at k = 2 and 3 first scores without
+paths.  Let A be the dates x nodes x nodes weights with self-links zeroed,
+y the risk levels, a_j = w(j -> t), and S'_i = sum_h w(h -> i) y_h over
+h not t.  The two-step paths into t are the pairs j -> i -> t with j not
+t, so
 
-    L1 = sum_j a_j y_j,    L2 = sum_i a_i y_i (S_i - w(t -> i) y_t),
+    L1 = sum_j a_j y_j,    L2 = sum_i a_i y_i S'_i,
 
-and z is the same sum with y = 1, plus the self mass in "shapley" mode:
-a few matrix products per date for every target at once.  Each of the
-five numbers written is then bounded (N. J. Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., ch. 3-4: k roundings of
-nonnegative terms move a value by at most gamma_k = k u / (1 - k u) of it,
-and a sum of n terms in any order by at most gamma_{n-1} of the sum of
-their magnitudes).  The radius adds the sums' own error, taken from the
-magnitudes L2a + L2b of a difference, through the quotient L / z with z
-bounded below, to the path engine's: products of up to four factors, z
-summed pairwise (``_pairwise_depth``), the shares of n1 and n2 paths added
-in order.  A cell whose numbers all keep their ``"%.10g"`` text across
-their radius (``_same_text``) keeps the sums' values; the path engine,
+and at k = 3, with A' the weights with t's row and column zeroed too, the
+three-step paths h -> i -> j -> t add
+
+    L3 = sum_j a_j y_j (sum_i A'_ij y_i S'_i - y_j sum_i A'_ij A'_ji y_i),
+
+taken for every target at once as the walks h -> i -> j -> t less those
+through t or back to j (``_three_step``).  Z1, Z2 and Z3 are the same sums
+with y = 1, and z = Z1 + Z2 (+ Z3) plus the self mass in "shapley" mode:
+a few matrix products per date for every target at once; direct = L1 / z
+and indirect = (L2 (+ L3)) / z.  Each of the five numbers written is then
+bounded (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., ch. 3-4: k roundings of nonnegative terms move a value by at
+most gamma_k = k u / (1 - k u) of it, and a sum of n terms in any order by
+at most gamma_{n-1} of the sum of their magnitudes).  The radius adds the
+sums' own error, taken from the magnitudes of the terms of each
+difference (L2a + L2b for L2, the five terms for L3, and so for z),
+through the quotient L / z with z bounded below, to the path engine's:
+products of up to 2k factors, z summed pairwise (``_pairwise_depth``) over
+its n1 + n2 (+ n3) masses, the shares of n1 paths of length 1 and of the
+n2 (+ n3) longer ones added in order, with n3 counted from the link mask
+as n2 is (``_path_counts``).  The sums' bounds assume no order of
+summation, since batched matrix products change theirs with the BLAS
+kernel.  A cell whose numbers all keep their ``"%.10g"`` text across their
+radius (``_same_text``) keeps the sums' values; the path engine,
 ``_by_paths``, rescores any other on its dates alone.  So the rows have
 its text, but not always its bits.  The bound covers the arithmetic as
 modelled, not numpy's or BLAS's code, so the bytes are checked rather than
 proved: ``scripts/check_guards.py`` compares the scorer's files with the
-path engine's on synth seeds 1-20, and the tests do on random networks.
-At any other k, and on any input on which a target could fail (a missing
-level, a root with out-links, a z that may be 0 where it fails, a
-negative, non-finite or very small or large value), the path engine
-scores every cell, so that the error is its own.
+path engine's on synth seeds 1-20 at both k, and the tests do on random
+networks.  The path engine scores every cell at k = 1 and k >= 4, and on
+any input on which a target could fail (a missing level, a root with
+out-links, a z that may be 0 where it fails, a negative, non-finite or
+very small or large value), so that the error is its own.
 """
 
 from __future__ import annotations
@@ -250,7 +263,6 @@ def _rows(dates, targets: list[str], parts) -> list[SeriesRow]:
 
 _U = 2.0 ** -53  # the unit roundoff of float64
 _SLACK = 1.0 + 2.0 ** -20  # covers the rounding of the radii and the magnitudes they read
-_RANGE = 2.0 ** -120, 2.0 ** 120  # nonzero inputs: no product or quotient leaves the normals
 
 
 def _gamma(k):
@@ -273,11 +285,14 @@ def _pairwise_depth(n: int) -> int:
     return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
 
 
-def _in_range(values: np.ndarray) -> bool:
+def _in_range(values: np.ndarray, k: int) -> bool:
     """Whether no value is negative (-0.0 too) or not finite, and every other
-    one but 0.0 lies in ``_RANGE``."""
-    return (not np.signbit(values).any() and values.max(initial=0.0) <= _RANGE[1]
-            and np.count_nonzero(values < _RANGE[0]) == np.count_nonzero(values == 0.0))
+    one but 0.0 lies within 2 ** -(240 // k) and 2 ** (240 // k): then no
+    product or quotient of the sums or of the path engine at path length k
+    leaves the normals (a share is 2k factors over a sum of products of k)."""
+    top = 2.0 ** (240 // k)
+    return (not np.signbit(values).any() and values.max(initial=0.0) <= top
+            and np.count_nonzero(values < 1.0 / top) == np.count_nonzero(values == 0.0))
 
 
 def _same_text(value: np.ndarray, radius: np.ndarray) -> np.ndarray:
@@ -303,18 +318,59 @@ def _same_text(value: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return kept & np.isfinite(value) & np.isfinite(radius)
 
 
+def _times(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_i v[d, i] A[d, i, t] for each date d and node t."""
+    return np.matmul(v[:, None, :], A)[:, 0]
+
+
+def _three_step(A: np.ndarray, C: np.ndarray, y: np.ndarray, S: np.ndarray,
+                T: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per date and node t, the sum over the paths h -> i -> j -> t of their
+    weights times y_h y_i y_j, and the sum of its five terms' magnitudes.
+
+    ``A`` holds the weights, ``C`` the products w(i -> t) w(t -> i), and
+    ``S``, ``T`` and ``V`` the sums over the walks h -> t, h -> i -> t and
+    t -> i -> t with the same ``y``.  The first term takes every walk; a
+    walk repeats a node only where i = t, h = t or h = j, and those with both
+    i = t and h = j (j -> t -> j -> t) are taken out twice and added back.
+    """
+    yA = y[:, :, None] * A  # y_j w(j -> t)
+    terms = (_times(y * T, A),
+             V * S,  # h -> t -> j -> t
+             y * (np.matmul(A, yA) * yA.transpose(0, 2, 1)).sum(axis=2),  # t -> i -> j -> t
+             _times(y * V, A),  # j -> i -> j -> t
+             y * _times(y * y, C * A))
+    return terms[0] - terms[1] - terms[2] - terms[3] + terms[4], sum(terms)
+
+
+def _path_counts(B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The paths into each node that ``k_paths`` lists for k = 2 or 3: those
+    of length 1, and those of length 2 to k, from ``B[i, t]``, whether the
+    link i -> t exists, with self-links left out."""
+    n1 = B.sum(axis=0)
+    n2 = (B * (n1[:, None] - B.T)).sum(axis=0)
+    if k == 2:
+        return n1, n2
+    # the terms of _three_step over the walks of B
+    Bi = B.astype(np.intp)
+    V = (Bi * Bi.T).sum(axis=0)
+    n3 = (n1 @ Bi) @ Bi - V * n1 - ((Bi @ Bi) * Bi.T).sum(axis=1) - V @ Bi + V
+    return n1, n2 + n3
+
+
 def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
     """The five parts of the scores, stacked as 5 x dates x targets, from the
-    k = 2 sums, and the dates x targets cells whose text the guard could not
-    keep, for the path engine to rescore; None where the sums do not apply or
-    a target could fail."""
+    sums at k = 2 or 3, and the dates x targets cells whose text the guard
+    could not keep, for the path engine to rescore; None where the sums do
+    not apply or a target could fail."""
+    k = cfg.max_path_length
     col = {nid: i for i, nid in enumerate(series.node_ids)}
     c = np.array([col.get(target, -1) for target in targets], dtype=np.intp)
     n, dates = len(col), len(series)
     root = np.array(series.levels) == 0
-    if (cfg.max_path_length != 2 or (c < 0).any()
-            or not all(map(_in_range, (series.W, series.X[:, ~root],
-                                       series.exposure[~np.isnan(series.exposure)])))):
+    if (k not in (2, 3) or (c < 0).any()
+            or not all(_in_range(values, k) for values in (
+                series.W, series.X[:, ~root], series.exposure[~np.isnan(series.exposure)]))):
         return None
     # B[i, t]: whether the link i -> t exists; A[d, i, t]: its weight on date
     # d, else 0.0; self-links left out of both
@@ -326,17 +382,28 @@ def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
     if B[root].any():
         return None  # a root's missing level is read on a path
     y = np.where(root, 0.0, series.X)
-
-    def times_A(v):  # sum_i v[d, i] A[d, i, t]
-        return np.matmul(v[:, None, :], A)[:, 0]
-
     Z1 = A.sum(axis=1)
-    L1 = times_A(y)  # S = A'y
-    L2a, Z2a = times_A(y * L1), times_A(Z1)
-    A *= A.transpose(0, 2, 1)  # A[d, i, t] w(t -> i): the paths t -> i -> t
-    L2b, Z2b = y * np.matmul(y[:, None, :], A)[:, 0], A.sum(axis=1)
-    del A
-    L1, L2a, L2b, Z1, Z2a, Z2b, y = (v[:, c] for v in (L1, L2a, L2b, Z1, Z2a, Z2b, y))
+    L1 = _times(y, A)  # also S, before t's own term is taken out
+    L2a, Z2a = _times(y * L1, A), _times(Z1, A)
+    C = A * A.transpose(0, 2, 1)  # C[d, i, t] = w(i -> t) w(t -> i): the walks t -> i -> t
+    L2b, Z2b = y * _times(y, C), C.sum(axis=1)
+    L2, Z2 = L2a - L2b, Z2a - Z2b
+    # the magnitudes of the terms, and the most roundings one passes through:
+    # L2a's 2n + 1 and Z2a's 2n - 1, or at k = 3 the 3n + 2 and 3n - 1 of the
+    # first terms of L3 and Z3, then the differences and sums after them (z's
+    # at k = 2 with one to spare)
+    L_mags, Z_mags = [L2a, L2b], [Z1, Z2a, Z2b]
+    L_rounds, Z_rounds = 2 * n + 2, 2 * n + 3
+    if k == 3:
+        L3, L3_mag = _three_step(A, C, y, L1, L2a, L2b)
+        Z3, Z3_mag = _three_step(A, C, np.ones_like(y), Z1, Z2a, Z2b)
+        L2, Z2 = L2 + L3, Z2 + Z3
+        L_mags.append(L3_mag)
+        Z_mags.append(Z3_mag)
+        L_rounds, Z_rounds = 3 * n + 7, 3 * n + 6
+    del A, C
+    L1, L2, Z1, Z2, y = (v[:, c] for v in (L1, L2, Z1, Z2, y))
+    L_mag, Z_mag = (sum(v[:, c] for v in mags) for mags in (L_mags, Z_mags))
 
     is_root = root[c]
     shapley = ~is_root & (cfg.central_weight_mode == "shapley")
@@ -345,21 +412,19 @@ def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
     fallback = shapley & np.isnan(series.exposure[:, c])
     s = np.where(fallback, np.minimum(Z1, 1.0), np.where(shapley, series.exposure[:, c], 0.0))
     e_s = np.where(fallback, 2 * _gamma(n) * Z1, 0.0)
-    L2 = L2a - L2b
-    z = Z1 + (Z2a - Z2b) + s
-    # forward error bounds of the sums (2n + 3 roundings at most, from
-    # magnitudes where a term is subtracted)
-    e_L1, e_L2 = _gamma(n) * L1, _gamma(2 * n + 2) * (L2a + L2b)
-    e_z = _gamma(2 * n + 3) * (Z1 + Z2a + Z2b + s) + e_s
+    z = Z1 + Z2 + s
+    # forward error bounds of the sums, from magnitudes where a term is subtracted
+    e_L1, e_L2 = _gamma(n) * L1, _gamma(L_rounds) * L_mag
+    e_z = _gamma(Z_rounds) * (Z_mag + s) + e_s
     z_lo = z - e_z
     if not (z_lo[:, is_root | shapley] > 0.0).all():
         return None  # no mass may fail
     sure = z_lo > 0.0  # z is not 0
-    # roundings of the path engine: n1 paths of length 1, n2 of length 2
-    n1 = B.sum(axis=0)
-    n2 = (B * (n1[:, None] - B.T)).sum(axis=0)
-    n1, n2 = n1[c], n2[c]
-    z_depth = 1 + np.array([_pairwise_depth(k) for k in (n1 + n2).tolist()])
+    # roundings of the path engine: n1 paths of length 1 and n2 longer ones;
+    # a share of length L takes 2L - 1 in its value, one in its quotient and
+    # those of z, whose masses took up to k - 1 each (one more to spare)
+    n1, n2 = (count[c] for count in _path_counts(B, k))
+    z_depth = 1 + np.array([_pairwise_depth(m) for m in (n1 + n2).tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
         z_safe = np.where(sure, z, 1.0)
         direct = np.where(sure, L1 / z_safe, 0.0)
@@ -369,11 +434,11 @@ def _sums(series: NetworkSeries, targets: list[str], cfg: RiskRankConfig):
         direct_hi, indirect_hi = (L1 + e_L1) / z_lo, (L2 + e_L2) / z_lo
         own_hi = (s + e_s) * y / z_lo
         r_direct = ((e_L1 + direct_hi * e_z) / z_safe + _U * direct
-                    + _gamma(z_depth + n1 + 3) * direct_hi)
+                    + _gamma(z_depth + n1 + k + 1) * direct_hi)
         r_indirect = ((e_L2 + indirect_hi * e_z) / z_safe + _U * indirect
-                      + _gamma(z_depth + n2 + 5) * indirect_hi)
+                      + _gamma(z_depth + n2 + 3 * k - 1) * indirect_hi)
         r_own = np.where(shapley, (own_hi * e_z + e_s * y) / z_safe + 2 * _U * individual
-                         + _gamma(z_depth + 4) * own_hi, 0.0)
+                         + _gamma(z_depth + k + 2) * own_hi, 0.0)
     # where z may be 0, the path engine's shares are 0; so are the sums' where
     # every magnitude is 0, and nothing is known elsewhere
     r_direct, r_indirect = (np.where(sure, r, np.where(e_z == 0.0, 0.0, np.inf))
@@ -395,12 +460,13 @@ def _by_paths(series, targets: list[str], cfg: RiskRankConfig, sums=None) -> lis
     """
     shape = len(series), len(targets)
     parts, flagged = sums or (np.empty((5,) + shape), np.ones(shape, dtype=bool))
-    dates = np.flatnonzero(flagged.any(axis=1))
-    scorer, failures = _Scorer(series, dates), []
+    scored, failures = None, []
     for j in np.flatnonzero(flagged.any(axis=0)).tolist():
-        cells = flagged[dates, j]
+        dates = np.flatnonzero(flagged[:, j])
+        if scored is None or not np.array_equal(dates, scored):
+            scorer, scored = _Scorer(series, dates), dates
         try:
-            parts[:, dates[cells], j] = np.array(scorer.score(targets[j], cfg))[:, cells]
+            parts[:, dates, j] = scorer.score(targets[j], cfg)
         except _Failure as failure:
             date_index, error = failure.args
             failures.append((dates[date_index], j, error))

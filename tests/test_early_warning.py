@@ -526,6 +526,34 @@ def test_a_cold_refit_goes_through_fit_logit(monkeypatch):
     assert len(calls) == len(result.training_end) + len(result.refit)
 
 
+def test_a_fit_scores_its_line_search_by_whether_it_has_a_start(monkeypatch):
+    # the bits of a fit from zero define the written text, and its
+    # log-likelihood reaches them only through accept/halve decisions that
+    # the two forms do not flip here; so the form each fit passes to _newton
+    # is read where it is chosen
+    used, newton = [], early_warning._newton
+
+    def recording(design, y, beta, loglik):
+        used.append(loglik)
+        return newton(design, y, beta, loglik)
+
+    monkeypatch.setattr(early_warning, "_newton", recording)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((50, 2))
+    y = (X[:, 0] + rng.standard_normal(50) > 0).astype(float)
+    model = fit_logit(X, y)
+    fit_logit(X, y, start=model)
+    assert used == [early_warning._penalized_loglik, early_warning._shared_loglik]
+    used.clear()
+    panel, events = synthetic_backtest_inputs()
+    result = recursive_backtest(panel, events, 5, 12, lag=1, start=panel.quarters[20])
+    assert result.refit
+    cold = used.count(early_warning._penalized_loglik)
+    assert cold == 1 + len(result.refit)
+    warm = used.count(early_warning._shared_loglik)
+    assert warm == len(used) - cold == len(result.training_end) - 1
+
+
 def test_a_planted_unstable_cell_makes_its_quarter_refit_cold(monkeypatch):
     # the last quarter's rows train no model, so planting a value there
     # leaves its warm fit as it was; the planted row's probability is set

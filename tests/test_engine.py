@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from riskrank import engine
 from riskrank.engine import RiskRankConfig, riskrank_for, riskrank_series
 from riskrank.errors import NoCapacityError, RiskRankError, StructuralDriftError
-from riskrank.network import NetworkSeries, NetworkSnapshot, Node, RiskNetwork, build_capacity
+from riskrank.network import (
+    PATH_PAD,
+    NetworkSeries,
+    NetworkSnapshot,
+    Node,
+    RiskNetwork,
+    build_capacity,
+    k_paths,
+)
 
 from conftest import random_snapshot, with_self_links
 from oracle import oracle_for, risk_of, riskrank_kpath, riskrank_node, riskrank_root
@@ -528,9 +536,10 @@ def scored(score, series, targets, cfg):
         return type(exc), str(exc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from(["unit", "shapley"]), st.booleans())
-def test_sums_give_the_path_engines_text(seed, mode, clamp):
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([2, 3]), st.sampled_from(["unit", "shapley"]),
+       st.booleans())
+def test_sums_give_the_path_engines_text(seed, k, mode, clamp):
     """Self-links, zero weights, missing levels and shuffled ids: the same
     rows in the same order with the same text, or the same error."""
     rng = np.random.default_rng(seed)
@@ -542,7 +551,7 @@ def test_sums_give_the_path_engines_text(seed, mode, clamp):
     series = NetworkSeries.from_snapshots([relabeled(snap, names) for snap in snaps])
     chosen = rng.permutation(series.node_ids)[:int(rng.integers(1, len(ids) + 1))]
     targets = [str(t) for t in chosen]
-    cfg = RiskRankConfig(mode, clamp, 2)
+    cfg = RiskRankConfig(mode, clamp, k)
     assert scored(riskrank_series, series, targets, cfg) == \
         scored(engine._by_paths, series, targets, cfg)
 
@@ -556,7 +565,9 @@ def sums_series(seed):
             return series
 
 
-@pytest.mark.parametrize("cfg", [UNIT, SHAPLEY, RiskRankConfig("unit", False)])
+@pytest.mark.parametrize("cfg", [UNIT, SHAPLEY, RiskRankConfig("unit", False),
+                                 RiskRankConfig("unit", True, 3),
+                                 RiskRankConfig("shapley", False, 3)])
 @pytest.mark.parametrize("seed", range(4))
 def test_sums_rescore_every_flagged_cell_by_paths(monkeypatch, seed, cfg):
     """With every radius scaled up, and widened past one text, every cell is
@@ -585,7 +596,7 @@ def test_sums_fall_back_where_a_target_could_fail():
     assert engine._sums(replace(series, W=W), targets, UNIT) is None  # underflow
     assert engine._sums(replace(series, W=-W), targets, UNIT) is None
     assert engine._sums(series, targets + ["GHOST"], UNIT) is None
-    assert engine._sums(series, targets, RiskRankConfig(max_path_length=3)) is None
+    assert engine._sums(series, targets, RiskRankConfig(max_path_length=4)) is None
     with pytest.raises(ValueError, match="unknown node 'GHOST'"):
         riskrank_series(series, ["GHOST"], UNIT)
     # the root's level is read on a path from it
@@ -594,6 +605,39 @@ def test_sums_fall_back_where_a_target_could_fail():
     assert engine._sums(looped_root, ["A"], UNIT) is None
     with pytest.raises(ValueError, match="node 'S' carries no risk value"):
         riskrank_series(looped_root, ["A"], UNIT)
+
+
+def test_k3_sums_leave_out_the_walks_around_a_two_cycle():
+    """I and J link both ways and both feed T.  The walk J -> I -> J -> T
+    repeats J, so no path of length 3 reaches T; the sums add it in their
+    first term and take it out again where h = j."""
+    net = RiskNetwork.build(
+        [Node("S", 0), Node("I", 1, "S", 0.5), Node("J", 1, "S", 0.75), Node("T", 1, "S", 0.25)],
+        [("I", "J", 0.5), ("J", "I", 0.25), ("I", "T", 0.75), ("J", "T", 0.5), ("T", "S", 1.0)])
+    series = NetworkSeries.from_snapshots([NetworkSnapshot(0, net)])
+    cfg = RiskRankConfig(max_path_length=3)
+    parts, flagged = engine._sums(series, ["T"], cfg)
+    assert not flagged.any()
+    # I -> T, J -> T; I -> J -> T, J -> I -> T
+    z = 0.75 + 0.5 + 0.5 * 0.5 + 0.25 * 0.75
+    indirect = (0.5 * 0.5 * 0.5 * 0.75 + 0.25 * 0.75 * 0.75 * 0.5) / z
+    # the walk would add 0.25 * 0.5 * 0.5 * 0.75 * 0.75 * 0.5 / z, a tenth of it
+    assert parts[2, 0, 0] == pytest.approx(indirect, rel=1e-14)
+    assert texts(riskrank_series(series, ["T"], cfg)) == \
+        texts(engine._by_paths(series, ["T"], cfg))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_path_counts_are_the_rows_of_k_paths(seed):
+    rng = np.random.default_rng(seed)
+    series = NetworkSeries.from_snapshots(looped(rng, changing_series(rng, 1)))
+    B = series.link_table[:-1, :-1] < len(series.link_keys)
+    np.fill_diagonal(B, False)
+    for k in (2, 3):
+        n1, longer = engine._path_counts(B, k)
+        for t, target in enumerate(series.node_ids):
+            length = (k_paths(series, target, k)[:, 1:] != PATH_PAD).sum(axis=1)
+            assert (n1[t], longer[t]) == (np.sum(length == 1), np.sum(length > 1))
 
 
 def test_text_check_at_powers_of_ten_one_zero_and_tiny_values():

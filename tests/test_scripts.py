@@ -32,17 +32,20 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypat
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     caches, run, order = {}, subprocess.run, []
     a, b = ((tmp_path / side).resolve() for side in ("a", "b"))
+    # each side runs from a copy: of a, of b, and the control's of a
+    sources = iter([(a, b""), (b, b""), (a, against_parent.CONTROL_LINE)])
 
     def spy(argv, **kwargs):
         if argv[1:2] == ["perfbench/run.py"]:
             cache, tree = kwargs["env"]["PYTHONPYCACHEPREFIX"], Path(kwargs["cwd"])
+            if tree not in caches:
+                assert tmp_path not in tree.parents
+                assert_is_copy_of(tree, *next(sources))
             caches.setdefault(tree, set()).add(cache)
             order.append(tree)
             source = tree / "src" / "riskrank" / "io.py"
             assert Path(cache, *source.parent.parts[1:],
                         f"io.{sys.implementation.cache_tag}.pyc").is_file()
-            if tree not in (a, b):
-                assert_is_control_of(tree, a)
         return run(argv, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", spy)
@@ -57,8 +60,7 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypat
     assert len(caches) == 3 and all(len(cache) == 1 for cache in caches.values())
     assert len({cache for tree in caches.values() for cache in tree}) == 3
     # the parent, HEAD and the control, each untraced, then traced
-    control = next(tree for tree in caches if tree not in (a, b))
-    assert order == [a, b, control] * 2
+    assert order == order[:3] * 2
     assert not list(tmp_path.rglob("__pycache__"))
     # the runs' results and inputs are not left in the trees named by --dirs
     assert not [path for path in tmp_path.rglob("*") if {"_results", "_work"} & set(path.parts)]
@@ -70,7 +72,7 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypat
         for name in names:
             stats = result[side][name]
             assert stats["q1"] == stats["median"] == stats["q3"] == result["samples"][side][name][0]
-        assert result["trace"][side]["network.k_paths_calls"] > 0
+        assert result["trace"][side]["engine.decompositions"] > 0
     for side in ("head", "control"):
         assert sorted(result[f"{side}_won"]) == sorted(names)
         assert all(won in (0, 1) for won in result[f"{side}_won"].values())
@@ -84,42 +86,22 @@ def test_against_parent_bench_pairs_two_source_trees(tmp_path, capsys, monkeypat
     assert against_parent.src_sha256(tmp_path / "b") != report["trees"]["parent"]
 
 
-def assert_is_control_of(control: Path, parent: Path):
-    """``control`` holds the files of ``parent``, bytecode and benchmark
-    outputs left out, and each differs only by the comment line at the end
-    of every src/riskrank/*.py."""
+def assert_is_copy_of(copy: Path, tree: Path, line: bytes = b""):
+    """``copy`` holds the files of ``tree``, bytecode and benchmark outputs
+    left out, and each differs only by ``line`` at the end of every
+    src/riskrank/*.py."""
     def files(tree):
         return {path.relative_to(tree): path for path in tree.rglob("*")
                 if path.is_file() and not {"__pycache__", "_work", "_results"} & set(path.parts)}
 
-    ours, theirs = files(control), files(parent)
+    ours, theirs = files(copy), files(tree)
     assert sorted(ours) == sorted(theirs)
     modules = {name for name in theirs if name.parts[:2] == ("src", "riskrank")
                and name.suffix == ".py"}
     assert modules
     for name, path in theirs.items():
-        extra = against_parent.CONTROL_LINE if name in modules else b""
+        extra = line if name in modules else b""
         assert ours[name].read_bytes() == path.read_bytes() + extra, name
-
-
-def test_against_parent_removes_only_what_the_runs_add(tmp_path):
-    # a results file from before stays, with its directory; what a run adds
-    # goes, new directories too, in a tree with both output directories and
-    # in one with neither
-    a, b = tmp_path / "a", tmp_path / "b"
-    kept = a / "perfbench" / "_results" / "kept.json"
-    kept.parent.mkdir(parents=True)
-    kept.write_text("{}")
-    b.mkdir()
-    with against_parent.outputs_removed([a, b]):
-        for tree in (a, b):
-            for name in against_parent.OUTPUTS:
-                work = tree / name / "paths-k3-1"
-                work.mkdir(parents=True)
-                (work / "nodes.csv").write_text("")
-            (tree / "perfbench" / "_results" / "run.json").write_text("{}")
-    assert sorted(tmp_path.rglob("*")) == [a, a / "perfbench", kept.parent, kept,
-                                           b, b / "perfbench"]
 
 
 def test_against_parent_bench_alternates_which_side_runs_first(monkeypatch):
@@ -197,12 +179,12 @@ def test_against_parent_diff_runs_the_ci_steps_commands():
 
 
 def test_check_guards_passes_on_one_seed(capsys):
-    # the CI guard check at one seed: no file differs, and the five totals
-    # count that seed's 107 backtest quarters, its warm fits'
-    # log-likelihoods, 16 files read and 20636 scored cells
+    # the CI guard check at one seed: no file differs, and the totals count
+    # that seed's 107 backtest quarters, its warm fits' log-likelihoods, 16
+    # files read, 20636 cells scored at k = 2 and 5360 at k = 3
     assert check_guards.main(range(7, 8)) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert re.fullmatch(r"seed 7: \d+ of 107 quarters refit cold, 16 of 16 files read plain, "
                         r"\d+ of 20636 cells rescored, \d+ would differ unguarded", lines[0])
     assert re.fullmatch(r"\d+ of 107 quarters refit cold over seeds 7-7", lines[1])
@@ -211,6 +193,8 @@ def test_check_guards_passes_on_one_seed(capsys):
     assert lines[3] == "16 of 16 files took the plain route"
     assert re.fullmatch(r"\d+ of 20636 cells would differ in their text unguarded", lines[4])
     assert re.fullmatch(r"\d+ of 20636 cells rescored; 0 differing files", lines[5])
+    assert re.fullmatch(r"at k = 3: \d+ of 5360 cells would differ in their text unguarded, "
+                        r"\d+ rescored; 0 differing files", lines[6])
 
 
 def bench_file(path, revisions, medians, won, control=None, **more):
